@@ -20,7 +20,7 @@ from .confidence import (
     ThresholdTriple,
     bundled_thresholds,
     filter_disagreements,
-    score_smoa_confidence,
+    smoa_confidence,
 )
 from .decomp import InstructionRecord, TaskVariant, generate_dataset, render_instruction
 from .ensemble import AgentConfig, VoteLedger, cleanup_predictions, default_agents, run_self_moa

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +25,7 @@ from .confidence import (
 from .decomp import TaskVariant, generate_dataset, write_dataset
 from .ensemble import default_agents, run_self_moa
 from .errors import ConfigurationError, ReventError
-from .ingest import load_corpus, load_final_predictions, load_tagger_predictions
+from .ingest import load_corpus, load_final_predictions, load_tagger_predictions, write_text_atomic
 from .metrics import gold_from_corpus, score_predictions
 from .pipeline import backend_reflector, extract_document
 from .reflection import AuditLog, ReflectionConfig
@@ -50,7 +48,6 @@ class RunConfig:
     tune_corpus: Path | None = None
     tune_tagger_preds: Path | None = None
     overlap_threshold: float = 0.5
-    seed: int = 0
     metrics_gate: str = "trg-c"
     grid_step: float = 0.05
     parallelism: int = 4
@@ -62,19 +59,6 @@ class RunConfig:
             )
         if self.tune_corpus is not None and self.tune_tagger_preds is None:
             raise ConfigurationError("--tune requires --tune-tagger-preds")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _resolve_thresholds(source: str) -> ThresholdSet:
@@ -150,8 +134,8 @@ def run_pipeline(config: RunConfig) -> dict:
         )
 
     out = Path(config.out_dir)
-    _atomic_write(out / "predictions.jsonl", "\n".join(prediction_lines) + "\n")
-    _atomic_write(
+    write_text_atomic(out / "predictions.jsonl", "\n".join(prediction_lines) + "\n")
+    write_text_atomic(
         out / "audit.jsonl",
         "".join(
             json.dumps(e, ensure_ascii=False, sort_keys=True) + "\n" for e in audit.entries
@@ -163,7 +147,6 @@ def run_pipeline(config: RunConfig) -> dict:
         "documents": len(corpus),
         "events": sum(len(r.final) for r in final_by_doc.values()),
         "thresholds": thresholds.as_dict(),
-        "seed": config.seed,
         "overlap_threshold": config.overlap_threshold,
         "agents": config.agents,
         "backend": str(config.backend),
@@ -174,13 +157,13 @@ def run_pipeline(config: RunConfig) -> dict:
             gold_from_corpus(corpus),
             gating=config.metrics_gate,
         )
-        _atomic_write(
+        write_text_atomic(
             out / "metrics.json",
             json.dumps(metrics.as_dict(), indent=2, sort_keys=True) + "\n",
         )
         summary["metrics"] = metrics.as_dict()
         print(metrics.table())
-    _atomic_write(
+    write_text_atomic(
         out / "run_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     return summary
@@ -198,7 +181,6 @@ def _cmd_extract(args) -> int:
         tune_corpus=args.tune,
         tune_tagger_preds=args.tune_tagger_preds,
         overlap_threshold=args.overlap_threshold,
-        seed=args.seed,
         metrics_gate=_GATE_FLAGS[args.metrics_gate],
         grid_step=args.grid_step,
         parallelism=args.parallelism,
@@ -232,7 +214,7 @@ def _cmd_evaluate(args) -> int:
         preds, gold_from_corpus(corpus), gating=_GATE_FLAGS[args.metrics_gate]
     )
     if args.out:
-        _atomic_write(
+        write_text_atomic(
             Path(args.out), json.dumps(metrics.as_dict(), indent=2, sort_keys=True) + "\n"
         )
     print(metrics.table())
@@ -263,7 +245,7 @@ def _cmd_simulate(args) -> int:
     report = simulate.run_scenario(scenario)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        _atomic_write(Path(args.out), text + "\n")
+        write_text_atomic(Path(args.out), text + "\n")
     print(text)
     return 0
 
@@ -293,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tune-tagger-preds", type=Path)
     p.add_argument("--overlap-threshold", type=float, default=0.5)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metrics-gate", choices=sorted(_GATE_FLAGS), default="trgC")
     p.add_argument("--grid-step", type=float, default=0.05)
     p.set_defaults(func=_cmd_extract)

@@ -1,8 +1,9 @@
 """Confidence scoring and three-way filtering of disagreement predictions.
 
 Single-source disagreements are scored - tagger events by their softmax
-confidence, ensemble events by the fraction of agents voting for them - and
-partitioned against a threshold triple:
+confidence, ensemble events by smoa_confidence, the fraction of agents
+voting for the trigger (or for the argument under it) - and partitioned
+against a threshold triple:
 
 * tagger events with conf >= theta_s are retained directly, others removed;
 * ensemble events with conf >= theta_smoa_hi are retained directly, those
@@ -22,7 +23,8 @@ from pathlib import Path
 
 from .ensemble import VoteLedger
 from .errors import ConfigurationError
-from .model import ArgumentMention, EventMention, canonical_key
+from .ingest import write_text_atomic
+from .model import ArgumentKey, ArgumentMention, EventMention, TriggerId
 
 __all__ = [
     "Source",
@@ -31,9 +33,8 @@ __all__ = [
     "ThresholdTriple",
     "ThresholdSet",
     "Partition",
-    "score_smoa_confidence",
+    "smoa_confidence",
     "filter_disagreements",
-    "filter_disagreements_combined",
     "bundled_thresholds",
     "load_threshold_set",
     "save_threshold_set",
@@ -47,15 +48,11 @@ class Source(Enum):
 
 @dataclass(frozen=True)
 class ScoredEvent:
-    """A disagreement prediction with its provenance and confidence.
-
-    ``confidence`` may be left None for ensemble events, in which case the
-    filter computes it from the vote ledger (whole-event votes / n).
-    """
+    """A trigger-level disagreement prediction, pre-scored."""
 
     event: EventMention
     source: Source
-    confidence: float | None = None
+    confidence: float
 
 
 @dataclass(frozen=True)
@@ -131,30 +128,22 @@ class Partition:
         )
 
 
-def score_smoa_confidence(event: EventMention, ledger: VoteLedger, n: int) -> float:
-    """Fraction of the n agents that made exactly this prediction."""
+def smoa_confidence(
+    ledger: VoteLedger,
+    n: int,
+    trigger_id: TriggerId,
+    arg_key: ArgumentKey | None = None,
+) -> float:
+    """Fraction of the n agents that voted for this trigger or, given
+    ``arg_key``, for this argument under the trigger."""
     if n < 1:
         raise ConfigurationError("agent count must be >= 1")
-    return len(ledger.votes(canonical_key(event))) / n
+    if arg_key is None:
+        return len(ledger.trigger_votes(trigger_id)) / n
+    return len(ledger.argument_votes(trigger_id, arg_key)) / n
 
 
-def _resolve_confidence(item, ledger: VoteLedger | None, n: int | None) -> float:
-    if item.confidence is not None:
-        return item.confidence
-    event = getattr(item, "event", None)
-    if event is None or item.source is not Source.SMOA or ledger is None or n is None:
-        raise ConfigurationError(
-            "an unscored disagreement needs an SMOA event source plus ledger and agent count"
-        )
-    return score_smoa_confidence(event, ledger, n)
-
-
-def filter_disagreements(
-    dis,
-    thresholds: ThresholdTriple,
-    ledger: VoteLedger | None = None,
-    n: int | None = None,
-) -> Partition:
+def filter_disagreements(dis, thresholds: ThresholdTriple) -> Partition:
     """Partition disagreement predictions into retained / removed / reflect.
 
     Tagger-side events are kept iff their confidence reaches theta_s (there
@@ -166,7 +155,7 @@ def filter_disagreements(
     removed: list = []
     reflect: list = []
     for item in dis:
-        conf = _resolve_confidence(item, ledger, n)
+        conf = item.confidence
         if item.source is Source.TAGGER:
             (retained_tagger if conf >= thresholds.theta_s else removed).append(item)
         elif conf >= thresholds.theta_smoa_hi:
@@ -183,31 +172,9 @@ def filter_disagreements(
     )
 
 
-def filter_disagreements_combined(
-    dis,
-    tau: float,
-    ledger: VoteLedger | None = None,
-    n: int | None = None,
-) -> tuple[tuple, tuple]:
-    """Single-threshold variant: (retained, ambiguous-for-reflection).
-
-    Each disagreement is single-source by construction, so the combined
-    confidence (sum of per-model confidences over the number of models
-    predicting it) reduces to the event's own confidence. Nothing is
-    removed outright; everything below tau goes to reflection.
-    """
-    high: list = []
-    ambiguous: list = []
-    for item in dis:
-        conf = _resolve_confidence(item, ledger, n)
-        (high if conf >= tau else ambiguous).append(item)
-    return tuple(high), tuple(ambiguous)
-
-
 def save_threshold_set(thresholds: ThresholdSet, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(thresholds.as_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    write_text_atomic(
+        Path(path), json.dumps(thresholds.as_dict(), indent=2, sort_keys=True) + "\n"
     )
 
 

@@ -66,9 +66,6 @@ class VoteLedger:
         except KeyError:
             raise KeyError(f"event key {key} was never voted for")
 
-    def vote_count(self, key: EventKey) -> int:
-        return len(self.votes(key))
-
     def trigger_votes(self, trig: TriggerId) -> frozenset[int]:
         voters: set[int] = set()
         for key, agents in self._votes.items():

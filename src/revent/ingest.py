@@ -12,6 +12,8 @@ tagger prediction record
     same event schema plus "trigger_confidence" on each event and
     "confidence" on each argument.
 
+Output artifacts are written whole or not at all (write_text_atomic).
+
 Agent replies are free text containing one fenced block:
     ```Events = [{"trigger": str, "type": str,
                   "arguments": [{"text": str, "role": str}]}]```
@@ -24,6 +26,8 @@ triggers) or just itself (for arguments).
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +41,7 @@ __all__ = [
     "load_tagger_predictions",
     "load_final_predictions",
     "parse_agent_output",
+    "write_text_atomic",
 ]
 
 
@@ -89,10 +94,11 @@ def load_corpus(path: str | Path) -> list[Document]:
     """Load a JSON-lines corpus, validating every gold span against the text.
 
     Raises CorpusFormatError with the offending line number on malformed
-    JSON, and SpanValidationError naming the doc_id and span when a gold
+    JSON or a repeated doc_id, and SpanValidationError naming the doc_id and span when a gold
     span does not slice back to its surface string.
     """
     docs: list[Document] = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -106,6 +112,9 @@ def load_corpus(path: str | Path) -> list[Document]:
                 doc_id, text = rec["doc_id"], rec["text"]
             except KeyError as exc:
                 raise CorpusFormatError(f"missing field {exc}", line=lineno) from exc
+            if doc_id in seen:
+                raise CorpusFormatError(f"duplicate doc_id {doc_id!r}", line=lineno)
+            seen.add(doc_id)
             gold = None
             if "events" in rec:
                 gold = tuple(_event_from_record(e) for e in rec["events"])
@@ -243,3 +252,17 @@ def parse_agent_output(raw: str, doc: Document) -> list[EventMention]:
             args.append(ArgumentMention(span, arec["role"]))
         events.append(EventMention(trig, str(item["type"]), tuple(args)))
     return events
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

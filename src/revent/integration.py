@@ -1,19 +1,23 @@
 """Final assembly of the prediction set with provenance preserved.
 
-Events arrive from four paths - consensus, high-confidence tagger-only,
-high-confidence ensemble-only, and reflection - and are merged under their
-trigger identifier (start, end, event_type). A trigger's arguments may mix
-provenances; each argument keeps both its provenance and the identifier of
-the trigger it reattaches to. Output is ordered by trigger position.
+Kept events arrive from four paths - consensus, high-confidence tagger-only,
+high-confidence ensemble-only, and reflection - in that precedence order,
+and are merged under their trigger identifier (start, end, event_type):
+the first trigger provenance wins, and on a duplicate argument the first
+provenance wins, so identical kept events simply merge. A trigger's
+arguments may mix provenances; each argument keeps both its provenance and
+the identifier of the trigger it reattaches to. Output is ordered by
+trigger position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import IntegrationError
-from .model import ArgumentMention, EventKey, EventMention, Span, TriggerId, canonical_key
+from .model import ArgumentMention, EventMention, Span, TriggerId
 
 __all__ = ["Provenance", "ProvenancedEvent", "finalize_events"]
 
@@ -93,52 +97,16 @@ class ProvenancedEvent:
 
 
 def finalize_events(
-    consensus: list[ProvenancedEvent],
-    retained_tagger: list[ProvenancedEvent],
-    retained_smoa: list[ProvenancedEvent],
-    reflected: list[ProvenancedEvent],
+    kept: Iterable[tuple[Span, str, Provenance, Iterable[tuple[ArgumentMention, Provenance]]]],
 ) -> list[ProvenancedEvent]:
-    """Union the four prediction paths into the final, position-sorted set.
-
-    Inputs must be pairwise disjoint on whole-event identity (a collision
-    indicates an upstream partition bug). Events sharing a trigger
-    identifier are merged into one final event whose arguments are
-    reattached under that trigger, first-path provenance winning on
-    duplicate arguments.
-    """
-    labelled = [
-        ("consensus", consensus),
-        ("retained_tagger", retained_tagger),
-        ("retained_smoa", retained_smoa),
-        ("reflected", reflected),
+    """Merge kept (trigger, event_type, trigger provenance, argument pairs)
+    entries, given in path-precedence order, into the final position-sorted
+    set, building each final event once."""
+    merged: dict[TriggerId, tuple[Span, Provenance, list]] = {}
+    for trigger, event_type, provenance, arguments in kept:
+        tid = (trigger.start, trigger.end, event_type)
+        merged.setdefault(tid, (trigger, provenance, []))[2].extend(arguments)
+    return [
+        ProvenancedEvent.build(trigger, tid[2], provenance, arguments)
+        for tid, (trigger, provenance, arguments) in sorted(merged.items())
     ]
-    seen_keys: dict[EventKey, str] = {}
-    for name, events in labelled:
-        for pe in events:
-            key = canonical_key(pe.event)
-            if key in seen_keys:
-                raise IntegrationError(
-                    f"event key {key} appears in both {seen_keys[key]!r} and {name!r}"
-                )
-            seen_keys[key] = name
-
-    merged: dict[TriggerId, dict] = {}
-    for _, events in labelled:
-        for pe in events:
-            slot = merged.setdefault(
-                pe.trigger_id,
-                {"trigger": pe.event.trigger, "provenance": pe.trigger_provenance, "args": []},
-            )
-            slot["args"].extend(pe.argument_pairs())
-
-    final = [
-        ProvenancedEvent.build(
-            trigger=slot["trigger"],
-            event_type=tid[2],
-            trigger_provenance=slot["provenance"],
-            arguments=slot["args"],
-        )
-        for tid, slot in merged.items()
-    ]
-    final.sort(key=lambda pe: (pe.event.trigger.start, pe.event.trigger.end, pe.event.event_type))
-    return final

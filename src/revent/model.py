@@ -92,12 +92,6 @@ class EventMention:
             normalized.append(arg)
         object.__setattr__(self, "arguments", tuple(normalized))
 
-    def with_trigger(self, trig: Span) -> "EventMention":
-        return EventMention(trig, self.event_type, self.arguments)
-
-    def with_arguments(self, args) -> "EventMention":
-        return EventMention(self.trigger, self.event_type, tuple(args))
-
 
 @dataclass(frozen=True, slots=True)
 class EventKey:

@@ -2,9 +2,12 @@
 
 For one document: match ensemble predictions against tagger predictions at
 the trigger level, filter single-source trigger disagreements by
-confidence, do the same per argument under every surviving trigger, send
-the intermediate-confidence leftovers to reflection, and assemble the final
-provenance-tagged event set.
+confidence (ensemble confidence is confidence.smoa_confidence), do the same
+per argument under every surviving trigger, send the intermediate-confidence
+leftovers to reflection, and hand the surviving candidates, in
+path-precedence order (consensus, retained tagger, retained ensemble,
+reflected), to integration.finalize_events, which merges them per trigger
+into the final provenance-tagged event set.
 
 The reflection step is pluggable: the live reflector wraps a chat backend,
 while keep-all / drop-all / gold-oracle stand-ins support tuning and
@@ -25,6 +28,7 @@ from .confidence import (
     Source,
     ThresholdSet,
     filter_disagreements,
+    smoa_confidence,
 )
 from .ensemble import VoteLedger, cleanup_predictions
 from .errors import ConfigurationError
@@ -107,7 +111,7 @@ def backend_reflector(
     """The live reflector: structured prompts against a chat backend."""
 
     def run(doc: Document, items: list[ReflectionItem]) -> list[ReflectionResult]:
-        return list(reflect(items, doc, backend, config, audit).results)
+        return reflect(items, doc, backend, config, audit)
 
     return run
 
@@ -130,13 +134,11 @@ class _Candidate:
     trigger: Span
     event_type: str
     provenance: Provenance           # provenance if it survives
-    bucket: str                      # consensus | retained_tagger | retained_smoa | reflected
     ambiguous: bool                  # needs a trigger verdict
+    scored_args: list[ScoredArgument]
     agreed_args: list[tuple[ArgumentMention, Provenance]] = field(default_factory=list)
-    scored_args: list[ScoredArgument] = field(default_factory=list)
     kept_args: list[tuple[ArgumentMention, Provenance]] = field(default_factory=list)
     pending_args: list[ArgumentMention] = field(default_factory=list)
-    argument_partition: Partition | None = None
 
     @property
     def event(self) -> EventMention:
@@ -148,11 +150,9 @@ class DocumentResult:
     """Everything the pipeline decided for one document."""
 
     doc_id: str
-    smoa_events: list[EventMention]
     trigger_report: MatchReport
     trigger_partition: Partition
     argument_partitions: dict[TriggerId, Partition]
-    reflection_results: list[ReflectionResult]
     final: list[ProvenancedEvent]
 
     @property
@@ -198,79 +198,58 @@ def extract_document(
     """
     preds = _dedupe_tagger(tagger_predictions)
     pred_by_key = {canonical_key(p.event): p for p in preds}
-    tagger_events = [p.event for p in preds]
+    report = match_triggers(
+        cleanup_predictions(smoa_events, doc), [p.event for p in preds], overlap_threshold
+    )
 
-    smoa_clean = cleanup_predictions(smoa_events, doc)
-    report = match_triggers(smoa_clean, tagger_events, overlap_threshold)
+    def score_arguments(event: EventMention, source: Source, args) -> list[ScoredArgument]:
+        if source is Source.TAGGER:
+            pred = pred_by_key[canonical_key(event)]
+            return [ScoredArgument(a, source, pred.argument_confidence(a)) for a in args]
+        tid = trigger_id(event)
+        return [
+            ScoredArgument(a, source, smoa_confidence(ledger, n_agents, tid, a.key)) for a in args
+        ]
 
-    def smoa_trigger_conf(event: EventMention) -> float:
-        return len(ledger.trigger_votes(trigger_id(event))) / n_agents
-
-    def smoa_argument_conf(event: EventMention, arg: ArgumentMention) -> float:
-        return len(ledger.argument_votes(trigger_id(event), arg.key)) / n_agents
-
+    # Candidates in path-precedence order: consensus, retained tagger,
+    # retained ensemble, reflected. Consensus keeps the tagger span and
+    # pools both argument sides.
     candidates: list[_Candidate] = []
-
-    # Consensus triggers: tagger span retained; both argument sides pooled.
     for pair in report.consensus:
-        cand = _Candidate(
+        arg_report = match_arguments(pair, overlap_threshold)
+        candidates.append(_Candidate(
             trigger=pair.tagger.trigger,
             event_type=pair.tagger.event_type,
             provenance=Provenance.AGREED,
-            bucket="consensus",
             ambiguous=False,
-        )
-        arg_report = match_arguments(pair, overlap_threshold)
-        cand.agreed_args = [(m.retained, Provenance.AGREED) for m in arg_report.consensus]
-        tagger_pred = pred_by_key[canonical_key(pair.tagger)]
-        for arg in arg_report.tagger_only:
-            cand.scored_args.append(
-                ScoredArgument(arg, Source.TAGGER, tagger_pred.argument_confidence(arg))
-            )
-        for arg in arg_report.smoa_only:
-            cand.scored_args.append(
-                ScoredArgument(arg, Source.SMOA, smoa_argument_conf(pair.smoa, arg))
-            )
-        candidates.append(cand)
+            scored_args=score_arguments(pair.tagger, Source.TAGGER, arg_report.tagger_only)
+            + score_arguments(pair.smoa, Source.SMOA, arg_report.smoa_only),
+            agreed_args=[(m.retained, Provenance.AGREED) for m in arg_report.consensus],
+        ))
 
     # Single-source triggers: score and filter.
-    trigger_scored: list[ScoredEvent] = []
-    for event in report.tagger_only:
-        trigger_scored.append(
-            ScoredEvent(event, Source.TAGGER, pred_by_key[canonical_key(event)].trigger_confidence)
-        )
-    for event in report.smoa_only:
-        trigger_scored.append(ScoredEvent(event, Source.SMOA, smoa_trigger_conf(event)))
+    trigger_scored = [
+        ScoredEvent(e, Source.TAGGER, pred_by_key[canonical_key(e)].trigger_confidence)
+        for e in report.tagger_only
+    ] + [
+        ScoredEvent(e, Source.SMOA, smoa_confidence(ledger, n_agents, trigger_id(e)))
+        for e in report.smoa_only
+    ]
     trigger_partition = filter_disagreements(trigger_scored, thresholds.trigger)
-
-    def add_single_source(scored: ScoredEvent, bucket: str, prov: Provenance, ambiguous: bool):
-        event = scored.event
-        cand = _Candidate(
-            trigger=event.trigger,
-            event_type=event.event_type,
-            provenance=prov,
-            bucket=bucket,
-            ambiguous=ambiguous,
-        )
-        if scored.source is Source.TAGGER:
-            pred = pred_by_key[canonical_key(event)]
-            for arg in event.arguments:
-                cand.scored_args.append(
-                    ScoredArgument(arg, Source.TAGGER, pred.argument_confidence(arg))
-                )
-        else:
-            for arg in event.arguments:
-                cand.scored_args.append(
-                    ScoredArgument(arg, Source.SMOA, smoa_argument_conf(event, arg))
-                )
-        candidates.append(cand)
-
-    for scored in trigger_partition.retained_tagger:
-        add_single_source(scored, "retained_tagger", Provenance.HIGH_CONF_TAGGER, False)
-    for scored in trigger_partition.retained_smoa:
-        add_single_source(scored, "retained_smoa", Provenance.HIGH_CONF_SMOA, False)
-    for scored in trigger_partition.reflect:
-        add_single_source(scored, "reflected", Provenance.REFLECTED, True)
+    for group, prov in (
+        (trigger_partition.retained_tagger, Provenance.HIGH_CONF_TAGGER),
+        (trigger_partition.retained_smoa, Provenance.HIGH_CONF_SMOA),
+        (trigger_partition.reflect, Provenance.REFLECTED),
+    ):
+        for scored in group:
+            event = scored.event
+            candidates.append(_Candidate(
+                trigger=event.trigger,
+                event_type=event.event_type,
+                provenance=prov,
+                ambiguous=prov is Provenance.REFLECTED,
+                scored_args=score_arguments(event, scored.source, event.arguments),
+            ))
 
     # Argument-level filtering under every candidate trigger. Candidates can
     # share a trigger identifier (same trigger proposed with different
@@ -278,7 +257,6 @@ def extract_document(
     argument_partitions: dict[TriggerId, Partition] = {}
     for cand in candidates:
         part = filter_disagreements(cand.scored_args, thresholds.argument)
-        cand.argument_partition = part
         tid = (cand.trigger.start, cand.trigger.end, cand.event_type)
         argument_partitions[tid] = _merge_partitions(argument_partitions.get(tid), part)
         for scored in part.retained_tagger:
@@ -306,43 +284,23 @@ def extract_document(
         raise ConfigurationError(
             f"reflector returned {len(results)} results for {len(items)} items"
         )
-    confirmed_by_candidate = dict(zip((id(c) for c in needs_reflection), results))
+    result_by_candidate = dict(zip((id(c) for c in needs_reflection), results))
 
-    # Assemble the four provenance buckets and merge. Distinct input
-    # predictions can converge on an identical final event once arguments
-    # are filtered (e.g. the same trigger proposed with argument supersets);
-    # only the first assembly survives, in bucket-precedence order, so the
-    # merge's disjointness contract keeps catching real partition bugs.
-    buckets: dict[str, list[ProvenancedEvent]] = {
-        "consensus": [], "retained_tagger": [], "retained_smoa": [], "reflected": [],
-    }
-    assembled: set = set()
+    # Merge the surviving candidates, still in path-precedence order.
+    kept = []
     for cand in candidates:
-        result = confirmed_by_candidate.get(id(cand))
+        result = result_by_candidate.get(id(cand))
         if result is not None and not result.trigger_kept:
             continue
-        arg_pairs = list(cand.agreed_args) + list(cand.kept_args)
+        arg_pairs = cand.agreed_args + cand.kept_args
         if result is not None:
             arg_pairs += [(arg, Provenance.REFLECTED) for arg in result.confirmed_arguments]
-        built = ProvenancedEvent.build(cand.trigger, cand.event_type, cand.provenance, arg_pairs)
-        key = canonical_key(built.event)
-        if key in assembled:
-            continue
-        assembled.add(key)
-        buckets[cand.bucket].append(built)
+        kept.append((cand.trigger, cand.event_type, cand.provenance, arg_pairs))
 
-    final = finalize_events(
-        buckets["consensus"],
-        buckets["retained_tagger"],
-        buckets["retained_smoa"],
-        buckets["reflected"],
-    )
     return DocumentResult(
         doc_id=doc.doc_id,
-        smoa_events=smoa_clean,
         trigger_report=report,
         trigger_partition=trigger_partition,
         argument_partitions=argument_partitions,
-        reflection_results=list(results),
-        final=final,
+        final=finalize_events(kept),
     )

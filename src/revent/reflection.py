@@ -9,7 +9,12 @@ first; arguments are only queried for triggers that survive.
 
 Parse failures are retried up to the configured limit, then fall back to
 keeping every queried candidate: a failed prune must not silently delete
-recall. Fallbacks are recorded in the audit log.
+recall. Fallbacks are recorded in the audit log, which only collects
+entries; the CLI writes them out as audit.jsonl.
+
+``reflect`` returns one ReflectionResult per input item - the trigger
+verdict and the confirmed pending arguments - and leaves assembling events
+from them to the pipeline.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 from .backends import ChatBackend, ChatRequest
 from .errors import BackendError, ContractError, OrchestrationError, ReplyParseError
@@ -30,7 +34,6 @@ __all__ = [
     "ArgumentVerdict",
     "ReflectionItem",
     "ReflectionResult",
-    "ReflectionOutcome",
     "AuditLog",
     "build_trigger_prompt",
     "build_argument_prompt",
@@ -226,11 +229,6 @@ class AuditLog:
     def record(self, **fields) -> None:
         self.entries.append(dict(sorted(fields.items())))
 
-    def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.entries:
-                fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
-
 
 @dataclass(frozen=True)
 class ReflectionItem:
@@ -253,23 +251,6 @@ class ReflectionResult:
     item: ReflectionItem
     trigger_kept: bool
     confirmed_arguments: tuple[ArgumentMention, ...]
-
-    @property
-    def event(self) -> EventMention | None:
-        if not self.trigger_kept:
-            return None
-        return self.item.event.with_arguments(
-            self.item.kept_arguments + self.confirmed_arguments
-        )
-
-
-@dataclass(frozen=True)
-class ReflectionOutcome:
-    results: tuple[ReflectionResult, ...]
-
-    @property
-    def events(self) -> list[EventMention]:
-        return [r.event for r in self.results if r.event is not None]
 
 
 def _ask(
@@ -327,17 +308,18 @@ def reflect(
     backend: ChatBackend,
     config: ReflectionConfig | None = None,
     audit: AuditLog | None = None,
-) -> ReflectionOutcome:
+) -> list[ReflectionResult]:
     """Resolve ambiguous triggers and arguments for one document.
 
-    Issues at most one trigger prompt (covering every ambiguous trigger
-    phrase) and one argument prompt per surviving trigger that has pending
-    arguments. An empty input returns an empty outcome with zero backend
-    calls. Reflection never emits an event absent from its input.
+    Returns one ReflectionResult per item, in input order. Issues at most
+    one trigger prompt (covering every ambiguous trigger phrase) and one
+    argument prompt per surviving trigger that has pending arguments. An
+    empty input returns an empty list with zero backend calls. Reflection
+    never emits an event absent from its input.
     """
     config = config or ReflectionConfig()
     if not items:
-        return ReflectionOutcome(results=())
+        return []
 
     phrases: list[str] = []
     spans: list = []
@@ -401,4 +383,4 @@ def reflect(
             if ok
         )
         results.append(ReflectionResult(item, True, confirmed))
-    return ReflectionOutcome(results=tuple(results))
+    return results

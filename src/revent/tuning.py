@@ -20,7 +20,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .confidence import ThresholdSet, ThresholdTriple
+from .confidence import ThresholdSet, ThresholdTriple, smoa_confidence
 from .ensemble import VoteLedger, cleanup_predictions
 from .errors import ConfigurationError
 from .ingest import TaggerPrediction
@@ -123,14 +123,14 @@ def collect_confidence_samples(
                 if tid in seen_triggers:
                     continue
                 seen_triggers.add(tid)
-                conf = len(ledger.trigger_votes(tid)) / n
+                conf = smoa_confidence(ledger, n, tid)
                 (smoa_c if tid in gold_triggers else smoa_i).append(conf)
             else:
                 for arg in event.arguments:
                     if (tid, arg.key) in seen_args:
                         continue
                     seen_args.add((tid, arg.key))
-                    conf = len(ledger.argument_votes(tid, arg.key)) / n
+                    conf = smoa_confidence(ledger, n, tid, arg.key)
                     (smoa_c if (tid, arg.key) in gold_args else smoa_i).append(conf)
 
     return (tagger_c, tagger_i), (smoa_c, smoa_i)

@@ -17,7 +17,7 @@ from revent.confidence import (
     Source,
     ThresholdTriple,
     filter_disagreements,
-    score_smoa_confidence,
+    smoa_confidence,
 )
 from revent.decomp import (
     WHOLE_DOCUMENT_VARIANTS,
@@ -30,7 +30,7 @@ from revent.agreement import match_triggers
 from revent.ensemble import VoteLedger
 from revent.fencing import render_argument_verdicts, render_classification_map
 from revent.metrics import score_predictions
-from revent.model import EventMention, Span, canonical_key, span_overlap
+from revent.model import EventMention, Span, canonical_key, span_overlap, trigger_id
 from revent.reflection import parse_argument_response, parse_trigger_response
 from revent.simulate import default_scenario, make_synthetic_corpus, run_scenario
 from revent.tuning import tune_thresholds
@@ -162,7 +162,7 @@ def test_criterion_4_confidence_math():
                 ledger = VoteLedger()
                 for agent in range(1, votes + 1):
                     ledger.record(canonical_key(event), agent)
-                assert score_smoa_confidence(event, ledger, n) == votes / n
+                assert smoa_confidence(ledger, n, trigger_id(event)) == votes / n
 
         # every published threshold triple against a synthetic scored set
         table = json.loads(

@@ -42,6 +42,13 @@ def test_extract_twice_is_byte_identical(data_dir, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_thresholds_file_written_like_other_artifacts(data_dir, tmp_path):
+    assert main(_extract_args(data_dir, tmp_path)) == 0
+    mode = (tmp_path / "predictions.jsonl").stat().st_mode
+    assert (tmp_path / "thresholds.json").stat().st_mode == mode
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
 def test_extract_missing_tagger_file_nonzero_exit(data_dir, tmp_path, capsys):
     code = main(_extract_args(data_dir, tmp_path, **{"--tagger-preds": "no/such/file.jsonl"}))
     assert code == 2

@@ -10,14 +10,13 @@ from revent.confidence import (
     ThresholdTriple,
     bundled_thresholds,
     filter_disagreements,
-    filter_disagreements_combined,
     load_threshold_set,
     save_threshold_set,
-    score_smoa_confidence,
+    smoa_confidence,
 )
 from revent.ensemble import VoteLedger
 from revent.errors import ConfigurationError
-from revent.model import EventMention, Span, canonical_key
+from revent.model import ArgumentMention, EventMention, Span, canonical_key, trigger_id
 
 
 def _ev(start=0, etype="T"):
@@ -33,14 +32,22 @@ def _ledger_with(event, votes):
 
 def test_score_is_vote_ratio():
     event = _ev()
-    assert score_smoa_confidence(event, _ledger_with(event, range(1, 7)), 10) == 0.6
-    assert score_smoa_confidence(event, _ledger_with(event, range(1, 11)), 10) == 1.0
-    assert score_smoa_confidence(event, _ledger_with(event, [3]), 10) == 0.1
+    tid = trigger_id(event)
+    assert smoa_confidence(_ledger_with(event, range(1, 7)), 10, tid) == 0.6
+    assert smoa_confidence(_ledger_with(event, range(1, 11)), 10, tid) == 1.0
+    assert smoa_confidence(_ledger_with(event, [3]), 10, tid) == 0.1
 
 
-def test_score_missing_key_is_lookup_error():
-    with pytest.raises(KeyError):
-        score_smoa_confidence(_ev(), VoteLedger(), 10)
+def test_argument_score_and_agent_count_check():
+    arg = ArgumentMention(Span("y", 5, 6), "R")
+    with_arg = EventMention(Span("xxx", 0, 3), "T", (arg,))
+    ledger = _ledger_with(with_arg, [1, 2, 3])
+    for agent in (4, 5):
+        ledger.record(canonical_key(_ev()), agent)
+    assert smoa_confidence(ledger, 10, trigger_id(with_arg)) == 0.5
+    assert smoa_confidence(ledger, 10, trigger_id(with_arg), arg.key) == 0.3
+    with pytest.raises(ConfigurationError):
+        smoa_confidence(ledger, 0, trigger_id(with_arg))
 
 
 def test_score_exhaustive_vote_ratios():
@@ -49,7 +56,7 @@ def test_score_exhaustive_vote_ratios():
         for votes in range(1, n + 1):
             event = _ev()
             ledger = _ledger_with(event, range(1, votes + 1))
-            conf = score_smoa_confidence(event, ledger, n)
+            conf = smoa_confidence(ledger, n, trigger_id(event))
             assert conf == votes / n
             assert conf * n == pytest.approx(votes)
 
@@ -75,11 +82,9 @@ def test_published_trigger_row_bands():
 def test_low_vote_agent_trigger_is_filtered_out():
     # The hallucinated agent-only trigger at 2/10 votes falls below the drop cutoff.
     event = _ev()
-    ledger = _ledger_with(event, [1, 2])
-    part = filter_disagreements(
-        [ScoredEvent(event, Source.SMOA, None)], M2E2_LLAMA_09_TRIGGER, ledger, 10
-    )
-    assert part.removed == (ScoredEvent(event, Source.SMOA, None),)
+    conf = smoa_confidence(_ledger_with(event, [1, 2]), 10, trigger_id(event))
+    part = filter_disagreements([ScoredEvent(event, Source.SMOA, conf)], M2E2_LLAMA_09_TRIGGER)
+    assert part.removed == (ScoredEvent(event, Source.SMOA, 0.2),)
 
 
 def test_above_one_cutoff_never_retains_directly():
@@ -143,16 +148,6 @@ def test_threshold_triple_invariant():
     with pytest.raises(ConfigurationError):
         ThresholdTriple(theta_s=0.5, theta_smoa_hi=0.3, theta_smoa_lo=0.4)
     ThresholdTriple(theta_s=0.5, theta_smoa_hi=1.10, theta_smoa_lo=1.10)
-
-
-def test_combined_single_threshold_variant():
-    items = [
-        ScoredEvent(_ev(0), Source.TAGGER, 0.9),
-        ScoredEvent(_ev(4), Source.SMOA, 0.4),
-    ]
-    high, ambiguous = filter_disagreements_combined(items, tau=0.5)
-    assert high == (items[0],)
-    assert ambiguous == (items[1],)
 
 
 def test_bundled_thresholds_lookup():

@@ -31,6 +31,16 @@ def test_load_corpus_two_records(tmp_path):
     assert [d.doc_id for d in docs] == ["a", "b"]
 
 
+def test_load_corpus_duplicate_doc_id_names_line(tmp_path):
+    path = _write_lines(tmp_path / "c.jsonl", [
+        {"doc_id": "a", "text": "the cat sat"},
+        {"doc_id": "b", "text": "dogs bark"},
+        {"doc_id": "a", "text": "another text"},
+    ])
+    with pytest.raises(CorpusFormatError, match="line 3"):
+        load_corpus(path)
+
+
 def test_load_corpus_empty_file(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("", encoding="utf-8")

@@ -1,6 +1,10 @@
-from revent.confidence import Source, bundled_thresholds
-from revent.ensemble import default_agents, run_self_moa
+import pytest
+
+from revent.confidence import Source, ThresholdSet, ThresholdTriple, bundled_thresholds
+from revent.ensemble import VoteLedger, default_agents, run_self_moa
+from revent.errors import ConfigurationError
 from revent.integration import Provenance
+from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key
 from revent.pipeline import (
     backend_reflector,
     drop_all_reflector,
@@ -116,3 +120,55 @@ def test_pipeline_is_deterministic(nisman_doc, worked_tagger, replay_backend):
     assert [pe.to_record() for pe in runs[0].final] == [
         pe.to_record() for pe in runs[1].final
     ]
+
+
+def _attack_votes(doc, proposals):
+    """(events, ledger) for [(agent ids, {surface: role})] proposals of one
+    'attack' trigger."""
+
+    def span(surface):
+        start = doc.text.index(surface)
+        return Span(surface, start, start + len(surface))
+
+    events, ledger = [], VoteLedger()
+    for agents, roles in proposals:
+        args = tuple(ArgumentMention(span(s), role) for s, role in roles.items())
+        event = EventMention(span("attack"), "Conflict:Attack", args)
+        events.append(event)
+        for agent in agents:
+            ledger.record(canonical_key(event), agent)
+    return events, ledger
+
+
+def test_converging_candidates_merge_into_one_event():
+    # Three proposals of one trigger; after argument filtering two of them
+    # converge on the same event, and all three share the trigger.
+    doc = Document("conv", "rebels attack the base at dawn")
+    events, ledger = _attack_votes(doc, [
+        ([1, 2], {"rebels": "Attacker", "base": "Target"}),
+        ([3, 4, 5], {"rebels": "Attacker"}),
+        ([6], {"rebels": "Attacker", "dawn": "Time"}),
+    ])
+    triple = ThresholdTriple(theta_s=0.5, theta_smoa_hi=0.4, theta_smoa_lo=0.15)
+    result = extract_document(
+        doc, [], events, ledger, 10, ThresholdSet(triple, triple), 0.5, keep_all_reflector
+    )
+    trigger_ref = [7, 13, "Conflict:Attack"]
+    assert [pe.to_record() for pe in result.final] == [{
+        "trigger": {"text": "attack", "start": 7, "end": 13},
+        "type": "Conflict:Attack",
+        "trigger_provenance": "high_conf_smoa",
+        "arguments": [
+            {"text": "rebels", "start": 0, "end": 6, "role": "Attacker",
+             "provenance": "high_conf_smoa", "trigger_ref": trigger_ref},
+            {"text": "base", "start": 18, "end": 22, "role": "Target",
+             "provenance": "reflected", "trigger_ref": trigger_ref},
+        ],
+    }]
+
+
+def test_zero_agents_is_configuration_error():
+    doc = Document("zero", "rebels attack the base at dawn")
+    events, ledger = _attack_votes(doc, [([1], {"rebels": "Attacker"})])
+    with pytest.raises(ConfigurationError):
+        extract_document(doc, [], events, ledger, 0, THRESHOLDS, 0.5, keep_all_reflector)

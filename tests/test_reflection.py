@@ -189,6 +189,10 @@ def _item(doc, surface, etype, ambiguous, kept=(), pending=()):
     )
 
 
+def _kept_triggers(results):
+    return [r.item.event.trigger.text for r in results if r.trigger_kept]
+
+
 def test_reflect_walkthrough_keeps_dead_drops_nothing_else():
     doc = _doc()
     backend = RecordingBackend(
@@ -198,15 +202,14 @@ def test_reflect_walkthrough_keeps_dead_drops_nothing_else():
         _item(doc, "dead", "Life:Die", ambiguous=True),
         _item(doc, "shot", "Conflict:Attack", ambiguous=True),
     ]
-    outcome = reflect(items, doc, backend)
-    assert [e.trigger.text for e in outcome.events] == ["dead"]
+    results = reflect(items, doc, backend)
+    assert _kept_triggers(results) == ["dead"]
     assert len(backend.requests) == 1
 
 
 def test_reflect_empty_input_zero_calls():
     backend = RecordingBackend(lambda req: "unused")
-    outcome = reflect([], _doc(), backend)
-    assert outcome.events == []
+    assert reflect([], _doc(), backend) == []
     assert backend.requests == []
 
 
@@ -222,8 +225,8 @@ def test_rejected_trigger_never_queries_arguments():
 
     backend = RecordingBackend(reply)
     items = [_item(doc, "shot", "Conflict:Attack", ambiguous=True, pending=pending)]
-    outcome = reflect(items, doc, backend)
-    assert outcome.events == []
+    results = reflect(items, doc, backend)
+    assert _kept_triggers(results) == []
     assert len(backend.requests) == 1  # only the trigger query
 
 
@@ -238,9 +241,9 @@ def test_confirmed_trigger_with_pending_args_queries_arguments():
 
     backend = RecordingBackend(reply)
     items = [_item(doc, "shot", "Conflict:Attack", ambiguous=False, pending=pending)]
-    outcome = reflect(items, doc, backend)
-    assert len(outcome.events) == 1
-    assert [a.span.text for a in outcome.events[0].arguments] == ["Gandhi"]
+    results = reflect(items, doc, backend)
+    assert _kept_triggers(results) == ["shot"]
+    assert [a.span.text for a in results[0].confirmed_arguments] == ["Gandhi"]
     assert len(backend.requests) == 1
 
 
@@ -260,9 +263,9 @@ def test_all_trigger_mock_is_identity():
         _item(doc, "dead", "Life:Die", ambiguous=True),
         _item(doc, "shot", "Conflict:Attack", ambiguous=True, pending=pending),
     ]
-    outcome = reflect(items, doc, backend)
-    assert [e.trigger.text for e in outcome.events] == ["dead", "shot"]
-    assert [a.span.text for a in outcome.events[1].arguments] == ["bombing"]
+    results = reflect(items, doc, backend)
+    assert _kept_triggers(results) == ["dead", "shot"]
+    assert [a.span.text for a in results[1].confirmed_arguments] == ["bombing"]
 
 
 def test_parse_failure_fallback_keeps_candidates_and_audits():
@@ -270,8 +273,8 @@ def test_parse_failure_fallback_keeps_candidates_and_audits():
     backend = RecordingBackend(lambda req: "garbage with no fence")
     audit = AuditLog()
     items = [_item(doc, "dead", "Life:Die", ambiguous=True)]
-    outcome = reflect(items, doc, backend, ReflectionConfig(retry_limit=1), audit)
-    assert [e.trigger.text for e in outcome.events] == ["dead"]
+    results = reflect(items, doc, backend, ReflectionConfig(retry_limit=1), audit)
+    assert _kept_triggers(results) == ["dead"]
     assert len(backend.requests) == 2  # initial + one retry
     assert audit.entries[-1]["fallback"] is True
     assert audit.entries[-1]["outcome"] == "fallback-keep-all"
@@ -292,11 +295,3 @@ def test_backend_call_count_bound():
     # one trigger query + one argument query, each attempted <= 1 + retry_limit times
     assert len(calls) <= (1 + config.retry_limit) * 2
 
-
-def test_audit_log_write_is_deterministic(tmp_path):
-    audit = AuditLog()
-    audit.record(phase="p", doc_id="d", prompt="x", reply="y", outcome="ok", fallback=False)
-    p1, p2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
-    audit.write(p1)
-    audit.write(p2)
-    assert p1.read_bytes() == p2.read_bytes()
