@@ -38,6 +38,9 @@ __all__ = [
 
 _ROLES = frozenset({"system", "user", "assistant"})
 
+# Client errors worth another attempt: request timeout and rate limiting.
+_RETRIED_4XX = frozenset({408, 429})
+
 CHANNEL_KEY = "channel"
 DOC_KEY = "doc_id"
 
@@ -74,8 +77,9 @@ class HttpChatBackend:
     """Talks to a chat-completion HTTP endpoint.
 
     Credentials come from the environment (default variable REVENT_API_KEY)
-    and are sent as a bearer token when present. Transport failures are
-    retried with exponential backoff before raising BackendError.
+    and are sent as a bearer token when present. Connection errors, malformed
+    replies and HTTP 408, 429 and 5xx are retried with exponential backoff
+    before raising BackendError; any other 4xx raises it at once.
     """
 
     def __init__(
@@ -118,6 +122,12 @@ class HttpChatBackend:
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                     reply = json.loads(resp.read().decode("utf-8"))
                 return str(reply["content"])
+            except urllib.error.HTTPError as exc:
+                if 400 <= exc.code < 500 and exc.code not in _RETRIED_4XX:
+                    raise BackendError(
+                        f"chat endpoint {self.url} refused the request: HTTP {exc.code} {exc.reason}"
+                    ) from exc
+                last_error = exc
             except (urllib.error.URLError, OSError, json.JSONDecodeError, KeyError) as exc:
                 last_error = exc
         raise BackendError(

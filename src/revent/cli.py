@@ -4,6 +4,16 @@ Subcommands: extract (run the full pipeline and write predictions, metrics,
 and the reflection audit log), tune-thresholds, evaluate, gen-decomp, and
 simulate. All reports are JSON; files are written once, atomically, at the
 end of a run.
+
+``--parallelism`` bounds the backend calls in flight across the whole run.
+Documents run concurrently: ``doc_workers = min(parallelism, documents)``
+of them at a time, each fanning its agents out over
+``parallelism // doc_workers`` workers (at least one) and then making its
+reflection calls one after another, so at most ``parallelism`` calls are
+ever in flight. Every document keeps its own audit log and results are
+joined in corpus order, so the artifacts are byte-identical to a serial
+run. The first failing document stops new ones from starting and nothing
+is written.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +70,8 @@ class RunConfig:
             )
         if self.tune_corpus is not None and self.tune_tagger_preds is None:
             raise ConfigurationError("--tune requires --tune-tagger-preds")
+        if self.parallelism < 1:
+            raise ConfigurationError(f"--parallelism must be >= 1, got {self.parallelism}")
 
 
 def _resolve_thresholds(source: str) -> ThresholdSet:
@@ -72,11 +85,36 @@ def _resolve_thresholds(source: str) -> ThresholdSet:
     return load_threshold_set(source)
 
 
+def _map_documents(corpus, parallelism, task) -> list:
+    """``task(doc, agent_workers)`` for every document, results in corpus order.
+
+    ``doc_workers`` documents run at a time with ``agent_workers`` agent
+    calls each, and their product never exceeds ``parallelism``. The first
+    failure stops new documents from starting; the exception of the
+    earliest failing document in corpus order is raised.
+    """
+    if parallelism < 1:
+        raise ConfigurationError(f"--parallelism must be >= 1, got {parallelism}")
+    doc_workers = max(1, min(parallelism, len(corpus)))
+    agent_workers = max(1, parallelism // doc_workers)
+    with ThreadPoolExecutor(max_workers=doc_workers) as pool:
+        futures = [pool.submit(task, doc, agent_workers) for doc in corpus]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()
+    for future in futures:
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    return [future.result() for future in futures]
+
+
 def _gather_predictions(corpus, tagger_preds, backend, agents, parallelism):
-    smoa = {}
-    for doc in corpus:
+    def gather(doc, agent_workers):
         prompt = decomp.extraction_prompt(doc)
-        smoa[doc.doc_id] = run_self_moa(doc, prompt, agents, backend, parallelism)
+        return run_self_moa(doc, prompt, agents, backend, agent_workers)
+
+    replies = _map_documents(corpus, parallelism, gather)
+    smoa = {doc.doc_id: reply for doc, reply in zip(corpus, replies)}
     return DevPredictions(tagger=tagger_preds, smoa=smoa, n_agents=len(agents))
 
 
@@ -106,14 +144,10 @@ def run_pipeline(config: RunConfig) -> dict:
             overlap_threshold=config.overlap_threshold,
         )
 
-    audit = AuditLog()
-    reflector = backend_reflector(backend, ReflectionConfig(), audit)
-
-    prediction_lines = []
-    final_by_doc = {}
-    for doc in corpus:
+    def extract(doc, agent_workers):
         prompt = decomp.extraction_prompt(doc)
-        events, ledger = run_self_moa(doc, prompt, agents, backend, config.parallelism)
+        events, ledger = run_self_moa(doc, prompt, agents, backend, agent_workers)
+        audit = AuditLog()
         result = extract_document(
             doc,
             tagger_preds.get(doc.doc_id, []),
@@ -122,9 +156,16 @@ def run_pipeline(config: RunConfig) -> dict:
             len(agents),
             thresholds,
             config.overlap_threshold,
-            reflector,
+            backend_reflector(backend, ReflectionConfig(), audit),
         )
+        return result, audit.entries
+
+    prediction_lines = []
+    final_by_doc = {}
+    audit_entries = []
+    for doc, (result, entries) in zip(corpus, _map_documents(corpus, config.parallelism, extract)):
         final_by_doc[doc.doc_id] = result
+        audit_entries.extend(entries)
         prediction_lines.append(
             json.dumps(
                 {"doc_id": doc.doc_id, "events": [pe.to_record() for pe in result.final]},
@@ -138,7 +179,7 @@ def run_pipeline(config: RunConfig) -> dict:
     write_text_atomic(
         out / "audit.jsonl",
         "".join(
-            json.dumps(e, ensure_ascii=False, sort_keys=True) + "\n" for e in audit.entries
+            json.dumps(e, ensure_ascii=False, sort_keys=True) + "\n" for e in audit_entries
         ),
     )
     save_threshold_set(thresholds, out / "thresholds.json")
@@ -263,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chat backend: http(s) URL, replay:PATH, or oracle")
         p.add_argument("--agents", type=int, default=10)
         p.add_argument("--temperature", type=float, default=0.9)
-        p.add_argument("--parallelism", type=int, default=4)
+        p.add_argument("--parallelism", type=int, default=4,
+                       help="most backend calls in flight across the run")
 
     p = sub.add_parser("extract", help="run the full pipeline on a corpus")
     p.add_argument("--corpus", required=True, type=Path)

@@ -2,8 +2,10 @@
 instances, parse replies, and aggregate the deduplicated union with
 per-event vote bookkeeping.
 
-Agent requests may run concurrently; aggregation is a deterministic fold in
-agent-id order, so results are independent of completion order.
+Agent requests run on ``parallelism`` worker threads; aggregation is a
+deterministic fold in agent-id order, so results are independent of
+completion order. ``revent extract`` runs several documents at once and
+passes each its share of the run's ``--parallelism`` (see ``revent.cli``).
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import io
 import json
+import urllib.error
 
 import pytest
 
@@ -78,6 +79,34 @@ def test_http_backend_retries_then_raises(monkeypatch):
 
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     backend = HttpChatBackend("https://down.example", max_attempts=3, backoff=0.0)
+    with pytest.raises(BackendError, match="3 attempts"):
+        backend.complete(ChatRequest.user("p"))
+    assert len(calls) == 3
+
+
+def _http_error_urlopen(code, calls):
+    def fake_urlopen(req, timeout):
+        calls.append(code)
+        raise urllib.error.HTTPError(req.full_url, code, "status", {}, io.BytesIO(b""))
+
+    return fake_urlopen
+
+
+@pytest.mark.parametrize("code", [400, 401, 403, 404, 422])
+def test_http_backend_does_not_retry_client_errors(monkeypatch, code):
+    calls = []
+    monkeypatch.setattr("urllib.request.urlopen", _http_error_urlopen(code, calls))
+    backend = HttpChatBackend("https://llm.example/chat", max_attempts=3, backoff=0.0)
+    with pytest.raises(BackendError, match=f"HTTP {code}"):
+        backend.complete(ChatRequest.user("p"))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("code", [408, 429, 500, 503])
+def test_http_backend_retries_transient_statuses(monkeypatch, code):
+    calls = []
+    monkeypatch.setattr("urllib.request.urlopen", _http_error_urlopen(code, calls))
+    backend = HttpChatBackend("https://llm.example/chat", max_attempts=3, backoff=0.0)
     with pytest.raises(BackendError, match="3 attempts"):
         backend.complete(ChatRequest.user("p"))
     assert len(calls) == 3

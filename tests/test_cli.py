@@ -1,10 +1,17 @@
 import json
+import random
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from revent import cli
 from revent.cli import RunConfig, main
-from revent.errors import ConfigurationError
+from revent.errors import BackendError, ConfigurationError
+from revent.fencing import render_events_answer
+from revent.simulate import OracleProfile, make_synthetic_corpus, synthesize_tagger_predictions
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -73,6 +80,33 @@ def test_run_config_requires_exactly_one_threshold_source(data_dir, tmp_path):
             thresholds_path="x.json",
             tune_corpus=data_dir / "corpus.jsonl",
         )
+
+
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_run_config_rejects_parallelism_below_one(data_dir, tmp_path, parallelism):
+    with pytest.raises(ConfigurationError, match="parallelism"):
+        RunConfig(
+            corpus=data_dir / "corpus.jsonl",
+            tagger_preds=data_dir / "tagger.jsonl",
+            backend="oracle",
+            out_dir=tmp_path,
+            thresholds_path="builtin:llama-3.1/m2e2/0.9",
+            parallelism=parallelism,
+        )
+
+
+def test_tune_thresholds_rejects_parallelism_below_one(data_dir, tmp_path, capsys):
+    code = main([
+        "tune-thresholds",
+        "--corpus", str(data_dir / "corpus.jsonl"),
+        "--tagger-preds", str(data_dir / "tagger.jsonl"),
+        "--backend", f"replay:{data_dir / 'replay.json'}",
+        "--parallelism", "0",
+        "--out", str(tmp_path / "thresholds.json"),
+    ])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
+    assert not (tmp_path / "thresholds.json").exists()
 
 
 def test_tune_thresholds_subcommand(data_dir, tmp_path, capsys):
@@ -164,3 +198,198 @@ def test_oracle_backend_end_to_end(data_dir, tmp_path):
     assert main(argv) == 0
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert metrics["trigger_cls"]["recall"] == 1.0
+
+
+# --- cross-document concurrency -------------------------------------------
+
+ARTIFACTS = ("predictions.jsonl", "audit.jsonl", "metrics.json", "run_summary.json")
+
+
+def _span_record(span):
+    return {"text": span.text, "start": span.start, "end": span.end}
+
+
+def _write_synthetic(directory, n_docs, seed=5):
+    """A seeded corpus and tagger file; returns the ``extract`` input flags."""
+    corpus = make_synthetic_corpus(n_docs, seed=seed)
+    tagger = synthesize_tagger_predictions(
+        corpus, OracleProfile(target_precision=0.8, target_recall=0.7, seed=seed)
+    )
+    directory.mkdir(parents=True, exist_ok=True)
+    corpus_path, tagger_path = directory / "corpus.jsonl", directory / "tagger.jsonl"
+    with open(corpus_path, "w", encoding="utf-8") as fh:
+        for doc in corpus:
+            events = [{
+                "trigger": _span_record(e.trigger),
+                "type": e.event_type,
+                "arguments": [{**_span_record(a.span), "role": a.role} for a in e.arguments],
+            } for e in doc.gold_events]
+            fh.write(json.dumps({"doc_id": doc.doc_id, "text": doc.text, "events": events}) + "\n")
+    with open(tagger_path, "w", encoding="utf-8") as fh:
+        for doc_id, preds in tagger.items():
+            events = [{
+                "trigger": _span_record(p.event.trigger),
+                "type": p.event.event_type,
+                "trigger_confidence": p.trigger_confidence,
+                "arguments": [
+                    {**_span_record(a.span), "role": a.role, "confidence": c}
+                    for a, c in zip(p.event.arguments, p.argument_confidences)
+                ],
+            } for p in preds]
+            fh.write(json.dumps({"doc_id": doc_id, "events": events}) + "\n")
+    return {"--corpus": str(corpus_path), "--tagger-preds": str(tagger_path), "--backend": "oracle"}
+
+
+def _wrap_backend(monkeypatch, wrapper):
+    """Route ``extract``'s backends through ``wrapper(backend, corpus)``."""
+    real = cli.make_backend
+    monkeypatch.setattr(
+        cli, "make_backend",
+        lambda descriptor, corpus=None: wrapper(real(descriptor, corpus=corpus), corpus),
+    )
+
+
+class _NoisyBackend:
+    """Seeded per-request jitter over the oracle, with agents that each miss
+    some gold events, so votes split and reflection runs.
+
+    Delay and reply depend only on (seed, doc_id, channel), so completion
+    order differs between runs at different parallelism but answers do not.
+    """
+
+    def __init__(self, inner, corpus, seed=11):
+        self.inner, self.seed = inner, seed
+        self.gold = {doc.doc_id: doc.gold_events for doc in corpus}
+
+    def complete(self, request):
+        doc_id, channel = request.metadata.get("doc_id"), request.metadata.get("channel")
+        rng = random.Random(f"{self.seed}:{doc_id}:{channel}")
+        time.sleep(rng.uniform(0.0005, 0.004))
+        if channel.startswith("agent:"):
+            return render_events_answer([e for e in self.gold[doc_id] if rng.random() < 0.6])
+        return self.inner.complete(request)
+
+
+def test_extract_is_byte_identical_across_parallelism(data_dir, tmp_path, monkeypatch):
+    flags = _write_synthetic(tmp_path / "in", 14)
+    _wrap_backend(monkeypatch, _NoisyBackend)
+    outputs = {}
+    for parallelism in (1, 3, 4, 8):
+        out = tmp_path / f"p{parallelism}"
+        argv = _extract_args(data_dir, out, **flags, **{"--parallelism": str(parallelism)})
+        assert main(argv) == 0
+        outputs[parallelism] = {name: (out / name).read_bytes() for name in ARTIFACTS}
+    assert json.loads(outputs[1]["run_summary.json"])["documents"] == 14
+    assert len(outputs[1]["audit.jsonl"].splitlines()) >= 14
+    for parallelism in (3, 4, 8):
+        for name in ARTIFACTS:
+            assert outputs[parallelism][name] == outputs[1][name], (parallelism, name)
+
+
+class _CountingBackend:
+    """Records the peak number of concurrent calls, and of documents with a
+    call in flight.
+
+    Until ``target`` calls have been in flight at once, each call waits
+    (bounded by a timeout) for others to arrive, so a run that can reach
+    the target does; after one timeout nobody waits again.
+    """
+
+    def __init__(self, inner, target):
+        self.inner, self.target = inner, target
+        self.by_doc: dict[str, int] = {}
+        self.peak = self.peak_docs = 0
+        self.gave_up = False
+        self.cond = threading.Condition()
+
+    def complete(self, request):
+        doc_id = request.metadata.get("doc_id")
+        with self.cond:
+            self.by_doc[doc_id] = self.by_doc.get(doc_id, 0) + 1
+            self.peak = max(self.peak, sum(self.by_doc.values()))
+            self.peak_docs = max(self.peak_docs, len(self.by_doc))
+            self.cond.notify_all()
+            if not self.gave_up and not self.cond.wait_for(
+                lambda: self.peak >= self.target, timeout=2.0
+            ):
+                self.gave_up = True
+        try:
+            time.sleep(0.001)
+            return self.inner.complete(request)
+        finally:
+            with self.cond:
+                self.by_doc[doc_id] -= 1
+                if not self.by_doc[doc_id]:
+                    del self.by_doc[doc_id]
+
+
+@pytest.mark.parametrize("n_docs,parallelism", [(12, 3), (12, 4), (1, 4), (12, 8), (5, 8)])
+def test_backend_calls_in_flight_never_exceed_parallelism(
+    data_dir, tmp_path, monkeypatch, n_docs, parallelism
+):
+    flags = _write_synthetic(tmp_path / "in", n_docs)
+    backends = []
+
+    def counting(inner, corpus):
+        backends.append(_CountingBackend(inner, parallelism))
+        return backends[-1]
+
+    _wrap_backend(monkeypatch, counting)
+    argv = _extract_args(data_dir, tmp_path / "out", **flags, **{"--parallelism": str(parallelism)})
+    codes = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert codes == [0]
+    (backend,) = backends
+    # min(parallelism, documents) documents run at once, each with
+    # parallelism // that many agent workers (at least one).
+    doc_workers = min(parallelism, n_docs)
+    assert backend.peak <= parallelism
+    assert backend.peak_docs == doc_workers
+    assert backend.peak == doc_workers * max(1, parallelism // doc_workers)
+    assert not backend.gave_up or backend.peak < parallelism
+
+
+class _FailingBackend:
+    """Fails every call for one document, answers the others after a delay."""
+
+    def __init__(self, inner, failing_doc):
+        self.inner, self.failing_doc = inner, failing_doc
+        self.requested = set()
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        doc_id = request.metadata.get("doc_id")
+        with self.lock:
+            self.requested.add(doc_id)
+        if doc_id == self.failing_doc:
+            raise BackendError(f"simulated outage for {doc_id}")
+        time.sleep(0.003)
+        return self.inner.complete(request)
+
+
+def test_failing_document_stops_the_run(data_dir, tmp_path, monkeypatch, capsys):
+    flags = _write_synthetic(tmp_path / "in", 40)
+    backends = []
+
+    def failing(inner, corpus):
+        backends.append(_FailingBackend(inner, "doc-0002"))
+        return backends[-1]
+
+    _wrap_backend(monkeypatch, failing)
+    out = tmp_path / "out"
+    assert main(_extract_args(data_dir, out, **flags, **{"--parallelism": "4"})) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "OrchestrationError"
+    assert "doc-0002" in error["message"]
+    assert not out.exists() or not list(out.iterdir())
+    (backend,) = backends
+    assert "doc-0002" in backend.requested
+    assert max(int(doc_id.split("-")[1]) for doc_id in backend.requested) < 10
