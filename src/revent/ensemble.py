@@ -2,7 +2,8 @@
 instances, parse replies, and aggregate the deduplicated union with
 per-event vote bookkeeping.
 
-Agent requests run on ``parallelism`` worker threads; aggregation is a
+Agent requests run on up to ``parallelism`` worker threads, or inline on the
+calling thread when only one worker would run; aggregation is a
 deterministic fold in agent-id order, so results are independent of
 completion order. ``revent extract`` runs several documents at once and
 passes each its share of the run's ``--parallelism`` (see ``revent.cli``).
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .backends import ChatBackend, ChatRequest
 from .errors import BackendError, ConfigurationError, OrchestrationError, ReplyParseError
 from .ingest import parse_agent_output
-from .model import Document, EventKey, EventMention, TriggerId, canonical_key
+from .model import ArgumentKey, Document, EventKey, EventMention, TriggerId, canonical_key
 
 __all__ = [
     "AgentConfig",
@@ -50,17 +51,24 @@ class VoteLedger:
     """Which agents produced which event predictions.
 
     Keys are whole-event identities (EventKey). Trigger- and argument-level
-    vote sets are derived by unioning agent sets over every key that shares
-    the trigger triple (and, for arguments, contains the argument key).
+    vote sets are the union of agent sets over every key that shares the
+    trigger triple (and, for arguments, contains the argument key); both are
+    indexed by trigger as votes are recorded, so a query costs one lookup.
     """
 
     def __init__(self):
         self._votes: dict[EventKey, set[int]] = {}
+        self._trigger_votes: dict[TriggerId, set[int]] = {}
+        self._argument_votes: dict[TriggerId, dict[ArgumentKey, set[int]]] = {}
 
     def record(self, key: EventKey, agent_id: int) -> None:
         if agent_id < 1:
             raise ValueError("agent ids start at 1")
         self._votes.setdefault(key, set()).add(agent_id)
+        self._trigger_votes.setdefault(key.trigger_id, set()).add(agent_id)
+        by_arg = self._argument_votes.setdefault(key.trigger_id, {})
+        for arg_key in key.argument_keys:
+            by_arg.setdefault(arg_key, set()).add(agent_id)
 
     def votes(self, key: EventKey) -> frozenset[int]:
         try:
@@ -69,18 +77,10 @@ class VoteLedger:
             raise KeyError(f"event key {key} was never voted for")
 
     def trigger_votes(self, trig: TriggerId) -> frozenset[int]:
-        voters: set[int] = set()
-        for key, agents in self._votes.items():
-            if key.trigger_id == trig:
-                voters.update(agents)
-        return frozenset(voters)
+        return frozenset(self._trigger_votes.get(trig, ()))
 
-    def argument_votes(self, trig: TriggerId, arg_key: tuple[int, int, str]) -> frozenset[int]:
-        voters: set[int] = set()
-        for key, agents in self._votes.items():
-            if key.trigger_id == trig and arg_key in key.argument_keys:
-                voters.update(agents)
-        return frozenset(voters)
+    def argument_votes(self, trig: TriggerId, arg_key: ArgumentKey) -> frozenset[int]:
+        return frozenset(self._argument_votes.get(trig, {}).get(arg_key, ()))
 
     def keys(self):
         return self._votes.keys()
@@ -135,8 +135,12 @@ def run_self_moa(
         return []
 
     ordered = sorted(agents, key=lambda a: a.agent_id)
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        replies = dict(zip((a.agent_id for a in ordered), pool.map(one_agent, ordered)))
+    workers = max(1, min(parallelism, len(ordered)))
+    if workers == 1:
+        replies = {a.agent_id: one_agent(a) for a in ordered}
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            replies = dict(zip((a.agent_id for a in ordered), pool.map(one_agent, ordered)))
 
     union: list[EventMention] = []
     ledger = VoteLedger()

@@ -9,6 +9,14 @@ path-precedence order (consensus, retained tagger, retained ensemble,
 reflected), to integration.finalize_events, which merges them per trigger
 into the final provenance-tagged event set.
 
+The work is split in two steps. ``prepare`` does everything that does not
+depend on the thresholds - tagger de-duplication, cleanup, trigger and
+argument matching, and every tagger and ensemble confidence - and returns
+an immutable PreparedDocument. ``decide(prepared, thresholds, reflector)``
+does the filtering, reflection and final assembly; it never mutates
+``prepared``, so one prepared document can be decided at any number of
+threshold settings. ``extract_document`` is ``decide(prepare(...), ...)``.
+
 The reflection step is pluggable: the live reflector wraps a chat backend,
 while keep-all / drop-all / gold-oracle stand-ins support tuning and
 simulation.
@@ -16,7 +24,7 @@ simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .agreement import MatchReport, match_arguments, match_triggers
@@ -58,6 +66,9 @@ __all__ = [
     "oracle_reflector",
     "backend_reflector",
     "DocumentResult",
+    "PreparedDocument",
+    "prepare",
+    "decide",
     "extract_document",
 ]
 
@@ -127,22 +138,37 @@ def standin_reflector(name: str) -> Reflector:
         raise ConfigurationError(f"unknown reflection stand-in {name!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Candidate:
-    """One trigger that may reach the final set, with its argument pools."""
+    """One trigger that may reach the final set, with its scored arguments."""
 
     trigger: Span
     event_type: str
     provenance: Provenance           # provenance if it survives
     ambiguous: bool                  # needs a trigger verdict
-    scored_args: list[ScoredArgument]
-    agreed_args: list[tuple[ArgumentMention, Provenance]] = field(default_factory=list)
-    kept_args: list[tuple[ArgumentMention, Provenance]] = field(default_factory=list)
-    pending_args: list[ArgumentMention] = field(default_factory=list)
+    scored_args: tuple[ScoredArgument, ...]
+    agreed_args: tuple[tuple[ArgumentMention, Provenance], ...] = ()
 
     @property
     def event(self) -> EventMention:
         return EventMention(self.trigger, self.event_type)
+
+
+@dataclass(frozen=True)
+class PreparedDocument:
+    """The threshold-independent state of one document (see ``prepare``)."""
+
+    doc: Document
+    trigger_report: MatchReport
+    consensus: tuple[_Candidate, ...]
+    # Single-source triggers, tagger side first, each with its scored arguments.
+    trigger_scored: tuple[ScoredEvent, ...]
+    trigger_args: dict[ScoredEvent, tuple[ScoredArgument, ...]]
+
+    def scored_arguments(self) -> list[ScoredArgument]:
+        """Every argument an argument threshold can decide on."""
+        pools = [c.scored_args for c in self.consensus] + list(self.trigger_args.values())
+        return [arg for pool in pools for arg in pool]
 
 
 @dataclass
@@ -180,17 +206,15 @@ def _dedupe_tagger(preds: list[TaggerPrediction]) -> list[TaggerPrediction]:
     return list(best.values())
 
 
-def extract_document(
+def prepare(
     doc: Document,
     tagger_predictions: list[TaggerPrediction],
     smoa_events: list[EventMention],
     ledger: VoteLedger,
     n_agents: int,
-    thresholds: ThresholdSet,
     overlap_threshold: float = 0.5,
-    reflector: Reflector = keep_all_reflector,
-) -> DocumentResult:
-    """Run matching, filtering, reflection, and final assembly for one doc.
+) -> PreparedDocument:
+    """Match and score one document's predictions, once for any thresholds.
 
     ``smoa_events`` is the aggregated (not necessarily cleaned) agent union
     with its vote ledger over ``n_agents`` agents; ``tagger_predictions``
@@ -202,105 +226,143 @@ def extract_document(
         cleanup_predictions(smoa_events, doc), [p.event for p in preds], overlap_threshold
     )
 
-    def score_arguments(event: EventMention, source: Source, args) -> list[ScoredArgument]:
+    def score_arguments(event: EventMention, source: Source, args) -> tuple[ScoredArgument, ...]:
         if source is Source.TAGGER:
             pred = pred_by_key[canonical_key(event)]
-            return [ScoredArgument(a, source, pred.argument_confidence(a)) for a in args]
+            return tuple(ScoredArgument(a, source, pred.argument_confidence(a)) for a in args)
         tid = trigger_id(event)
-        return [
+        return tuple(
             ScoredArgument(a, source, smoa_confidence(ledger, n_agents, tid, a.key)) for a in args
-        ]
+        )
 
-    # Candidates in path-precedence order: consensus, retained tagger,
-    # retained ensemble, reflected. Consensus keeps the tagger span and
-    # pools both argument sides.
-    candidates: list[_Candidate] = []
+    # Consensus keeps the tagger span and pools both argument sides.
+    consensus = []
     for pair in report.consensus:
         arg_report = match_arguments(pair, overlap_threshold)
-        candidates.append(_Candidate(
+        consensus.append(_Candidate(
             trigger=pair.tagger.trigger,
             event_type=pair.tagger.event_type,
             provenance=Provenance.AGREED,
             ambiguous=False,
             scored_args=score_arguments(pair.tagger, Source.TAGGER, arg_report.tagger_only)
             + score_arguments(pair.smoa, Source.SMOA, arg_report.smoa_only),
-            agreed_args=[(m.retained, Provenance.AGREED) for m in arg_report.consensus],
+            agreed_args=tuple((m.retained, Provenance.AGREED) for m in arg_report.consensus),
         ))
 
-    # Single-source triggers: score and filter.
-    trigger_scored = [
+    trigger_scored = tuple(
         ScoredEvent(e, Source.TAGGER, pred_by_key[canonical_key(e)].trigger_confidence)
         for e in report.tagger_only
-    ] + [
+    ) + tuple(
         ScoredEvent(e, Source.SMOA, smoa_confidence(ledger, n_agents, trigger_id(e)))
         for e in report.smoa_only
-    ]
-    trigger_partition = filter_disagreements(trigger_scored, thresholds.trigger)
+    )
+    return PreparedDocument(
+        doc=doc,
+        trigger_report=report,
+        consensus=tuple(consensus),
+        trigger_scored=trigger_scored,
+        trigger_args={
+            s: score_arguments(s.event, s.source, s.event.arguments) for s in trigger_scored
+        },
+    )
+
+
+def decide(
+    prepared: PreparedDocument,
+    thresholds: ThresholdSet,
+    reflector: Reflector = keep_all_reflector,
+) -> DocumentResult:
+    """Filter, reflect and assemble a prepared document at ``thresholds``.
+
+    ``prepared`` is only read, so the result depends on ``thresholds`` and
+    on the reflector's verdicts alone.
+    """
+    # Candidates in path-precedence order: consensus, retained tagger,
+    # retained ensemble, reflected.
+    trigger_partition = filter_disagreements(prepared.trigger_scored, thresholds.trigger)
+    candidates = list(prepared.consensus)
     for group, prov in (
         (trigger_partition.retained_tagger, Provenance.HIGH_CONF_TAGGER),
         (trigger_partition.retained_smoa, Provenance.HIGH_CONF_SMOA),
         (trigger_partition.reflect, Provenance.REFLECTED),
     ):
         for scored in group:
-            event = scored.event
             candidates.append(_Candidate(
-                trigger=event.trigger,
-                event_type=event.event_type,
+                trigger=scored.event.trigger,
+                event_type=scored.event.event_type,
                 provenance=prov,
                 ambiguous=prov is Provenance.REFLECTED,
-                scored_args=score_arguments(event, scored.source, event.arguments),
+                scored_args=prepared.trigger_args[scored],
             ))
 
     # Argument-level filtering under every candidate trigger. Candidates can
     # share a trigger identifier (same trigger proposed with different
     # argument sets), so the reported per-trigger partitions merge.
     argument_partitions: dict[TriggerId, Partition] = {}
+    kept_args: list[list[tuple[ArgumentMention, Provenance]]] = []
+    pending_args: list[tuple[ArgumentMention, ...]] = []
     for cand in candidates:
         part = filter_disagreements(cand.scored_args, thresholds.argument)
         tid = (cand.trigger.start, cand.trigger.end, cand.event_type)
         argument_partitions[tid] = _merge_partitions(argument_partitions.get(tid), part)
-        for scored in part.retained_tagger:
-            cand.kept_args.append((scored.argument, Provenance.HIGH_CONF_TAGGER))
-        for scored in part.retained_smoa:
-            cand.kept_args.append((scored.argument, Provenance.HIGH_CONF_SMOA))
-        for scored in part.reflect:
-            cand.pending_args.append(scored.argument)
+        kept_args.append(
+            list(cand.agreed_args)
+            + [(s.argument, Provenance.HIGH_CONF_TAGGER) for s in part.retained_tagger]
+            + [(s.argument, Provenance.HIGH_CONF_SMOA) for s in part.retained_smoa]
+        )
+        pending_args.append(tuple(s.argument for s in part.reflect))
 
     # Reflection on ambiguous triggers and pending arguments.
     needs_reflection = [
-        cand for cand in candidates if cand.ambiguous or cand.pending_args
+        i for i, cand in enumerate(candidates) if cand.ambiguous or pending_args[i]
     ]
     items = [
         ReflectionItem(
-            event=cand.event,
-            trigger_ambiguous=cand.ambiguous,
-            kept_arguments=tuple(a for a, _ in cand.agreed_args + cand.kept_args),
-            pending_arguments=tuple(cand.pending_args),
+            event=candidates[i].event,
+            trigger_ambiguous=candidates[i].ambiguous,
+            kept_arguments=tuple(a for a, _ in kept_args[i]),
+            pending_arguments=pending_args[i],
         )
-        for cand in needs_reflection
+        for i in needs_reflection
     ]
-    results = reflector(doc, items) if items else []
+    results = reflector(prepared.doc, items) if items else []
     if len(results) != len(items):
         raise ConfigurationError(
             f"reflector returned {len(results)} results for {len(items)} items"
         )
-    result_by_candidate = dict(zip((id(c) for c in needs_reflection), results))
+    result_at = dict(zip(needs_reflection, results))
 
     # Merge the surviving candidates, still in path-precedence order.
     kept = []
-    for cand in candidates:
-        result = result_by_candidate.get(id(cand))
+    for i, cand in enumerate(candidates):
+        result = result_at.get(i)
         if result is not None and not result.trigger_kept:
             continue
-        arg_pairs = cand.agreed_args + cand.kept_args
+        arg_pairs = kept_args[i]
         if result is not None:
             arg_pairs += [(arg, Provenance.REFLECTED) for arg in result.confirmed_arguments]
         kept.append((cand.trigger, cand.event_type, cand.provenance, arg_pairs))
 
     return DocumentResult(
-        doc_id=doc.doc_id,
-        trigger_report=report,
+        doc_id=prepared.doc.doc_id,
+        trigger_report=prepared.trigger_report,
         trigger_partition=trigger_partition,
         argument_partitions=argument_partitions,
         final=finalize_events(kept),
     )
+
+
+def extract_document(
+    doc: Document,
+    tagger_predictions: list[TaggerPrediction],
+    smoa_events: list[EventMention],
+    ledger: VoteLedger,
+    n_agents: int,
+    thresholds: ThresholdSet,
+    overlap_threshold: float = 0.5,
+    reflector: Reflector = keep_all_reflector,
+) -> DocumentResult:
+    """Run matching, filtering, reflection, and final assembly for one doc:
+    ``decide(prepare(...), thresholds, reflector)``."""
+    prepared = prepare(doc, tagger_predictions, smoa_events, ledger, n_agents, overlap_threshold)
+    return decide(prepared, thresholds, reflector)

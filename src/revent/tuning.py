@@ -3,11 +3,19 @@
 Confidence distributions are computed separately for correct and incorrect
 dev predictions; their quartiles guide the search grid (widened a step each
 side, always including 0.0 and a just-above-one sentinel so "keep all" and
-"never keep directly" stay reachable). Every triple on the grid is
-evaluated by running the full downstream pipeline - with reflection
-replaced by a stand-in, keep-all by default - and the argmax-F1 triple
-wins; ties break to the smallest theta_smoa_lo, then theta_s, then
-theta_smoa_hi.
+"never keep directly" stay reachable). Every triple on the grid is scored
+by the dev-set F1 of the downstream pipeline - with reflection replaced by
+a stand-in, keep-all by default - and the argmax-F1 triple wins; ties break
+to the smallest theta_smoa_lo, then theta_s, then theta_smoa_hi.
+
+Each dev document is run through pipeline.prepare once per call. A
+threshold setting only decides, for every scored trigger and argument,
+whether a tagger item is kept or removed and whether an ensemble item is
+retained, reflected or removed; that band vector over the dev set is fixed
+by how many of the pooled confidences fall below each cutoff. The stand-in
+reflectors are pure functions of their items, so settings with equal cut
+positions give identical decisions: pipeline.decide and scoring run once per
+distinct band signature, and every other grid point reuses its metrics.
 
 Trigger thresholds are tuned first against trigger-classification F1; the
 argument triple is then tuned against argument-classification F1 with the
@@ -18,15 +26,17 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable
 
-from .confidence import ThresholdSet, ThresholdTriple, smoa_confidence
+from .confidence import Source, ThresholdSet, ThresholdTriple, smoa_confidence
 from .ensemble import VoteLedger, cleanup_predictions
 from .errors import ConfigurationError
 from .ingest import TaggerPrediction
-from .metrics import gold_from_corpus, score_predictions
+from .metrics import Metrics, gold_from_corpus, score_predictions
 from .model import Document, EventMention, trigger_id
-from .pipeline import Reflector, extract_document, standin_reflector
+from .pipeline import PreparedDocument, Reflector, decide, prepare, standin_reflector
 
 __all__ = [
     "DevPredictions",
@@ -137,38 +147,48 @@ def collect_confidence_samples(
 
 
 def evaluate_threshold_set(
-    dev: list[Document],
-    predictions: DevPredictions,
-    thresholds: ThresholdSet,
-    overlap_threshold: float,
-    reflector: Reflector,
-):
-    """Metrics of the full downstream pipeline at one threshold setting."""
-    preds = {}
-    for doc in dev:
-        events, ledger = predictions.smoa.get(doc.doc_id, ([], VoteLedger()))
-        result = extract_document(
-            doc,
-            predictions.tagger.get(doc.doc_id, []),
-            events,
-            ledger,
-            predictions.n_agents,
-            thresholds,
-            overlap_threshold,
-            reflector,
-        )
-        preds[doc.doc_id] = result.final_events
-    return score_predictions(preds, gold_from_corpus(dev))
+    prepared: list[PreparedDocument], thresholds: ThresholdSet, reflector: Reflector
+) -> Metrics:
+    """Dev-set metrics of the downstream pipeline at one threshold setting."""
+    preds = {p.doc.doc_id: decide(p, thresholds, reflector).final_events for p in prepared}
+    return score_predictions(preds, gold_from_corpus([p.doc for p in prepared]))
+
+
+def _confidence_cuts(prepared: list[PreparedDocument]) -> dict[tuple[str, Source], list[float]]:
+    """Sorted distinct confidences of every scored item, per level and source."""
+    pools: dict[tuple[str, Source], set[float]] = {
+        (level, source): set() for level in ("trigger", "argument") for source in Source
+    }
+    for p in prepared:
+        for level, items in (("trigger", p.trigger_scored), ("argument", p.scored_arguments())):
+            for item in items:
+                pools[level, item.source].add(item.confidence)
+    return {key: sorted(values) for key, values in pools.items()}
+
+
+def _band_signature(
+    cuts: dict[tuple[str, Source], list[float]], thresholds: ThresholdSet
+) -> tuple[int, ...]:
+    """How many pooled confidences fall below each cutoff. A tagger item is
+    kept iff its confidence is at or above theta_s, an ensemble item is
+    retained at or above theta_smoa_hi and removed below theta_smoa_lo, so
+    these counts fix the band of every scored item, and vice versa."""
+    signature = []
+    for level, triple in (("trigger", thresholds.trigger), ("argument", thresholds.argument)):
+        tagger, smoa = cuts[level, Source.TAGGER], cuts[level, Source.SMOA]
+        signature += [
+            bisect_left(tagger, triple.theta_s),
+            bisect_left(smoa, triple.theta_smoa_hi),
+            bisect_left(smoa, triple.theta_smoa_lo),
+        ]
+    return tuple(signature)
 
 
 def _tune_level(
-    dev: list[Document],
-    predictions: DevPredictions,
     level: str,
     s_values: list[float],
     m_values: list[float],
-    overlap_threshold: float,
-    reflector: Reflector,
+    metrics_at: Callable[[ThresholdSet], Metrics],
     fixed_trigger: ThresholdTriple | None,
 ) -> ThresholdTriple:
     best: tuple[float, ThresholdTriple] | None = None
@@ -183,9 +203,7 @@ def _tune_level(
                 else:
                     assert fixed_trigger is not None
                     thresholds = ThresholdSet(trigger=fixed_trigger, argument=triple)
-                metrics = evaluate_threshold_set(
-                    dev, predictions, thresholds, overlap_threshold, reflector
-                )
+                metrics = metrics_at(thresholds)
                 f1 = (metrics.trigger_cls if level == "trigger" else metrics.argument_cls).f1
                 # Ascending (lo, theta_s, hi) iteration + strict improvement
                 # keeps the lexicographically smallest argmax.
@@ -205,7 +223,8 @@ def tune_thresholds(
     """Argmax-F1 threshold triples for triggers and arguments.
 
     Equals exhaustive brute-force search over the derived grids; see the
-    module docstring for the search-range and tie-break rules.
+    module docstring for the search-range and tie-break rules and for why
+    each distinct band signature is evaluated only once.
     """
     if not dev:
         raise ConfigurationError("threshold tuning needs a non-empty dev set")
@@ -219,16 +238,31 @@ def tune_thresholds(
         return derive_search_values(correct, incorrect, grid_step)
 
     (tc, ti), (mc, mi) = collect_confidence_samples(dev, predictions, "trigger")
+    prepared = [
+        prepare(
+            doc,
+            predictions.tagger.get(doc.doc_id, []),
+            *predictions.smoa.get(doc.doc_id, ([], VoteLedger())),
+            predictions.n_agents,
+            overlap_threshold,
+        )
+        for doc in dev
+    ]
+    cuts = _confidence_cuts(prepared)
+    cache: dict[tuple[int, ...], Metrics] = {}
+
+    def metrics_at(thresholds: ThresholdSet) -> Metrics:
+        signature = _band_signature(cuts, thresholds)
+        if signature not in cache:
+            cache[signature] = evaluate_threshold_set(prepared, thresholds, reflector)
+        return cache[signature]
+
     trigger_triple = _tune_level(
-        dev, predictions, "trigger",
-        values(tc, ti), values(mc, mi),
-        overlap_threshold, reflector, None,
+        "trigger", values(tc, ti), values(mc, mi), metrics_at, None
     )
 
     (tc, ti), (mc, mi) = collect_confidence_samples(dev, predictions, "argument")
     argument_triple = _tune_level(
-        dev, predictions, "argument",
-        values(tc, ti), values(mc, mi),
-        overlap_threshold, reflector, trigger_triple,
+        "argument", values(tc, ti), values(mc, mi), metrics_at, trigger_triple
     )
     return ThresholdSet(trigger=trigger_triple, argument=argument_triple)

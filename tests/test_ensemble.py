@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 
 import pytest
 
@@ -93,6 +94,36 @@ def test_transport_failure_names_agent():
 
     with pytest.raises(OrchestrationError, match="agent 1"):
         run_self_moa(doc, "p", default_agents(1), FailingBackend())
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_transport_failure_names_first_failing_agent(parallelism):
+    doc = _doc()
+    reply = render_events_answer([_event("alpha", doc.text)])
+
+    class SecondAgentFails:
+        def complete(self, request):
+            if request.metadata["channel"] == "agent:2":
+                raise BackendError("boom")
+            return reply
+
+    with pytest.raises(OrchestrationError, match="agent 2"):
+        run_self_moa(doc, "p", default_agents(3), SecondAgentFails(), parallelism=parallelism)
+
+
+def test_single_worker_runs_agents_on_the_calling_thread():
+    doc = _doc()
+    reply = render_events_answer([_event("alpha", doc.text)])
+    threads = []
+
+    class ThreadRecorder:
+        def complete(self, request):
+            threads.append(threading.get_ident())
+            return reply
+
+    events, ledger = run_self_moa(doc, "p", default_agents(3), ThreadRecorder(), parallelism=1)
+    assert threads == [threading.get_ident()] * 3
+    assert ledger.votes(canonical_key(events[0])) == frozenset({1, 2, 3})
 
 
 def test_agent_ids_must_be_contiguous():
@@ -197,3 +228,32 @@ def test_ledger_trigger_and_argument_votes():
     assert ledger.argument_votes(tid, arg_a.key) == frozenset(range(1, 11))
     assert ledger.argument_votes(tid, arg_b.key) == frozenset({7, 8, 9, 10})
     assert ledger.trigger_votes((0, 5, "Other")) == frozenset()
+
+
+def test_ledger_index_equals_brute_scan():
+    from revent.model import ArgumentMention
+
+    rng = random.Random(23)
+    text = "alpha beta gamma delta epsilon"
+    words = text.split()
+    spans = [Span(w, text.index(w), text.index(w) + len(w)) for w in words]
+    for _ in range(200):
+        ledger = VoteLedger()
+        for _ in range(rng.randint(0, 12)):
+            args = tuple(
+                ArgumentMention(rng.choice(spans), rng.choice("RS"))
+                for _ in range(rng.randint(0, 3))
+            )
+            event = EventMention(rng.choice(spans[:3]), rng.choice("AB"), args)
+            ledger.record(canonical_key(event), rng.randint(1, 6))
+        trigger_ids = {(s.start, s.end, t) for s in spans for t in "ABC"}
+        arg_keys = {(s.start, s.end, r) for s in spans for r in "RST"}
+        for tid in trigger_ids:
+            keys = [k for k in ledger.keys() if k.trigger_id == tid]
+            expected = frozenset().union(*(ledger.votes(k) for k in keys))
+            assert ledger.trigger_votes(tid) == expected
+            for arg_key in arg_keys:
+                expected = frozenset().union(
+                    *(ledger.votes(k) for k in keys if arg_key in k.argument_keys)
+                )
+                assert ledger.argument_votes(tid, arg_key) == expected

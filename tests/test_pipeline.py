@@ -1,3 +1,6 @@
+import copy
+import random
+
 import pytest
 
 from revent.confidence import Source, ThresholdSet, ThresholdTriple, bundled_thresholds
@@ -7,12 +10,20 @@ from revent.integration import Provenance
 from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key
 from revent.pipeline import (
     backend_reflector,
+    decide,
     drop_all_reflector,
     extract_document,
     keep_all_reflector,
     oracle_reflector,
+    prepare,
 )
 from revent.reflection import AuditLog, ReflectionConfig
+from revent.simulate import (
+    OracleProfile,
+    make_synthetic_corpus,
+    synthesize_agent_predictions,
+    synthesize_tagger_predictions,
+)
 
 THRESHOLDS = bundled_thresholds("llama-3.1", "m2e2", 0.9)
 
@@ -172,3 +183,60 @@ def test_zero_agents_is_configuration_error():
     events, ledger = _attack_votes(doc, [([1], {"rebels": "Attacker"})])
     with pytest.raises(ConfigurationError):
         extract_document(doc, [], events, ledger, 0, THRESHOLDS, 0.5, keep_all_reflector)
+
+
+def _threshold_sets(rng, n):
+    """``n`` threshold sets: fixed extremes, including above-one cutoffs and
+    the tuner's drop-all argument triple, then random triples."""
+    drop_all = ThresholdTriple(theta_s=2.0, theta_smoa_hi=2.0, theta_smoa_lo=2.0)
+    keep_all = ThresholdTriple(theta_s=0.0, theta_smoa_hi=0.0, theta_smoa_lo=0.0)
+    above_one = ThresholdTriple(theta_s=1.05, theta_smoa_hi=1.05, theta_smoa_lo=0.3)
+    sets = [
+        THRESHOLDS,
+        ThresholdSet(keep_all, drop_all),
+        ThresholdSet(above_one, drop_all),
+        ThresholdSet(keep_all, keep_all),
+        ThresholdSet(above_one, above_one),
+        ThresholdSet(THRESHOLDS.trigger, drop_all),
+    ]
+    while len(sets) < n:
+        def triple():
+            lo, hi = sorted(rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 1.05]) for _ in range(2))
+            return ThresholdTriple(theta_s=rng.random() * 1.1, theta_smoa_hi=hi, theta_smoa_lo=lo)
+        sets.append(ThresholdSet(triple(), triple()))
+    return sets
+
+
+def test_decide_on_a_reused_prepared_document_equals_extract():
+    corpus = make_synthetic_corpus(12, seed=5)
+    tagger = synthesize_tagger_predictions(
+        corpus, OracleProfile(target_precision=0.8, target_recall=0.7, seed=3)
+    )
+    smoa = synthesize_agent_predictions(
+        corpus, OracleProfile(target_precision=0.6, target_recall=0.9, seed=4), 10
+    )
+    prepared = {
+        doc.doc_id: prepare(doc, tagger[doc.doc_id], *smoa[doc.doc_id], 10, 0.5)
+        for doc in corpus
+    }
+    snapshot = copy.deepcopy(prepared)
+    rng = random.Random(11)
+    runs = [
+        (doc, thresholds, reflector)
+        for doc in corpus
+        for thresholds in _threshold_sets(rng, 26)
+        for reflector in (keep_all_reflector, drop_all_reflector, oracle_reflector)
+    ]
+    rng.shuffle(runs)
+    reflected = 0
+    for doc, thresholds, reflector in runs:
+        got = decide(prepared[doc.doc_id], thresholds, reflector)
+        fresh = extract_document(
+            doc, tagger[doc.doc_id], *smoa[doc.doc_id], 10, thresholds, 0.5, reflector
+        )
+        assert got.final == fresh.final
+        assert got.trigger_partition == fresh.trigger_partition
+        assert got.argument_partitions == fresh.argument_partitions
+        reflected += bool(got.trigger_partition.reflect)
+    assert prepared == snapshot
+    assert reflected  # some runs took the reflection path

@@ -3,9 +3,15 @@ import pytest
 from revent.confidence import ThresholdSet, ThresholdTriple
 from revent.ensemble import VoteLedger
 from revent.errors import ConfigurationError
+from revent.ingest import TaggerPrediction
 from revent.metrics import gold_from_corpus, score_predictions
-from revent.model import Document, EventMention, Span, canonical_key
-from revent.pipeline import extract_document, keep_all_reflector
+from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key
+from revent.pipeline import (
+    drop_all_reflector,
+    extract_document,
+    keep_all_reflector,
+    oracle_reflector,
+)
 from revent.simulate import OracleProfile, make_synthetic_corpus, synthesize_agent_predictions, synthesize_tagger_predictions
 from revent.tuning import (
     DevPredictions,
@@ -89,7 +95,9 @@ def test_empty_dev_set_is_configuration_error():
         tune_thresholds([], DevPredictions(tagger={}, smoa={}, n_agents=10))
 
 
-def _brute_force_tune(dev, predictions, grid_step, overlap_threshold=0.5):
+def _brute_force_tune(
+    dev, predictions, grid_step, overlap_threshold=0.5, reflector=keep_all_reflector
+):
     """Straight-line exhaustive argmax over the same derived grids."""
 
     def values(correct, incorrect):
@@ -109,7 +117,7 @@ def _brute_force_tune(dev, predictions, grid_step, overlap_threshold=0.5):
                 predictions.n_agents,
                 thresholds,
                 overlap_threshold,
-                keep_all_reflector,
+                reflector,
             )
             preds[doc.doc_id] = result.final_events
         metrics = score_predictions(preds, gold_from_corpus(dev))
@@ -160,3 +168,53 @@ def test_tuner_equals_brute_force_small():
     tuned = tune_thresholds(dev, predictions, grid_step=0.1)
     brute = _brute_force_tune(dev, predictions, grid_step=0.1)
     assert tuned == brute
+
+
+@pytest.mark.parametrize("standin, reflector", [
+    ("drop-all", drop_all_reflector),
+    ("oracle", oracle_reflector),
+])
+def test_tuner_equals_brute_force_under_every_standin(standin, reflector):
+    dev, predictions = _dev_fixture(6)
+    tuned = tune_thresholds(dev, predictions, grid_step=0.1, reflection_standin=standin)
+    brute = _brute_force_tune(dev, predictions, grid_step=0.1, reflector=reflector)
+    assert tuned == brute
+
+
+def _argument_dev_set(n_docs=8):
+    """Both sources agree on one correct trigger per doc; the argument
+    cutoffs decide: the tagger adds a correct high-confidence and a wrong
+    low-confidence argument, the agents a wrong low-vote argument."""
+
+    def arg(text, surface, role):
+        start = text.index(surface)
+        return ArgumentMention(Span(surface, start, start + len(surface)), role)
+
+    docs, tagger, smoa = [], {}, {}
+    for i in range(n_docs):
+        text = f"alpha beta gamma delta epsilon zeta (doc {i})"
+        beta, gamma, delta, epsilon = (
+            arg(text, w, r)
+            for w, r in (("beta", "R"), ("gamma", "S"), ("delta", "S"), ("epsilon", "T"))
+        )
+        trigger = _ev(text, "alpha", "A").trigger
+        doc = Document(f"a{i}", text, (EventMention(trigger, "A", (beta, epsilon)),))
+        docs.append(doc)
+        tagger[doc.doc_id] = [TaggerPrediction(
+            EventMention(trigger, "A", (beta, delta, epsilon)),
+            0.9, (0.9, 0.1 + 0.1 * (i % 3), 0.7 + 0.1 * (i % 3)),
+        )]
+        smoa[doc.doc_id] = _smoa_doc(doc, [
+            (EventMention(trigger, "A", (beta,)), 10),
+            (EventMention(trigger, "A", (beta, gamma)), 1 + i % 3),
+        ])
+    return docs, DevPredictions(tagger=tagger, smoa=smoa, n_agents=10)
+
+
+def test_tuner_equals_brute_force_when_argument_cutoffs_decide():
+    dev, predictions = _argument_dev_set()
+    tuned = tune_thresholds(dev, predictions, grid_step=0.1)
+    assert tuned == _brute_force_tune(dev, predictions, grid_step=0.1)
+    # Both argument cutoffs land in the gaps between correct and wrong.
+    assert 0.3 < tuned.argument.theta_s <= 0.7
+    assert 0.3 < tuned.argument.theta_smoa_lo
