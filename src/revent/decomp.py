@@ -8,11 +8,18 @@ strict output format, fenced example, query) and every answer is a fenced
 block under a single top-level key, so answers round-trip through
 ``parse_record_answer``.
 
+Each variant is defined once, by its entry in the ``_SPECS`` table: the
+answer key, the canon fields, builders for the context blocks, question,
+answer and provenance, the kind of target it focuses on, and the targets
+``generate_dataset`` emits for a document. ``render_instruction`` checks
+the target against its kind and renders the spec; ``ANSWER_KEYS`` and
+``WHOLE_DOCUMENT_VARIANTS`` are read off the table.
+
 Negative candidates for trigger discrimination are n-grams that occur
 exactly once in the passage, share no substring with any gold trigger, sit
 within a three-token window of a trigger, and pass a part-of-speech gate
-(verb / noun / determiner; the gate is pluggable, with a lexicon-and-suffix
-heuristic as the default). At most three negatives per document.
+(verb / noun / determiner, judged by ``default_pos_gate``'s lexicon and
+suffix heuristic). At most three negatives per document.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import string
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from .errors import ContractError
 from .fencing import events_to_payload, parse_answer, render_answer
@@ -60,32 +67,6 @@ class TaskVariant(Enum):
     ROLE_ASSIGNMENT_MULTI = "role_assignment_multi"
 
 
-# Variants that emit exactly one record per document, annotated or not.
-WHOLE_DOCUMENT_VARIANTS = frozenset({
-    TaskVariant.FULL_STRUCTURE,
-    TaskVariant.TRIGGER_DETECTION,
-    TaskVariant.TRIGGER_TYPE_MULTI,
-    TaskVariant.EVENT_DETECTION_JOINT,
-    TaskVariant.ARG_EXTRACTION_MULTI,
-    TaskVariant.ARG_EXTRACTION_JOINT,
-})
-
-ANSWER_KEYS = {
-    TaskVariant.FULL_STRUCTURE: "Events",
-    TaskVariant.ROLE_ABLATED: "Events",
-    TaskVariant.TRIGGER_DETECTION: "Triggers",
-    TaskVariant.TRIGGER_TYPE_SINGLE: "EventType",
-    TaskVariant.TRIGGER_TYPE_MULTI: "TriggerTypes",
-    TaskVariant.TRIGGER_DISCRIMINATION_SINGLE: "Classification",
-    TaskVariant.TRIGGER_DISCRIMINATION_MULTI: "ClassificationMap",
-    TaskVariant.EVENT_DETECTION_JOINT: "DetectedEvents",
-    TaskVariant.ARG_EXTRACTION_SINGLE: "Arguments",
-    TaskVariant.ARG_EXTRACTION_MULTI: "ArgumentLists",
-    TaskVariant.ARG_EXTRACTION_JOINT: "EventArguments",
-    TaskVariant.ROLE_ASSIGNMENT_SINGLE: "Role",
-    TaskVariant.ROLE_ASSIGNMENT_MULTI: "RoleAssignments",
-}
-
 MASK_TOKEN = "<masked>"
 
 
@@ -115,35 +96,26 @@ def parse_record_answer(record: InstructionRecord):
 
 # --- prompt canon ---------------------------------------------------------
 
-def _render_prompt(
-    role: str,
-    task: str,
-    rules: list[str],
-    write_hint: str,
-    example_body: str,
-    doc: Document,
-    context_blocks: list[str],
-    question: str,
-) -> str:
-    lines = [role, task, "", "Generation Rules:"]
-    lines += [f"{i}. {rule}" for i, rule in enumerate(rules, start=1)]
+def _render_prompt(spec: _Spec, doc: Document, events: list[EventMention], target) -> str:
+    lines = [spec.role, spec.task, "", "Generation Rules:"]
+    lines += [f"{i}. {rule}" for i, rule in enumerate(spec.rules, start=1)]
     lines += [
         "",
         "Output Format (strict):",
         "- Wrap the answer in triple backticks (```).",
-        f"- Write: {write_hint}",
+        f"- Write: {spec.write_hint}",
         "",
         "Example:",
         "```",
-        example_body,
+        spec.example,
         "```",
         "",
         "Passage:",
         f'"{doc.text}"',
     ]
-    for block in context_blocks:
+    for block in spec.context(events, target):
         lines += ["", block]
-    lines += ["", f"Q: {question}"]
+    lines += ["", f"Q: {spec.question(events, target)}"]
     return "\n".join(lines)
 
 
@@ -162,20 +134,7 @@ def _j(value) -> str:
 
 def extraction_prompt(doc: Document) -> str:
     """The full-structure prompt sent to extraction agents (no gold needed)."""
-    return _render_prompt(
-        role="You are an event extractor.",
-        task="Extract every event in the passage: each trigger, its event type, and its arguments with roles.",
-        rules=[
-            "List events in the exact order their triggers appear in the passage.",
-            "Copy trigger and argument texts verbatim from the passage.",
-            "Only include events that the passage supports.",
-        ],
-        write_hint='Events = [{"trigger": "t", "type": "T", "arguments": [{"text": "a", "role": "R"}]}, ...].',
-        example_body='Events = [{"trigger": "therapy", "type": "Treatment", "arguments": [{"text": "insulin", "role": "Instrument"}]}]',
-        doc=doc,
-        context_blocks=[],
-        question="What are the events in the passage?",
-    )
+    return _render_prompt(_SPECS[TaskVariant.FULL_STRUCTURE], doc, [], None)
 
 
 # --- negative sampling ----------------------------------------------------
@@ -220,10 +179,6 @@ def _occurrence_count(text: str, needle: str) -> int:
         start = idx + 1
 
 
-def _tokens_with_offsets(text: str) -> list[tuple[str, int, int]]:
-    return [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", text)]
-
-
 def _strip_token(token: str, start: int) -> tuple[str, int, int] | None:
     stripped = token.strip(string.punctuation)
     if not stripped:
@@ -237,7 +192,6 @@ def sample_negative_ngrams(
     gold_triggers: list[Span],
     k: int = 3,
     seed: int = 0,
-    pos_gate: Callable[[str], bool] = default_pos_gate,
 ) -> list[Span]:
     """Up to k hard-negative n-grams near the gold triggers.
 
@@ -252,7 +206,7 @@ def sample_negative_ngrams(
     if k < 1 or not gold_triggers:
         return []
 
-    raw_tokens = _tokens_with_offsets(doc.text)
+    raw_tokens = [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", doc.text)]
     trigger_token_idx: set[int] = set()
     for ti, (_, tstart, tend) in enumerate(raw_tokens):
         for trig in gold_triggers:
@@ -281,7 +235,7 @@ def sample_negative_ngrams(
                 break  # multi-token candidates use punctuation-free tokens only
             start, end = window[0][2], window[-1][3]
             cand_text = doc.text[start:end]
-            if not all(pos_gate(w[1]) for w in window):
+            if not all(default_pos_gate(w[1]) for w in window):
                 continue
             if _occurrence_count(doc.text, cand_text) != 1:
                 continue
@@ -305,14 +259,353 @@ def sample_negative_ngrams(
     return sorted(picked, key=lambda s: (s.start, s.end))
 
 
-# --- per-variant rendering ------------------------------------------------
+# --- variant table --------------------------------------------------------
 
-def _events_payload_masked(events: list[EventMention], masked: tuple[int, int]) -> list[dict]:
+def _is_index(value, items) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < len(items)
+
+
+class _Target(Enum):
+    """The kind of ``target`` a variant renders around."""
+
+    NONE = "no target"
+    TRIGGER = "a trigger index"
+    ARGUED_TRIGGER = "the index of a trigger with arguments"
+    PAIR = "a (trigger, argument) index pair"
+    CANDIDATE = "a (span, is_trigger) pair with a span of the passage"
+    NEGATIVES = "a list of spans of the passage"
+
+    def accepts(self, doc: Document, events: list[EventMention], target) -> bool:
+        if self is _Target.NONE:
+            return target is None
+        if self is _Target.TRIGGER:
+            return _is_index(target, events)
+        if self is _Target.ARGUED_TRIGGER:
+            return _is_index(target, events) and bool(events[target].arguments)
+        if self is _Target.PAIR:
+            return (
+                isinstance(target, tuple) and len(target) == 2
+                and _is_index(target[0], events)
+                and _is_index(target[1], events[target[0]].arguments)
+            )
+        if self is _Target.CANDIDATE:
+            return (
+                isinstance(target, tuple) and len(target) == 2
+                and isinstance(target[0], Span) and isinstance(target[1], bool)
+                and doc.contains(target[0])
+            )
+        return isinstance(target, list) and all(
+            isinstance(span, Span) and doc.contains(span) for span in target
+        )  # NEGATIVES
+
+
+def _each_trigger(doc, events, negatives, seed) -> list:
+    return list(range(len(events)))
+
+
+def _each_argument(doc, events, negatives, seed) -> list:
+    return [(ti, ai) for ti, e in enumerate(events) for ai in range(len(e.arguments))]
+
+
+def _one_masked_argument(doc, events, negatives, seed) -> list:
+    """One uniformly chosen (trigger, argument) pair, if the document has any."""
+    pairs = _each_argument(doc, events, negatives, seed)
+    return [random.Random(f"{seed}:{doc.doc_id}:ablate").choice(pairs)] if pairs else []
+
+
+def _trigger_provenance(events, ti) -> dict:
+    return {"trigger_index": ti}
+
+
+def _typed_triggers_context(events, target) -> list[str]:
+    return ["Triggers:\n" + _j([[e.trigger.text, e.event_type] for e in events])]
+
+
+def _masked_context(events, pair) -> list[str]:
     payload = events_to_payload(events)
-    ti, ai = masked
+    ti, ai = pair
     payload[ti]["arguments"][ai]["role"] = MASK_TOKEN
-    return payload
+    return ["Partial events:\n" + _j(payload)]
 
+
+def _candidate_labels(events, negatives) -> dict[str, str]:
+    """Triggers and negatives in passage order; a repeated phrase keeps its first label."""
+    candidates = [(e.trigger, "Trigger") for e in events] + [(s, "Non-Trigger") for s in negatives]
+    candidates.sort(key=lambda item: (item[0].start, item[0].end))
+    labelled: dict[str, str] = {}
+    for span, label in candidates:
+        labelled.setdefault(span.text, label)
+    return labelled
+
+
+def _role_question(events, pair) -> str:
+    event = events[pair[0]]
+    return (
+        f'What is the role of the argument "{event.arguments[pair[1]].span.text}" for the trigger '
+        f'"{event.trigger.text}" (event type: "{event.event_type}")?'
+    )
+
+
+def _role_multi_context(events, ti) -> list[str]:
+    event = events[ti]
+    return [
+        f'Trigger:\n"{event.trigger.text}" (type: "{event.event_type}")',
+        "Candidate Arguments:\n" + _j([a.span.text for a in event.arguments]),
+    ]
+
+
+_Builder = Callable[[list[EventMention], Any], Any]
+_Enumerator = Callable[[Document, list[EventMention], list[Span], int], list]
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """Everything that defines one task variant.
+
+    Builders take the ordered gold events and the checked target; ``targets``
+    lists what ``generate_dataset`` renders from (doc, events, negatives, seed).
+    """
+
+    key: str
+    role: str
+    task: str
+    rules: tuple[str, ...]
+    write_hint: str
+    example: str
+    question: _Builder
+    answer: _Builder
+    target: _Target = _Target.NONE
+    targets: _Enumerator = lambda doc, events, negatives, seed: [None]
+    context: _Builder = lambda events, target: []
+    provenance: _Builder = lambda events, target: {}
+
+
+# Shared by full-structure (so by ``extraction_prompt``) and role-ablated construction.
+_EVENTS_HINT = 'Events = [{"trigger": "t", "type": "T", "arguments": [{"text": "a", "role": "R"}]}, ...].'
+_EVENTS_EXAMPLE = 'Events = [{"trigger": "therapy", "type": "Treatment", "arguments": [{"text": "insulin", "role": "Instrument"}]}]'
+
+_SPECS: dict[TaskVariant, _Spec] = {
+    TaskVariant.FULL_STRUCTURE: _Spec(
+        key="Events",
+        role="You are an event extractor.",
+        task="Extract every event in the passage: each trigger, its event type, and its arguments with roles.",
+        rules=(
+            "List events in the exact order their triggers appear in the passage.",
+            "Copy trigger and argument texts verbatim from the passage.",
+            "Only include events that the passage supports.",
+        ),
+        write_hint=_EVENTS_HINT,
+        example=_EVENTS_EXAMPLE,
+        question=lambda events, _: "What are the events in the passage?",
+        answer=lambda events, _: events_to_payload(events),
+    ),
+    TaskVariant.ROLE_ABLATED: _Spec(
+        key="Events",
+        role="You are an event extractor.",
+        task=f'Complete the event structure below: one argument role is masked as "{MASK_TOKEN}".',
+        rules=(
+            "Rewrite the complete event list with every argument role filled in.",
+            "Keep all triggers, types, and argument texts exactly as given.",
+        ),
+        write_hint=_EVENTS_HINT,
+        example=_EVENTS_EXAMPLE,
+        context=_masked_context,
+        question=lambda events, _: "What is the complete event list with the masked role restored?",
+        answer=lambda events, _: events_to_payload(events),
+        provenance=lambda events, pair: {"masked_trigger": pair[0], "masked_argument": pair[1]},
+        target=_Target.PAIR,
+        targets=_one_masked_argument,
+    ),
+    TaskVariant.TRIGGER_DETECTION: _Spec(
+        key="Triggers",
+        role="You are an event trigger detector.",
+        task="List every event trigger phrase in the passage.",
+        rules=(
+            "List triggers in the exact order they appear in the passage.",
+            "Copy each trigger text verbatim; do not include event types.",
+        ),
+        write_hint='Triggers = ["t1", "t2", ...].',
+        example='Triggers = ["therapy", "diagnosed"]',
+        question=lambda events, _: "What are the event triggers in the passage?",
+        answer=lambda events, _: [e.trigger.text for e in events],
+    ),
+    TaskVariant.TRIGGER_TYPE_SINGLE: _Spec(
+        key="EventType",
+        role="You are an event type classifier.",
+        task="Assign the correct event type to the trigger shown below.",
+        rules=(
+            "Answer with exactly one event type label.",
+            "Use the passage context to decide.",
+        ),
+        write_hint='EventType = "Type".',
+        example='EventType = "Treatment"',
+        question=lambda events, ti: f'What is the event type of the trigger "{events[ti].trigger.text}"?',
+        answer=lambda events, ti: events[ti].event_type,
+        provenance=_trigger_provenance,
+        target=_Target.TRIGGER,
+        targets=_each_trigger,
+    ),
+    TaskVariant.TRIGGER_TYPE_MULTI: _Spec(
+        key="TriggerTypes",
+        role="You are an event type classifier.",
+        task="Assign an event type to each listed trigger.",
+        rules=(
+            "Assign one event type per listed trigger, in the given order.",
+            "Output only the type labels.",
+        ),
+        write_hint='TriggerTypes = ["Type1", "Type2", ...].',
+        example='TriggerTypes = ["Treatment", "Diagnosis"]',
+        context=lambda events, _: ["Triggers:\n" + _j([e.trigger.text for e in events])],
+        question=lambda events, _: "What are the event types of the listed triggers, in order?",
+        answer=lambda events, _: [e.event_type for e in events],
+    ),
+    TaskVariant.TRIGGER_DISCRIMINATION_SINGLE: _Spec(
+        key="Classification",
+        role="You are an event trigger discriminator.",
+        task="Decide whether the candidate phrase below works as an event trigger in the passage.",
+        rules=(
+            "Classify the phrase as either 'Trigger' or 'Non-Trigger'.",
+            "Output strictly in the required format-no extra text.",
+        ),
+        write_hint='Classification = "Trigger" or Classification = "Non-Trigger".',
+        example='Classification = "Trigger"',
+        question=lambda events, candidate: (
+            f"Is the phrase \"{candidate[0].text}\" a 'Trigger' or a 'Non-Trigger' in the passage?"
+        ),
+        answer=lambda events, candidate: "Trigger" if candidate[1] else "Non-Trigger",
+        provenance=lambda events, candidate: {
+            "candidate": [candidate[0].start, candidate[0].end], "is_trigger": candidate[1],
+        },
+        target=_Target.CANDIDATE,
+        targets=lambda doc, events, negatives, seed: (
+            [(e.trigger, True) for e in events] + [(span, False) for span in negatives]
+        ),
+    ),
+    TaskVariant.TRIGGER_DISCRIMINATION_MULTI: _Spec(
+        key="ClassificationMap",
+        role="You are an event trigger discriminator.",
+        task="Decide for each candidate phrase whether it works as an event trigger in the passage.",
+        rules=(
+            "Classify each phrase as either 'Trigger' or 'Non-Trigger'.",
+            "Output strictly in the required format-no extra text.",
+        ),
+        write_hint='ClassificationMap = {"phrase1": "Trigger", "phrase2": "Non-Trigger", ...}.',
+        example='ClassificationMap = {"therapy": "Trigger", "increase dose": "Non-Trigger"}',
+        context=lambda events, negatives: [
+            "Candidates:\n" + _j(list(_candidate_labels(events, negatives)))
+        ],
+        question=lambda events, _: "For each candidate above, decide whether it is a 'Trigger' or 'Non-Trigger'.",
+        answer=_candidate_labels,
+        provenance=lambda events, negatives: {"negatives": [[s.start, s.end] for s in negatives]},
+        target=_Target.NEGATIVES,
+        targets=lambda doc, events, negatives, seed: [list(negatives)] if negatives else [],
+    ),
+    TaskVariant.EVENT_DETECTION_JOINT: _Spec(
+        key="DetectedEvents",
+        role="You are an event detector.",
+        task="Detect every event trigger in the passage and assign each its event type.",
+        rules=(
+            "List trigger/type pairs in the exact order the triggers appear in the passage.",
+            "Copy trigger texts verbatim from the passage.",
+        ),
+        write_hint='DetectedEvents = [["trigger", "Type"], ...].',
+        example='DetectedEvents = [["therapy", "Treatment"]]',
+        question=lambda events, _: "What are the event triggers and their types?",
+        answer=lambda events, _: [[e.trigger.text, e.event_type] for e in events],
+    ),
+    TaskVariant.ARG_EXTRACTION_SINGLE: _Spec(
+        key="Arguments",
+        role="You are an argument extractor.",
+        task="Extract all arguments for the specific trigger shown below.",
+        rules=(
+            "List arguments in the exact order they appear in the passage.",
+            "Ignore argument roles and include only the argument texts.",
+        ),
+        write_hint='Arguments = ["arg1", "arg2", ...].',
+        example='Arguments = ["insulin", "VEGF"]',
+        question=lambda events, ti: (
+            f'What are the arguments of the trigger "{events[ti].trigger.text}" '
+            f'(event type: "{events[ti].event_type}")?'
+        ),
+        answer=lambda events, ti: [a.span.text for a in events[ti].arguments],
+        provenance=_trigger_provenance,
+        target=_Target.TRIGGER,
+        targets=_each_trigger,
+    ),
+    TaskVariant.ARG_EXTRACTION_MULTI: _Spec(
+        key="ArgumentLists",
+        role="You are an argument extractor.",
+        task="For each listed trigger, extract its argument texts.",
+        rules=(
+            "Output one argument list per listed trigger, in the given order.",
+            "Ignore argument roles and include only the argument texts.",
+        ),
+        write_hint='ArgumentLists = [["arg1", "arg2"], ...].',
+        example='ArgumentLists = [["insulin", "VEGF"], []]',
+        context=_typed_triggers_context,
+        question=lambda events, _: "What are the arguments of each listed trigger, in order?",
+        answer=lambda events, _: [[a.span.text for a in e.arguments] for e in events],
+    ),
+    TaskVariant.ARG_EXTRACTION_JOINT: _Spec(
+        key="EventArguments",
+        role="You are an argument extractor.",
+        task="For each listed trigger, extract its arguments and assign each a semantic role.",
+        rules=(
+            "Output one argument list per listed trigger, in the given order.",
+            "Give every argument exactly two fields: text and role.",
+        ),
+        write_hint='EventArguments = [[{"text": "a", "role": "R"}], ...].',
+        example='EventArguments = [[{"text": "insulin", "role": "Instrument"}]]',
+        context=_typed_triggers_context,
+        question=lambda events, _: "What are the arguments and roles for each listed trigger, in order?",
+        answer=lambda events, _: [
+            [{"text": a.span.text, "role": a.role} for a in e.arguments] for e in events
+        ],
+    ),
+    TaskVariant.ROLE_ASSIGNMENT_SINGLE: _Spec(
+        key="Role",
+        role="You are an argument role classifier.",
+        task="Assign the correct semantic role to the argument shown below.",
+        rules=(
+            "Answer with exactly one role label.",
+            "Use the trigger and the passage context to decide.",
+        ),
+        write_hint='Role = "RoleLabel".',
+        example='Role = "Instrument"',
+        question=_role_question,
+        answer=lambda events, pair: events[pair[0]].arguments[pair[1]].role,
+        provenance=lambda events, pair: {"trigger_index": pair[0], "argument_index": pair[1]},
+        target=_Target.PAIR,
+        targets=_each_argument,
+    ),
+    TaskVariant.ROLE_ASSIGNMENT_MULTI: _Spec(
+        key="RoleAssignments",
+        role="You are an argument role classifier.",
+        task="Assign a semantic role to every candidate argument of the trigger shown below.",
+        rules=(
+            "Assign one role per candidate argument, in the given order.",
+            "Output argument/role pairs only.",
+        ),
+        write_hint='RoleAssignments = [["arg", "Role"], ...].',
+        example='RoleAssignments = [["insulin", "Instrument"]]',
+        context=_role_multi_context,
+        question=lambda events, _: "What is the role of each candidate argument, in order?",
+        answer=lambda events, ti: [[a.span.text, a.role] for a in events[ti].arguments],
+        provenance=_trigger_provenance,
+        target=_Target.ARGUED_TRIGGER,
+        targets=lambda doc, events, negatives, seed: [ti for ti, e in enumerate(events) if e.arguments],
+    ),
+}
+
+ANSWER_KEYS = {variant: spec.key for variant, spec in _SPECS.items()}
+
+# Variants that emit exactly one record per document, annotated or not.
+WHOLE_DOCUMENT_VARIANTS = frozenset(
+    variant for variant, spec in _SPECS.items() if spec.target is _Target.NONE
+)
+
+
+# --- rendering ------------------------------------------------------------
 
 def render_instruction(
     variant: TaskVariant, doc: Document, target=None
@@ -323,282 +616,18 @@ def render_instruction(
     index for single-trigger variants, a (trigger, argument) index pair for
     role assignment (single) and role-ablated construction, a (span,
     is_trigger) pair for single discrimination, and a list of negative
-    spans for multi discrimination.
+    spans for multi discrimination. Any other target is a ContractError.
     """
     events = _ordered_gold(doc)
-    key = ANSWER_KEYS[variant]
-    prov: dict = {}
-
-    def trigger_at(index) -> EventMention:
-        if not isinstance(index, int) or not 0 <= index < len(events):
-            raise ContractError(f"{variant.value}: invalid trigger index {index!r}")
-        return events[index]
-
-    if variant is TaskVariant.FULL_STRUCTURE:
-        prompt = extraction_prompt(doc)
-        answer = render_answer(key, events_to_payload(events))
-
-    elif variant is TaskVariant.ROLE_ABLATED:
-        if (
-            not isinstance(target, tuple) or len(target) != 2
-            or not 0 <= target[0] < len(events)
-            or not 0 <= target[1] < len(events[target[0]].arguments)
-        ):
-            raise ContractError(f"role-ablated target must be a valid (trigger, argument) pair, got {target!r}")
-        masked_payload = _events_payload_masked(events, target)
-        prompt = _render_prompt(
-            role="You are an event extractor.",
-            task=f'Complete the event structure below: one argument role is masked as "{MASK_TOKEN}".',
-            rules=[
-                "Rewrite the complete event list with every argument role filled in.",
-                "Keep all triggers, types, and argument texts exactly as given.",
-            ],
-            write_hint='Events = [{"trigger": "t", "type": "T", "arguments": [{"text": "a", "role": "R"}]}, ...].',
-            example_body='Events = [{"trigger": "therapy", "type": "Treatment", "arguments": [{"text": "insulin", "role": "Instrument"}]}]',
-            doc=doc,
-            context_blocks=["Partial events:\n" + _j(masked_payload)],
-            question="What is the complete event list with the masked role restored?",
-        )
-        answer = render_answer(key, events_to_payload(events))
-        prov = {"masked_trigger": target[0], "masked_argument": target[1]}
-
-    elif variant is TaskVariant.TRIGGER_DETECTION:
-        prompt = _render_prompt(
-            role="You are an event trigger detector.",
-            task="List every event trigger phrase in the passage.",
-            rules=[
-                "List triggers in the exact order they appear in the passage.",
-                "Copy each trigger text verbatim; do not include event types.",
-            ],
-            write_hint='Triggers = ["t1", "t2", ...].',
-            example_body='Triggers = ["therapy", "diagnosed"]',
-            doc=doc,
-            context_blocks=[],
-            question="What are the event triggers in the passage?",
-        )
-        answer = render_answer(key, [e.trigger.text for e in events])
-
-    elif variant is TaskVariant.TRIGGER_TYPE_SINGLE:
-        event = trigger_at(target)
-        prompt = _render_prompt(
-            role="You are an event type classifier.",
-            task="Assign the correct event type to the trigger shown below.",
-            rules=[
-                "Answer with exactly one event type label.",
-                "Use the passage context to decide.",
-            ],
-            write_hint='EventType = "Type".',
-            example_body='EventType = "Treatment"',
-            doc=doc,
-            context_blocks=[],
-            question=f'What is the event type of the trigger "{event.trigger.text}"?',
-        )
-        answer = render_answer(key, event.event_type)
-        prov = {"trigger_index": target}
-
-    elif variant is TaskVariant.TRIGGER_TYPE_MULTI:
-        prompt = _render_prompt(
-            role="You are an event type classifier.",
-            task="Assign an event type to each listed trigger.",
-            rules=[
-                "Assign one event type per listed trigger, in the given order.",
-                "Output only the type labels.",
-            ],
-            write_hint='TriggerTypes = ["Type1", "Type2", ...].',
-            example_body='TriggerTypes = ["Treatment", "Diagnosis"]',
-            doc=doc,
-            context_blocks=["Triggers:\n" + _j([e.trigger.text for e in events])],
-            question="What are the event types of the listed triggers, in order?",
-        )
-        answer = render_answer(key, [e.event_type for e in events])
-
-    elif variant is TaskVariant.TRIGGER_DISCRIMINATION_SINGLE:
-        if (
-            not isinstance(target, tuple) or len(target) != 2
-            or not isinstance(target[0], Span) or not isinstance(target[1], bool)
-        ):
-            raise ContractError(
-                f"single discrimination target must be (span, is_trigger), got {target!r}"
-            )
-        span, is_trigger = target
-        prompt = _render_prompt(
-            role="You are an event trigger discriminator.",
-            task="Decide whether the candidate phrase below works as an event trigger in the passage.",
-            rules=[
-                "Classify the phrase as either 'Trigger' or 'Non-Trigger'.",
-                "Output strictly in the required format-no extra text.",
-            ],
-            write_hint='Classification = "Trigger" or Classification = "Non-Trigger".',
-            example_body='Classification = "Trigger"',
-            doc=doc,
-            context_blocks=[],
-            question=f"Is the phrase \"{span.text}\" a 'Trigger' or a 'Non-Trigger' in the passage?",
-        )
-        answer = render_answer(key, "Trigger" if is_trigger else "Non-Trigger")
-        prov = {"candidate": [span.start, span.end], "is_trigger": is_trigger}
-
-    elif variant is TaskVariant.TRIGGER_DISCRIMINATION_MULTI:
-        if not isinstance(target, list) or not all(isinstance(s, Span) for s in target):
-            raise ContractError("multi discrimination target must be a list of negative spans")
-        labelled: dict[str, str] = {}
-        order: list[tuple[int, int, str, str]] = []
-        for e in events:
-            order.append((e.trigger.start, e.trigger.end, e.trigger.text, "Trigger"))
-        for span in target:
-            order.append((span.start, span.end, span.text, "Non-Trigger"))
-        order.sort(key=lambda item: (item[0], item[1]))
-        for _, _, text, label in order:
-            labelled.setdefault(text, label)
-        prompt = _render_prompt(
-            role="You are an event trigger discriminator.",
-            task="Decide for each candidate phrase whether it works as an event trigger in the passage.",
-            rules=[
-                "Classify each phrase as either 'Trigger' or 'Non-Trigger'.",
-                "Output strictly in the required format-no extra text.",
-            ],
-            write_hint='ClassificationMap = {"phrase1": "Trigger", "phrase2": "Non-Trigger", ...}.',
-            example_body='ClassificationMap = {"therapy": "Trigger", "increase dose": "Non-Trigger"}',
-            doc=doc,
-            context_blocks=["Candidates:\n" + _j(list(labelled))],
-            question="For each candidate above, decide whether it is a 'Trigger' or 'Non-Trigger'.",
-        )
-        answer = render_answer(key, labelled)
-        prov = {"negatives": [[s.start, s.end] for s in target]}
-
-    elif variant is TaskVariant.EVENT_DETECTION_JOINT:
-        prompt = _render_prompt(
-            role="You are an event detector.",
-            task="Detect every event trigger in the passage and assign each its event type.",
-            rules=[
-                "List trigger/type pairs in the exact order the triggers appear in the passage.",
-                "Copy trigger texts verbatim from the passage.",
-            ],
-            write_hint='DetectedEvents = [["trigger", "Type"], ...].',
-            example_body='DetectedEvents = [["therapy", "Treatment"]]',
-            doc=doc,
-            context_blocks=[],
-            question="What are the event triggers and their types?",
-        )
-        answer = render_answer(key, [[e.trigger.text, e.event_type] for e in events])
-
-    elif variant is TaskVariant.ARG_EXTRACTION_SINGLE:
-        event = trigger_at(target)
-        prompt = _render_prompt(
-            role="You are an argument extractor.",
-            task="Extract all arguments for the specific trigger shown below.",
-            rules=[
-                "List arguments in the exact order they appear in the passage.",
-                "Ignore argument roles and include only the argument texts.",
-            ],
-            write_hint='Arguments = ["arg1", "arg2", ...].',
-            example_body='Arguments = ["insulin", "VEGF"]',
-            doc=doc,
-            context_blocks=[],
-            question=(
-                f'What are the arguments of the trigger "{event.trigger.text}" '
-                f'(event type: "{event.event_type}")?'
-            ),
-        )
-        answer = render_answer(key, [a.span.text for a in event.arguments])
-        prov = {"trigger_index": target}
-
-    elif variant is TaskVariant.ARG_EXTRACTION_MULTI:
-        prompt = _render_prompt(
-            role="You are an argument extractor.",
-            task="For each listed trigger, extract its argument texts.",
-            rules=[
-                "Output one argument list per listed trigger, in the given order.",
-                "Ignore argument roles and include only the argument texts.",
-            ],
-            write_hint='ArgumentLists = [["arg1", "arg2"], ...].',
-            example_body='ArgumentLists = [["insulin", "VEGF"], []]',
-            doc=doc,
-            context_blocks=[
-                "Triggers:\n" + _j([[e.trigger.text, e.event_type] for e in events])
-            ],
-            question="What are the arguments of each listed trigger, in order?",
-        )
-        answer = render_answer(key, [[a.span.text for a in e.arguments] for e in events])
-
-    elif variant is TaskVariant.ARG_EXTRACTION_JOINT:
-        prompt = _render_prompt(
-            role="You are an argument extractor.",
-            task="For each listed trigger, extract its arguments and assign each a semantic role.",
-            rules=[
-                "Output one argument list per listed trigger, in the given order.",
-                "Give every argument exactly two fields: text and role.",
-            ],
-            write_hint='EventArguments = [[{"text": "a", "role": "R"}], ...].',
-            example_body='EventArguments = [[{"text": "insulin", "role": "Instrument"}]]',
-            doc=doc,
-            context_blocks=[
-                "Triggers:\n" + _j([[e.trigger.text, e.event_type] for e in events])
-            ],
-            question="What are the arguments and roles for each listed trigger, in order?",
-        )
-        answer = render_answer(
-            key,
-            [[{"text": a.span.text, "role": a.role} for a in e.arguments] for e in events],
-        )
-
-    elif variant is TaskVariant.ROLE_ASSIGNMENT_SINGLE:
-        if (
-            not isinstance(target, tuple) or len(target) != 2
-            or not 0 <= target[0] < len(events)
-            or not 0 <= target[1] < len(events[target[0]].arguments)
-        ):
-            raise ContractError(
-                f"role assignment target must be a valid (trigger, argument) pair, got {target!r}"
-            )
-        event = events[target[0]]
-        arg = event.arguments[target[1]]
-        prompt = _render_prompt(
-            role="You are an argument role classifier.",
-            task="Assign the correct semantic role to the argument shown below.",
-            rules=[
-                "Answer with exactly one role label.",
-                "Use the trigger and the passage context to decide.",
-            ],
-            write_hint='Role = "RoleLabel".',
-            example_body='Role = "Instrument"',
-            doc=doc,
-            context_blocks=[],
-            question=(
-                f'What is the role of the argument "{arg.span.text}" for the trigger '
-                f'"{event.trigger.text}" (event type: "{event.event_type}")?'
-            ),
-        )
-        answer = render_answer(key, arg.role)
-        prov = {"trigger_index": target[0], "argument_index": target[1]}
-
-    elif variant is TaskVariant.ROLE_ASSIGNMENT_MULTI:
-        event = trigger_at(target)
-        if not event.arguments:
-            raise ContractError("role assignment (multi) needs a trigger with arguments")
-        prompt = _render_prompt(
-            role="You are an argument role classifier.",
-            task="Assign a semantic role to every candidate argument of the trigger shown below.",
-            rules=[
-                "Assign one role per candidate argument, in the given order.",
-                "Output argument/role pairs only.",
-            ],
-            write_hint='RoleAssignments = [["arg", "Role"], ...].',
-            example_body='RoleAssignments = [["insulin", "Instrument"]]',
-            doc=doc,
-            context_blocks=[
-                f'Trigger:\n"{event.trigger.text}" (type: "{event.event_type}")',
-                "Candidate Arguments:\n" + _j([a.span.text for a in event.arguments]),
-            ],
-            question="What is the role of each candidate argument, in order?",
-        )
-        answer = render_answer(key, [[a.span.text, a.role] for a in event.arguments])
-        prov = {"trigger_index": target}
-
-    else:  # pragma: no cover - enum is closed
-        raise ContractError(f"unknown variant {variant!r}")
-
+    spec = _SPECS[variant]
+    if not spec.target.accepts(doc, events, target):
+        raise ContractError(f"{variant.value}: target must be {spec.target.value}, got {target!r}")
     return InstructionRecord(
-        variant=variant, prompt=prompt, answer=answer, doc_id=doc.doc_id, provenance=prov
+        variant=variant,
+        prompt=_render_prompt(spec, doc, events, target),
+        answer=render_answer(spec.key, spec.answer(events, target)),
+        doc_id=doc.doc_id,
+        provenance=spec.provenance(events, target),
     )
 
 
@@ -606,7 +635,6 @@ def generate_dataset(
     corpus: list[Document],
     variants: set[TaskVariant] | None = None,
     seed: int = 0,
-    pos_gate: Callable[[str], bool] = default_pos_gate,
 ) -> list[InstructionRecord]:
     """Emit the decomposed curriculum for an annotated corpus.
 
@@ -622,42 +650,11 @@ def generate_dataset(
     records: list[InstructionRecord] = []
     for doc in corpus:
         events = _ordered_gold(doc)
-        negatives = sample_negative_ngrams(
-            doc, [e.trigger for e in events], k=3, seed=seed, pos_gate=pos_gate
-        )
+        negatives = sample_negative_ngrams(doc, [e.trigger for e in events], k=3, seed=seed)
         for variant in TaskVariant:
-            if variant not in chosen:
-                continue
-            if variant in WHOLE_DOCUMENT_VARIANTS:
-                records.append(render_instruction(variant, doc))
-            elif variant is TaskVariant.ROLE_ABLATED:
-                pairs = [
-                    (ti, ai)
-                    for ti, e in enumerate(events)
-                    for ai in range(len(e.arguments))
-                ]
-                if pairs:
-                    rng = random.Random(f"{seed}:{doc.doc_id}:ablate")
-                    records.append(render_instruction(variant, doc, rng.choice(pairs)))
-            elif variant in (TaskVariant.TRIGGER_TYPE_SINGLE, TaskVariant.ARG_EXTRACTION_SINGLE):
-                for ti in range(len(events)):
-                    records.append(render_instruction(variant, doc, ti))
-            elif variant is TaskVariant.TRIGGER_DISCRIMINATION_SINGLE:
-                for e in events:
-                    records.append(render_instruction(variant, doc, (e.trigger, True)))
-                for span in negatives:
-                    records.append(render_instruction(variant, doc, (span, False)))
-            elif variant is TaskVariant.TRIGGER_DISCRIMINATION_MULTI:
-                if negatives:
-                    records.append(render_instruction(variant, doc, list(negatives)))
-            elif variant is TaskVariant.ROLE_ASSIGNMENT_SINGLE:
-                for ti, e in enumerate(events):
-                    for ai in range(len(e.arguments)):
-                        records.append(render_instruction(variant, doc, (ti, ai)))
-            elif variant is TaskVariant.ROLE_ASSIGNMENT_MULTI:
-                for ti, e in enumerate(events):
-                    if e.arguments:
-                        records.append(render_instruction(variant, doc, ti))
+            if variant in chosen:
+                for target in _SPECS[variant].targets(doc, events, negatives, seed):
+                    records.append(render_instruction(variant, doc, target))
     return records
 
 

@@ -1,7 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from revent.cli import main
 from revent.decomp import (
     WHOLE_DOCUMENT_VARIANTS,
     InstructionRecord,
@@ -17,6 +20,11 @@ from revent.decomp import (
 from revent.errors import ContractError
 from revent.model import ArgumentMention, Document, EventMention, Span
 from revent.simulate import make_synthetic_corpus
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# sha256 of the dataset written for make_synthetic_corpus(200, seed=88) at seed 88
+SYNTHETIC_DATASET_SHA256 = "42ab167a266f148e2e1f730d83e4bb46b298f0dc909372516d99f2ae15c51808"
 
 FIG_PASSAGE = (
     "US Needs Broad Coalition to Fight IS Militants, Analysts Say-With President "
@@ -85,6 +93,35 @@ def test_invalid_target_is_contract_error():
         render_instruction(TaskVariant.TRIGGER_DISCRIMINATION_SINGLE, _fig_doc(), "combat")
 
 
+def _argless_doc():
+    text = "talks summit end"
+    return Document("d", text, (EventMention(Span("summit", 6, 12), "Contact:Meet"),))
+
+
+_OUTSIDE = Span("zzz", 0, 3)  # not a span of either passage
+
+
+@pytest.mark.parametrize("variant, doc, target", [
+    (TaskVariant.FULL_STRUCTURE, _fig_doc(), 7),
+    (TaskVariant.TRIGGER_DETECTION, _fig_doc(), 0),
+    (TaskVariant.TRIGGER_TYPE_SINGLE, _fig_doc(), None),
+    (TaskVariant.TRIGGER_TYPE_SINGLE, _fig_doc(), False),
+    (TaskVariant.ARG_EXTRACTION_SINGLE, _fig_doc(), -1),
+    (TaskVariant.ROLE_ABLATED, _fig_doc(), ("a", 0)),
+    (TaskVariant.ROLE_ABLATED, _fig_doc(), [0, 0]),
+    (TaskVariant.ROLE_ASSIGNMENT_SINGLE, _fig_doc(), (0.0, 0)),
+    (TaskVariant.ROLE_ASSIGNMENT_SINGLE, _fig_doc(), (0, 0, 0)),
+    (TaskVariant.ROLE_ASSIGNMENT_MULTI, _argless_doc(), 0),
+    (TaskVariant.TRIGGER_DISCRIMINATION_SINGLE, _fig_doc(), (_OUTSIDE, False)),
+    (TaskVariant.TRIGGER_DISCRIMINATION_SINGLE, _fig_doc(), (Span("US", 0, 2), 1)),
+    (TaskVariant.TRIGGER_DISCRIMINATION_MULTI, _fig_doc(), [_OUTSIDE]),
+    (TaskVariant.TRIGGER_DISCRIMINATION_MULTI, _fig_doc(), (Span("US", 0, 2),)),
+])
+def test_every_bad_target_is_contract_error(variant, doc, target):
+    with pytest.raises(ContractError):
+        render_instruction(variant, doc, target)
+
+
 def test_extraction_prompt_needs_no_gold():
     doc = Document("raw", FIG_PASSAGE)  # no gold events
     prompt = extraction_prompt(doc)
@@ -132,7 +169,11 @@ def test_deterministic_for_fixed_seed():
     b = generate_dataset(corpus, seed=4)
     assert a == b
     c = generate_dataset(corpus, seed=5)
-    assert [r.prompt for r in a] != [r.prompt for r in c] or a == c
+
+    def ablated(records):
+        return [r.provenance for r in records if r.variant is TaskVariant.ROLE_ABLATED]
+
+    assert any(x != y for x, y in zip(ablated(a), ablated(c)))
 
 
 def test_role_ablated_masks_exactly_one_role():
@@ -238,13 +279,32 @@ def test_negative_pool_smaller_than_k():
     trig = Span("summit", 6, 12)
     doc = Document("d", text, (EventMention(trig, "Contact:Meet"),))
     negatives = sample_negative_ngrams(doc, [trig], k=3, seed=0)
-    assert len(negatives) <= 3  # returns what exists, no error
+    # the whole pool, with no error, when it is smaller than k
+    assert negatives == [Span("talks", 0, 5), Span("end", 13, 16)]
 
 
 def test_k_above_three_rejected():
     doc = Document("d", "a b c", ())
     with pytest.raises(ContractError):
         sample_negative_ngrams(doc, [], k=4, seed=0)
+
+
+def test_gen_decomp_matches_golden_file(data_dir, tmp_path):
+    out = tmp_path / "decomp.jsonl"
+    code = main([
+        "gen-decomp",
+        "--corpus", str(data_dir / "corpus.jsonl"),
+        "--out", str(out),
+        "--seed", "0",
+    ])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "decomp.jsonl").read_bytes()
+
+
+def test_synthetic_dataset_bytes_pinned(tmp_path):
+    out = tmp_path / "synthetic.jsonl"
+    write_dataset(generate_dataset(make_synthetic_corpus(200, seed=88), seed=88), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SYNTHETIC_DATASET_SHA256
 
 
 def test_write_dataset_jsonl(tmp_path):
