@@ -364,6 +364,9 @@ class _Spec:
 
     Builders take the ordered gold events and the checked target; ``targets``
     lists what ``generate_dataset`` renders from (doc, events, negatives, seed).
+    ``generate_dataset`` samples the negatives only when a chosen spec's
+    target kind is a candidate span or a negative list; the others are
+    handed an empty list.
     """
 
     key: str
@@ -647,10 +650,13 @@ def generate_dataset(
     the result is deterministic for a fixed seed.
     """
     chosen = variants if variants is not None else set(TaskVariant)
+    sample = any(_SPECS[v].target in (_Target.CANDIDATE, _Target.NEGATIVES) for v in chosen)
     records: list[InstructionRecord] = []
     for doc in corpus:
         events = _ordered_gold(doc)
-        negatives = sample_negative_ngrams(doc, [e.trigger for e in events], k=3, seed=seed)
+        negatives = (
+            sample_negative_ngrams(doc, [e.trigger for e in events], k=3, seed=seed) if sample else []
+        )
         for variant in TaskVariant:
             if variant in chosen:
                 for target in _SPECS[variant].targets(doc, events, negatives, seed):

@@ -5,8 +5,11 @@ per-event vote bookkeeping.
 Agent requests run on up to ``parallelism`` worker threads, or inline on the
 calling thread when only one worker would run; aggregation is a
 deterministic fold in agent-id order, so results are independent of
-completion order. ``revent extract`` runs several documents at once and
-passes each its share of the run's ``--parallelism`` (see ``revent.cli``).
+completion order. All agents of one document, and their parse retries,
+share one ``ingest.Grounding``: each surface's occurrences are found once
+per document, and an event that several agents return is grounded once
+and shared. ``revent extract`` runs several documents at once and passes
+each its share of the run's ``--parallelism`` (see ``revent.cli``).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from .backends import ChatBackend, ChatRequest
 from .errors import BackendError, ConfigurationError, OrchestrationError, ReplyParseError
-from .ingest import parse_agent_output
+from .ingest import Grounding, parse_agent_output
 from .model import ArgumentKey, Document, EventKey, EventMention, TriggerId, canonical_key
 
 __all__ = [
@@ -65,8 +68,9 @@ class VoteLedger:
         if agent_id < 1:
             raise ValueError("agent ids start at 1")
         self._votes.setdefault(key, set()).add(agent_id)
-        self._trigger_votes.setdefault(key.trigger_id, set()).add(agent_id)
-        by_arg = self._argument_votes.setdefault(key.trigger_id, {})
+        tid = key.trigger_id
+        self._trigger_votes.setdefault(tid, set()).add(agent_id)
+        by_arg = self._argument_votes.setdefault(tid, {})
         for arg_key in key.argument_keys:
             by_arg.setdefault(arg_key, set()).add(agent_id)
 
@@ -116,6 +120,7 @@ def run_self_moa(
     agent - never a partial silent result.
     """
     _validate_agents(agents)
+    grounding = Grounding(doc)
 
     def one_agent(agent: AgentConfig) -> list[EventMention]:
         request = ChatRequest.user(
@@ -126,7 +131,7 @@ def run_self_moa(
         )
         for attempt in (0, 1):
             try:
-                return parse_agent_output(backend.complete(request), doc)
+                return parse_agent_output(backend.complete(request), doc, grounding)
             except ReplyParseError:
                 if attempt:
                     return []
@@ -144,12 +149,10 @@ def run_self_moa(
 
     union: list[EventMention] = []
     ledger = VoteLedger()
-    seen: set[EventKey] = set()
     for agent in ordered:
         for event in replies[agent.agent_id]:
             key = canonical_key(event)
-            if key not in seen:
-                seen.add(key)
+            if key not in ledger:
                 union.append(event)
             ledger.record(key, agent.agent_id)
     return union, ledger

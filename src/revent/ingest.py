@@ -18,9 +18,18 @@ Agent replies are free text containing one fenced block:
     ```Events = [{"trigger": str, "type": str,
                   "arguments": [{"text": str, "role": str}]}]```
 Agent output carries no offsets; surfaces are grounded against the document
-text here. Repeated identical surfaces resolve to successive occurrences
-(left-to-right); a surface that does not occur at all drops its event (for
-triggers) or just itself (for arguments).
+text here, by a per-document ``Grounding``:
+- the k-th trigger mention of a surface within one reply takes that
+  surface's occurrence ``k mod n`` in the text (left to right, overlapping
+  occurrences included), so repeated triggers walk the occurrences and wrap;
+- an argument takes the occurrence of its surface nearest its own trigger's
+  start; an equal-distance tie goes to the earlier occurrence;
+- a surface that does not occur at all drops its event (for triggers) or
+  just itself (for arguments).
+An argument role must be a non-empty string. Grounding an item is a pure
+function of (document, trigger surface, k, type, argument set), so one
+``Grounding`` indexes each surface once and memoises each grounded event
+for every reply about that document.
 """
 
 from __future__ import annotations
@@ -28,14 +37,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import CorpusFormatError, ReplyParseError, UnknownDocumentError
 from .fencing import parse_answer
-from .model import ArgumentMention, Document, EventMention, Span, locate_span
+from .model import ArgumentMention, Document, EventMention, Span
 
 __all__ = [
+    "Grounding",
     "TaggerPrediction",
     "load_corpus",
     "load_tagger_predictions",
@@ -209,48 +221,120 @@ def load_final_predictions(
     return out
 
 
-def parse_agent_output(raw: str, doc: Document) -> list[EventMention]:
+class Grounding:
+    """Occurrence index and grounded-event memo for one document.
+
+    ``spans`` maps a surface to a Span for each of its occurrences, sorted
+    by start, overlapping ones included, each found once with ``str.find``.
+    ``event`` grounds one reply item and memoises the EventMention, keyed on
+    (trigger surface, occurrence, type, set of (argument text, role) pairs
+    whose text occurs). Argument order and repeats do not change the event,
+    so they are not part of the key. Samples of one prompt mostly repeat
+    each other's events, and each repeat is a memo hit.
+
+    Every entry is a pure function of the document and its key, so threads
+    sharing one Grounding at worst compute an equal value twice: no lock is
+    needed.
+    """
+
+    def __init__(self, doc: Document):
+        self.doc = doc
+        self._spans: dict[str, list[Span]] = {}
+        self._events: dict[tuple, EventMention] = {}
+
+    def spans(self, surface: str) -> list[Span]:
+        found = self._spans.get(surface)
+        if found is None:
+            found = []
+            text, width = self.doc.text, len(surface)
+            idx = text.find(surface)
+            while idx >= 0:
+                found.append(Span(surface, idx, idx + width))
+                idx = text.find(surface, idx + 1)
+            self._spans[surface] = found
+        return found
+
+    def event(
+        self, trigger: str, occurrence: int, event_type: str,
+        arguments: frozenset[tuple[str, str]],
+    ) -> EventMention:
+        """The event whose trigger is occurrence ``occurrence`` of
+        ``trigger``; each argument text must occur in the text."""
+        key = (trigger, occurrence, event_type, arguments)
+        event = self._events.get(key)
+        if event is None:
+            trig = self.spans(trigger)[occurrence]
+            args = tuple(
+                ArgumentMention(_nearest(self.spans(text), trig.start), role)
+                for text, role in arguments
+            )
+            event = self._events[key] = EventMention(trig, event_type, args)
+        return event
+
+
+_start = attrgetter("start")
+
+
+def _nearest(spans: list[Span], anchor: int) -> Span:
+    """The span starting closest to ``anchor``; a tie goes to the earlier one."""
+    i = bisect_left(spans, anchor, key=_start)
+    if i == 0:
+        return spans[0]
+    if i == len(spans):
+        return spans[-1]
+    before, after = spans[i - 1], spans[i]
+    return before if anchor - before.start <= after.start - anchor else after
+
+
+def parse_agent_output(
+    raw: str, doc: Document, grounding: Grounding | None = None
+) -> list[EventMention]:
     """Parse one agent reply into grounded EventMentions.
 
     Extracts the first fenced block, expects ``Events = [...]``, and grounds
-    each surface string in ``doc.text``. Events whose trigger surface does
-    not occur anywhere in the text are dropped (span validation); so are
-    individual non-occurring arguments. Raises ReplyParseError (carrying the
-    raw text) when there is no fence or the payload is not the expected
-    shape - the caller decides the retry policy.
+    each surface string in ``doc.text``: the k-th mention of a trigger
+    surface in this reply takes its occurrence ``k mod n``, and each
+    argument the occurrence nearest its trigger (the earlier one on a tie).
+    Events whose trigger surface does not occur anywhere in the text are
+    dropped (span validation); so are individual non-occurring arguments.
+    Raises ReplyParseError (carrying the raw text) when there is no fence,
+    the payload is not the expected shape, or an argument role is not a
+    non-empty string - the caller decides the retry policy.
+
+    ``grounding`` shares one document's occurrence index and event memo
+    across replies; by default each call builds a fresh one.
     """
+    if grounding is None:
+        grounding = Grounding(doc)
+    elif grounding.doc is not doc:
+        raise ValueError(f"grounding for doc {grounding.doc.doc_id!r} used on {doc.doc_id!r}")
     _, payload = parse_answer(raw, expected_key="Events")
     if not isinstance(payload, list):
         raise ReplyParseError(f"Events payload is not a list: {payload!r}", raw=raw)
 
-    cursor: dict[str, int] = {}
-
-    def ground(surface) -> Span | None:
-        if not isinstance(surface, str) or not surface:
-            return None
-        span = locate_span(doc, surface, cursor.get(surface, 0))
-        if span is None and cursor.get(surface, 0) > 0:
-            span = locate_span(doc, surface, 0)  # occurrences exhausted: wrap
-        if span is not None:
-            cursor[surface] = span.start + 1
-        return span
-
+    mentions: dict[str, int] = {}
     events: list[EventMention] = []
     for item in payload:
         if not isinstance(item, dict) or "trigger" not in item or "type" not in item:
             raise ReplyParseError(f"malformed event item: {item!r}", raw=raw)
-        trig = ground(item["trigger"])
-        if trig is None:
+        trigger = item["trigger"]
+        if not isinstance(trigger, str) or not trigger:
             continue
+        occurrences = len(grounding.spans(trigger))
+        if not occurrences:
+            continue
+        k = mentions.get(trigger, 0)
+        mentions[trigger] = k + 1
         args = []
         for arec in item.get("arguments", ()):
             if not isinstance(arec, dict) or "text" not in arec or "role" not in arec:
                 raise ReplyParseError(f"malformed argument item: {arec!r}", raw=raw)
-            span = ground(arec["text"])
-            if span is None or not arec["role"]:
-                continue
-            args.append(ArgumentMention(span, arec["role"]))
-        events.append(EventMention(trig, str(item["type"]), tuple(args)))
+            text, role = arec["text"], arec["role"]
+            if not isinstance(role, str) or not role:
+                raise ReplyParseError(f"argument role is not a non-empty string: {arec!r}", raw=raw)
+            if isinstance(text, str) and text and grounding.spans(text):
+                args.append((text, role))
+        events.append(grounding.event(trigger, k % occurrences, str(item["type"]), frozenset(args)))
     return events
 
 

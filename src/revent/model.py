@@ -170,13 +170,23 @@ def locate_span(doc: Document, surface: str, search_from: int = 0) -> Span | Non
 
 
 def canonical_key(event: EventMention) -> EventKey:
-    """Canonical, argument-order-free key for an event prediction."""
-    return EventKey(
-        trigger_start=event.trigger.start,
-        trigger_end=event.trigger.end,
-        event_type=event.event_type,
-        argument_keys=tuple(arg.key for arg in event.arguments),
-    )
+    """Canonical, argument-order-free key for an event prediction.
+
+    Computed on first use and then stored on the event, outside its
+    dataclass fields, so equality, hashing and repr do not see it. The key
+    is a pure function of the event: threads racing on one event at worst
+    compute it twice. (``functools.cached_property`` would serialise them:
+    before Python 3.12 it holds one lock for every instance.)
+    """
+    key = event.__dict__.get("_key")
+    if key is None:
+        key = event.__dict__["_key"] = EventKey(
+            trigger_start=event.trigger.start,
+            trigger_end=event.trigger.end,
+            event_type=event.event_type,
+            argument_keys=tuple(arg.key for arg in event.arguments),
+        )
+    return key
 
 
 def trigger_id(event: EventMention) -> TriggerId:

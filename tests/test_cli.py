@@ -393,3 +393,14 @@ def test_failing_document_stops_the_run(data_dir, tmp_path, monkeypatch, capsys)
     (backend,) = backends
     assert "doc-0002" in backend.requested
     assert max(int(doc_id.split("-")[1]) for doc_id in backend.requested) < 10
+
+
+def test_oracle_extract_scores_perfect_argument_f1(tmp_path):
+    # make_synthetic_corpus(200, seed=88) repeats argument surfaces; each
+    # must ground to the occurrence nearest its trigger.
+    flags = _write_synthetic(tmp_path / "in", 200, seed=88)
+    argv = _extract_args(tmp_path, tmp_path / "out", **flags)
+    assert main(argv) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert metrics["trigger_cls"]["f1"] == 1.0
+    assert metrics["argument_cls"]["f1"] == 1.0

@@ -317,3 +317,28 @@ def test_write_dataset_jsonl(tmp_path):
     first = json.loads(lines[0])
     assert set(first) == {"variant", "prompt", "answer", "doc_id", "provenance"}
     assert first["variant"] == "trigger_detection_only"
+
+
+def test_trigger_detection_only_never_samples_negatives(monkeypatch):
+    import revent.decomp as decomp
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].doc_id)
+        return sample_negative_ngrams(*args, **kwargs)
+
+    monkeypatch.setattr(decomp, "sample_negative_ngrams", counting)
+    corpus = make_synthetic_corpus(20, seed=4)
+    generate_dataset(corpus, variants={TaskVariant.TRIGGER_DETECTION}, seed=4)
+    assert calls == []
+    generate_dataset(corpus, variants={TaskVariant.TRIGGER_DISCRIMINATION_MULTI}, seed=4)
+    assert calls == [doc.doc_id for doc in corpus]
+
+
+def test_variant_subsets_match_the_full_dataset():
+    corpus = make_synthetic_corpus(30, seed=9)
+    full = generate_dataset(corpus, seed=9)
+    for variant in TaskVariant:
+        subset = generate_dataset(corpus, variants={variant}, seed=9)
+        assert subset == [r for r in full if r.variant is variant]

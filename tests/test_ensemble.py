@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import sys
 import threading
 
 import pytest
@@ -257,3 +259,90 @@ def test_ledger_index_equals_brute_scan():
                     *(ledger.votes(k) for k in keys if arg_key in k.argument_keys)
                 )
                 assert ledger.argument_votes(tid, arg_key) == expected
+
+
+def _repeated_surface_replies(rng, doc, n_agents):
+    words = doc.text.split(" ")
+    replies = {}
+    for agent in range(1, n_agents + 1):
+        items = [
+            {"trigger": rng.choice(words), "type": rng.choice("AB"),
+             "arguments": [{"text": rng.choice(words), "role": "R"} for _ in range(rng.randint(0, 2))]}
+            for _ in range(rng.randint(0, 5))
+        ]
+        replies[(doc.doc_id, f"agent:{agent}")] = ["```\nEvents = " + json.dumps(items) + "\n```"]
+    return replies
+
+
+def test_shared_grounding_is_independent_of_parallelism():
+    # Pool threads share one Grounding; a short switch interval makes them
+    # interleave inside its index and memo.
+    rng = random.Random(23)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(25):
+            doc = Document(f"p{i}", " ".join(rng.choice(["aa", "bb", "cc", "aa bb"]) for _ in range(10)))
+            replies = _repeated_surface_replies(rng, doc, 6)
+            runs = [
+                run_self_moa(doc, "p", default_agents(6), ScriptedBackend(replies), parallelism=par)
+                for par in (1, 4)
+            ]
+            (serial, serial_ledger), (pooled, pooled_ledger) = runs
+            assert pooled == serial
+            assert set(pooled_ledger.keys()) == set(serial_ledger.keys())
+            for key in serial_ledger.keys():
+                assert pooled_ledger.votes(key) == serial_ledger.votes(key)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_documents_never_share_grounded_events(monkeypatch):
+    import revent.ensemble as ensemble
+
+    built = []
+
+    class RecordingGrounding(ensemble.Grounding):
+        def __init__(self, doc):
+            super().__init__(doc)
+            built.append(self)
+
+    monkeypatch.setattr(ensemble, "Grounding", RecordingGrounding)
+    # Same surfaces at different offsets in each document.
+    first, second = Document("one", "aa bb cc aa"), Document("two", "cc aa bb bb")
+    reply = '```\nEvents = [{"trigger": "aa", "type": "T", "arguments": [{"text": "bb", "role": "R"}]}]\n```'
+    results = []
+    for doc in (first, second):
+        replies = {(doc.doc_id, f"agent:{i}"): [reply] for i in (1, 2, 3)}
+        results.append(run_self_moa(doc, "p", default_agents(3), ScriptedBackend(replies)))
+    assert len(built) == 2 and built[0].doc is first and built[1].doc is second
+    (one, _), (two, _) = results
+    assert [(e.trigger.start, e.arguments[0].span.start) for e in one] == [(0, 3)]
+    assert [(e.trigger.start, e.arguments[0].span.start) for e in two] == [(3, 6)]
+    assert not {id(e) for e in one} & {id(e) for e in two}
+
+
+def test_non_string_roles_drop_the_reply_at_any_parallelism():
+    # 1, True and 1.0 compare equal; none of them is a role, so whichever
+    # thread parses first, those agents' replies fail both attempts.
+    doc = Document("d", "aa bb aa")
+    item = {"trigger": "aa", "type": "T", "arguments": [{"text": "bb", "role": "R"}]}
+    replies = {}
+    for agent, role in enumerate([1, True, 1.0, "R", "R", "R"], start=1):
+        bad = dict(item, arguments=[{"text": "bb", "role": role}])
+        replies[("d", f"agent:{agent}")] = ["```\nEvents = " + json.dumps([bad]) + "\n```"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            for parallelism in (1, 4):
+                backend = ScriptedBackend(replies)
+                events, ledger = run_self_moa(
+                    doc, "p", default_agents(6), backend, parallelism=parallelism
+                )
+                assert [(e.trigger.start, [(a.span.start, a.role) for a in e.arguments])
+                        for e in events] == [(0, [(3, "R")])]
+                assert ledger.votes(canonical_key(events[0])) == frozenset({4, 5, 6})
+                assert backend.calls.count(("d", "agent:1")) == 2
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,13 +9,16 @@ from revent.errors import (
     SpanValidationError,
     UnknownDocumentError,
 )
+from revent.fencing import render_events_answer
 from revent.ingest import (
+    Grounding,
     load_corpus,
     load_final_predictions,
     load_tagger_predictions,
     parse_agent_output,
 )
 from revent.model import Document
+from revent.simulate import make_synthetic_corpus
 
 
 def _write_lines(path, records):
@@ -169,6 +173,164 @@ def test_parse_agent_output_drops_ungroundable_argument(nisman_doc):
     assert [a.span.text for a in events[0].arguments] == ["prosecutor"]
     for arg in events[0].arguments:
         assert nisman_doc.contains(arg.span)
+
+
+def _reply(*items):
+    return "```\nEvents = " + json.dumps(list(items)) + "\n```"
+
+
+def _arg_starts(events):
+    return [(e.trigger.start, [(a.span.text, a.span.start) for a in e.arguments]) for e in events]
+
+
+def test_trigger_cursor_ignores_argument_mentions():
+    # The argument "aa" must not move the trigger cursor of "aa".
+    doc = Document("d", "aa bb aa cc")
+    raw = _reply(
+        {"trigger": "bb", "type": "T", "arguments": [{"text": "aa", "role": "R"}]},
+        {"trigger": "aa", "type": "T"},
+    )
+    events = parse_agent_output(raw, doc)
+    assert [e.trigger.start for e in events] == [3, 0]
+
+
+def test_argument_takes_occurrence_nearest_its_trigger():
+    doc = Document("d", "Kim met Lee ; Kim left Lee")
+    raw = _reply(
+        {"trigger": "met", "type": "Meet", "arguments": [{"text": "Lee", "role": "B"}]},
+        {"trigger": "left", "type": "Go", "arguments": [{"text": "Kim", "role": "A"}]},
+    )
+    events = parse_agent_output(raw, doc)
+    assert _arg_starts(events) == [(4, [("Lee", 8)]), (18, [("Kim", 14)])]
+
+
+def test_argument_tie_goes_to_earlier_occurrence():
+    doc = Document("d", "xy at xy")
+    raw = _reply({"trigger": "at", "type": "T", "arguments": [{"text": "xy", "role": "R"}]})
+    # "xy" at 0 and 6 are both 3 characters from the trigger start.
+    assert _arg_starts(parse_agent_output(raw, doc)) == [(3, [("xy", 0)])]
+
+
+def test_overlapping_occurrences_are_indexed():
+    doc = Document("d", "aaa")
+    assert [s.start for s in Grounding(doc).spans("aa")] == [0, 1]
+    raw = _reply(*[{"trigger": "aa", "type": "T"}] * 3)
+    assert [e.trigger.start for e in parse_agent_output(raw, doc)] == [0, 1, 0]
+
+
+def test_grounding_of_another_document_is_rejected(nisman_doc):
+    other = Document("other", nisman_doc.text)
+    with pytest.raises(ValueError, match="other"):
+        parse_agent_output(_reply(), nisman_doc, Grounding(other))
+
+
+def test_malformed_items_still_raise_with_a_shared_grounding():
+    doc = Document("d", "aa bb")
+    grounding = Grounding(doc)
+    good = {"trigger": "aa", "type": "T", "arguments": [{"text": "bb", "role": "R"}]}
+    parse_agent_output(_reply(good), doc, grounding)
+    for bad in (
+        {"trigger": "aa", "type": "T", "arguments": [{"text": "bb"}]},
+        {"trigger": "aa", "type": "T", "arguments": ["bb"]},
+        {"trigger": "aa"},
+    ):
+        with pytest.raises(ReplyParseError):
+            parse_agent_output(_reply(good, bad), doc, grounding)
+    # As before, the arguments of an ungroundable trigger are not inspected.
+    skipped = {"trigger": "zz", "type": "T", "arguments": [{"text": "bb"}]}
+    assert parse_agent_output(_reply(skipped), doc, grounding) == []
+
+
+def test_argument_order_and_repeats_share_one_grounded_event():
+    doc = Document("d", "Kim met Lee in Rome")
+    args = [{"text": "Kim", "role": "A"}, {"text": "Lee", "role": "B"}, {"text": "Rome", "role": "P"}]
+    grounding = Grounding(doc)
+    first = parse_agent_output(
+        _reply({"trigger": "met", "type": "Meet", "arguments": args}), doc, grounding
+    )
+    again = parse_agent_output(
+        _reply({"trigger": "met", "type": "Meet", "arguments": args[::-1] + args[:1]}), doc, grounding
+    )
+    assert again[0] is first[0]
+    assert first == parse_agent_output(
+        _reply({"trigger": "met", "type": "Meet", "arguments": args[::-1]}), doc
+    )
+    assert [(a.span.start, a.role) for a in first[0].arguments] == [(0, "A"), (8, "B"), (15, "P")]
+
+
+@pytest.mark.parametrize("role", [1, True, 1.0, ["x"], {"x": 1}, None, ""])
+@pytest.mark.parametrize("text", ["bb", "zz"])
+def test_argument_role_must_be_a_nonempty_string(role, text):
+    doc = Document("d", "aa bb")
+    raw = _reply({"trigger": "aa", "type": "T", "arguments": [{"text": text, "role": role}]})
+    with pytest.raises(ReplyParseError, match="role"):
+        parse_agent_output(raw, doc)
+
+
+def _tie_count(doc, event):
+    """Arguments whose two nearest occurrences are equally far from the trigger."""
+    ties = 0
+    for arg in event.arguments:
+        starts = [i for i in range(len(doc.text)) if doc.text.startswith(arg.span.text, i)]
+        distances = sorted(abs(s - event.trigger.start) for s in starts)
+        ties += len(distances) > 1 and distances[0] == distances[1]
+    return ties
+
+
+@pytest.mark.parametrize("n_docs, seed", [(500, 7), (1000, 1), (200, 88)])
+def test_rendered_gold_round_trips(n_docs, seed):
+    lost = ties = total = 0
+    for doc in make_synthetic_corpus(n_docs, seed=seed):
+        parsed = set(parse_agent_output(render_events_answer(doc.gold_events), doc))
+        lost += sum(event not in parsed for event in doc.gold_events)
+        ties += sum(_tie_count(doc, event) for event in doc.gold_events)
+        total += len(doc.gold_events)
+    assert total > n_docs
+    assert lost == 0
+    assert ties == 0
+
+
+def _repeated_surface_doc(rng, i):
+    words = [rng.choice(["Kim", "Lee", "met", "hit", "in", "Rome", "Kim met"]) for _ in range(14)]
+    return Document(f"r{i}", " ".join(words))
+
+
+def _random_items(rng, doc):
+    words = doc.text.split(" ") + ["absent"]
+    return [
+        {
+            "trigger": rng.choice(words),
+            "type": rng.choice("AB"),
+            "arguments": [
+                {"text": rng.choice(words), "role": rng.choice("XY")}
+                for _ in range(rng.randint(0, 3))
+            ],
+        }
+        for _ in range(rng.randint(0, 6))
+    ]
+
+
+def test_shared_grounding_matches_fresh_grounding():
+    rng = random.Random(17)
+    for i in range(40):
+        doc = _repeated_surface_doc(rng, i)
+        item_lists = [_random_items(rng, doc) for _ in range(4)]
+        # The same items again, in another order and with their arguments reordered.
+        item_lists += [
+            [dict(it, arguments=rng.sample(it["arguments"], len(it["arguments"])))
+             for it in rng.sample(items, len(items))]
+            for items in item_lists
+        ]
+        replies = [_reply(*items) for items in item_lists]
+        replies += rng.choices(replies, k=4)
+        rng.shuffle(replies)
+        fresh = [parse_agent_output(raw, doc) for raw in replies]
+        shared = Grounding(doc)
+        assert [parse_agent_output(raw, doc, shared) for raw in replies] == fresh
+        for events in fresh:
+            for event in events:
+                assert doc.contains(event.trigger)
+                assert all(doc.contains(a.span) for a in event.arguments)
 
 
 def test_load_final_predictions_roundtrip(tmp_path, worked_corpus, gandhi_doc):

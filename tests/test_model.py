@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -6,6 +7,7 @@ from revent.errors import SpanValidationError
 from revent.model import (
     ArgumentMention,
     Document,
+    EventKey,
     EventMention,
     Span,
     canonical_key,
@@ -139,3 +141,45 @@ def test_document_containment_by_reslicing():
     assert doc.contains(Span("cat", 4, 7))
     assert not doc.contains(Span("cat", 0, 3))
     assert not doc.contains(Span("sat", 10, 13))  # beyond end
+
+
+def _reference_arguments(arguments):
+    """Argument normalization as first specified: sort by key, keep the first of each key."""
+    seen, kept = set(), []
+    for arg in sorted(arguments, key=lambda a: a.key):
+        if arg.key not in seen:
+            seen.add(arg.key)
+            kept.append(arg)
+    return tuple(kept)
+
+
+def test_stored_key_equals_field_by_field_key():
+    rng = random.Random(41)
+    events = []
+    for _ in range(300):
+        start = rng.randrange(0, 20)
+        trigger = Span("t" * 3, start, start + 3)
+        args = []
+        for _ in range(rng.randrange(0, 5)):
+            a_start = rng.randrange(0, 6)
+            # Same key with a different surface: normalization keeps the first.
+            args.append(ArgumentMention(Span(rng.choice("ab") * 2, a_start, a_start + 2), rng.choice(["R1", "R2"])))
+        if args and rng.random() < 0.5:
+            args.append(rng.choice(args))
+        event = EventMention(trigger, rng.choice(["T1", "T2"]), tuple(args))
+        reference = _reference_arguments(args)
+        assert event.arguments == reference
+        assert canonical_key(event) == EventKey(
+            trigger_start=trigger.start,
+            trigger_end=trigger.end,
+            event_type=event.event_type,
+            argument_keys=tuple(a.key for a in reference),
+        )
+        assert hash(event) == hash((trigger, event.event_type, reference))
+        assert canonical_key(event) is canonical_key(event)  # computed once, then stored
+        assert "key" not in repr(event)
+        events.append((event, (trigger, event.event_type, reference)))
+    for e1, t1 in events[:60]:
+        for e2, t2 in events:
+            assert (e1 == e2) == (t1 == t2)
+    assert [f.name for f in fields(EventMention) if f.compare] == ["trigger", "event_type", "arguments"]
