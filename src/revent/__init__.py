@@ -34,7 +34,6 @@ from .model import (
     EventMention,
     Span,
     canonical_key,
-    locate_span,
     span_overlap,
 )
 from .pipeline import DocumentResult, extract_document

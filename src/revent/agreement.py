@@ -1,12 +1,12 @@
 """Consensus detection between ensemble and tagger predictions.
 
 Triggers from the two sources agree when their event types match and their
-character spans overlap at or above a threshold (Jaccard); matching is
-greedy by descending overlap and strictly one-to-one. For a matched trigger
-pair, arguments agree when roles match and spans overlap; the tagger's span
-is always the retained one, since boundary precision is its strength. At
-threshold 1.0 with identical argument sets this degenerates to exact
-whole-event intersection.
+character spans overlap at or above a threshold (Jaccard); for a matched
+trigger pair, arguments agree when roles match and spans overlap. Both
+levels use one matcher, greedy by descending overlap and strictly
+one-to-one, and both keep the tagger's side of a pair, since boundary
+precision is its strength. At threshold 1.0 with identical argument sets
+this degenerates to exact whole-event intersection.
 """
 
 from __future__ import annotations
@@ -19,101 +19,68 @@ from .model import ArgumentMention, EventMention, canonical_key, span_overlap
 __all__ = [
     "MatchedPair",
     "MatchReport",
-    "MatchedArgumentPair",
-    "ArgumentMatchReport",
     "match_triggers",
     "match_arguments",
 ]
 
+Mention = EventMention | ArgumentMention
+
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """A consensus trigger: one ensemble event aligned to one tagger event.
+    """One ensemble item aligned to one tagger item (events or arguments).
 
-    ``retained`` is the event identity carried forward - the tagger's span
-    and the shared event type.
+    ``retained`` is the side carried forward: the tagger's.
     """
 
-    smoa: EventMention
-    tagger: EventMention
+    smoa: Mention
+    tagger: Mention
     overlap: float
 
     @property
-    def retained(self) -> EventMention:
-        return EventMention(self.tagger.trigger, self.tagger.event_type)
+    def retained(self) -> Mention:
+        return self.tagger
 
 
 @dataclass(frozen=True)
 class MatchReport:
     consensus: tuple[MatchedPair, ...]
-    smoa_only: tuple[EventMention, ...]
-    tagger_only: tuple[EventMention, ...]
+    smoa_only: tuple[Mention, ...]
+    tagger_only: tuple[Mention, ...]
 
 
-@dataclass(frozen=True)
-class MatchedArgumentPair:
-    smoa: ArgumentMention
-    tagger: ArgumentMention
-    overlap: float
+def _match(smoa: list, tagger: list, label: str, span: str, threshold: float) -> MatchReport:
+    """Greedy maximum-overlap one-to-one matching on attributes ``label`` and ``span``.
 
-    @property
-    def retained(self) -> ArgumentMention:
-        return self.tagger
-
-
-@dataclass(frozen=True)
-class ArgumentMatchReport:
-    consensus: tuple[MatchedArgumentPair, ...]
-    smoa_only: tuple[ArgumentMention, ...]
-    tagger_only: tuple[ArgumentMention, ...]
-
-
-def _check_threshold(overlap_threshold: float) -> None:
-    if not 0.0 < overlap_threshold <= 1.0:
-        raise ContractError(f"overlap threshold must be in (0, 1], got {overlap_threshold}")
-
-
-def match_triggers(
-    smoa: list[EventMention],
-    tagger: list[EventMention],
-    overlap_threshold: float = 0.5,
-) -> MatchReport:
-    """Greedy maximum-overlap one-to-one matching of trigger predictions.
-
-    Candidate pairs need an equal event type and span overlap at or above
-    the threshold; cross-type pairs are never consensus regardless of
-    overlap. Ties on overlap break to the earliest tagger start, then the
-    earliest ensemble start. Every input event lands in exactly one of the
-    report's three lists.
+    Candidate pairs need equal labels and span overlap at or above the
+    threshold. Ties on overlap break to the earliest tagger span, then the
+    earliest ensemble span, then input order. Every input item lands in
+    exactly one of the report's three lists.
     """
-    _check_threshold(overlap_threshold)
-    for name, events in (("smoa", smoa), ("tagger", tagger)):
-        keys = [canonical_key(e) for e in events]
-        if len(set(keys)) != len(keys):
-            raise ContractError(f"{name} events are not deduplicated")
+    if not 0.0 < threshold <= 1.0:
+        raise ContractError(f"overlap threshold must be in (0, 1], got {threshold}")
+    s_items = [(getattr(s, label), getattr(s, span)) for s in smoa]
+    t_items = [(getattr(t, label), getattr(t, span)) for t in tagger]
 
     candidates = []
-    for si, s in enumerate(smoa):
-        for ti, t in enumerate(tagger):
-            if s.event_type != t.event_type:
+    for si, (s_label, s_span) in enumerate(s_items):
+        for ti, (t_label, t_span) in enumerate(t_items):
+            if s_label != t_label:
                 continue
-            ov = span_overlap(s.trigger, t.trigger)
-            if ov >= overlap_threshold:
-                candidates.append((ov, t, s, ti, si))
-    candidates.sort(
-        key=lambda c: (-c[0], c[1].trigger.start, c[1].trigger.end,
-                       c[2].trigger.start, c[2].trigger.end, c[3], c[4])
-    )
+            ov = span_overlap(s_span, t_span)
+            if ov >= threshold:
+                candidates.append((-ov, t_span.start, t_span.end, s_span.start, s_span.end, ti, si))
+    candidates.sort()
 
     matched_s: set[int] = set()
     matched_t: set[int] = set()
     pairs: list[MatchedPair] = []
-    for ov, t, s, ti, si in candidates:
+    for neg_ov, _, _, _, _, ti, si in candidates:
         if si in matched_s or ti in matched_t:
             continue
         matched_s.add(si)
         matched_t.add(ti)
-        pairs.append(MatchedPair(smoa=s, tagger=t, overlap=ov))
+        pairs.append(MatchedPair(smoa=smoa[si], tagger=tagger[ti], overlap=-neg_ov))
 
     return MatchReport(
         consensus=tuple(pairs),
@@ -122,43 +89,25 @@ def match_triggers(
     )
 
 
-def match_arguments(
-    pair: MatchedPair, overlap_threshold: float = 0.5
-) -> ArgumentMatchReport:
-    """Align the arguments of a matched trigger pair, one-to-one.
-
-    Arguments agree when roles are equal and spans overlap at or above the
-    threshold; agreement is partial - a trigger may have some arguments in
-    consensus and others not.
+def match_triggers(
+    smoa: list[EventMention],
+    tagger: list[EventMention],
+    overlap_threshold: float = 0.5,
+) -> MatchReport:
+    """Match trigger predictions: equal event type, trigger overlap at or
+    above the threshold. Cross-type pairs are never consensus regardless
+    of overlap. Both lists must be deduplicated on whole-event identity.
     """
-    _check_threshold(overlap_threshold)
-    s_args, t_args = pair.smoa.arguments, pair.tagger.arguments
+    for name, events in (("smoa", smoa), ("tagger", tagger)):
+        keys = [canonical_key(e) for e in events]
+        if len(set(keys)) != len(keys):
+            raise ContractError(f"{name} events are not deduplicated")
+    return _match(smoa, tagger, "event_type", "trigger", overlap_threshold)
 
-    candidates = []
-    for si, s in enumerate(s_args):
-        for ti, t in enumerate(t_args):
-            if s.role != t.role:
-                continue
-            ov = span_overlap(s.span, t.span)
-            if ov >= overlap_threshold:
-                candidates.append((ov, t, s, ti, si))
-    candidates.sort(
-        key=lambda c: (-c[0], c[1].span.start, c[1].span.end,
-                       c[2].span.start, c[2].span.end, c[3], c[4])
-    )
 
-    matched_s: set[int] = set()
-    matched_t: set[int] = set()
-    pairs: list[MatchedArgumentPair] = []
-    for ov, t, s, ti, si in candidates:
-        if si in matched_s or ti in matched_t:
-            continue
-        matched_s.add(si)
-        matched_t.add(ti)
-        pairs.append(MatchedArgumentPair(smoa=s, tagger=t, overlap=ov))
-
-    return ArgumentMatchReport(
-        consensus=tuple(pairs),
-        smoa_only=tuple(s for i, s in enumerate(s_args) if i not in matched_s),
-        tagger_only=tuple(t for i, t in enumerate(t_args) if i not in matched_t),
-    )
+def match_arguments(pair: MatchedPair, overlap_threshold: float = 0.5) -> MatchReport:
+    """Align the arguments of a matched trigger pair: equal role, span
+    overlap at or above the threshold. Agreement is partial - a trigger may
+    have some arguments in consensus and others not.
+    """
+    return _match(pair.smoa.arguments, pair.tagger.arguments, "role", "span", overlap_threshold)

@@ -35,7 +35,7 @@ from typing import Any, Callable
 
 from .errors import ContractError
 from .fencing import events_to_payload, parse_answer, render_answer
-from .model import Document, EventMention, Span
+from .model import Document, EventMention, Span, occurrences
 
 __all__ = [
     "TaskVariant",
@@ -169,16 +169,6 @@ def default_pos_gate(token: str) -> bool:
     return True
 
 
-def _occurrence_count(text: str, needle: str) -> int:
-    count, start = 0, 0
-    while True:
-        idx = text.find(needle, start)
-        if idx < 0:
-            return count
-        count += 1
-        start = idx + 1
-
-
 def _strip_token(token: str, start: int) -> tuple[str, int, int] | None:
     stripped = token.strip(string.punctuation)
     if not stripped:
@@ -237,7 +227,7 @@ def sample_negative_ngrams(
             cand_text = doc.text[start:end]
             if not all(default_pos_gate(w[1]) for w in window):
                 continue
-            if _occurrence_count(doc.text, cand_text) != 1:
+            if len(occurrences(doc.text, cand_text)) != 1:
                 continue
             if any(
                 cand_text in trig.text or trig.text in cand_text

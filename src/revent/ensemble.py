@@ -3,17 +3,20 @@ instances, parse replies, and aggregate the deduplicated union with
 per-event vote bookkeeping.
 
 Agent requests run on up to ``parallelism`` worker threads, or inline on the
-calling thread when only one worker would run; aggregation is a
-deterministic fold in agent-id order, so results are independent of
-completion order. All agents of one document, and their parse retries,
-share one ``ingest.Grounding``: each surface's occurrences are found once
-per document, and an event that several agents return is grounded once
-and shared. ``revent extract`` runs several documents at once and passes
-each its share of the run's ``--parallelism`` (see ``revent.cli``).
+calling thread when only one worker would run. Aggregation is
+``fold_votes``, a deterministic fold in agent-id order, so results are
+independent of completion order; the simulated ensemble of
+``revent.simulate`` folds its agents with the same function. All agents of
+one document, and their parse retries, share one ``ingest.Grounding``: each
+surface's occurrences are found once per document, and an event that
+several agents return is grounded once and shared. ``revent extract`` runs
+several documents at once and passes each its share of the run's
+``--parallelism`` (see ``revent.cli``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,6 +30,7 @@ __all__ = [
     "VoteLedger",
     "default_agents",
     "run_self_moa",
+    "fold_votes",
     "cleanup_predictions",
 ]
 
@@ -137,24 +141,30 @@ def run_self_moa(
                     return []
             except BackendError as exc:
                 raise OrchestrationError(f"agent {agent.agent_id}: {exc}") from exc
-        return []
 
     ordered = sorted(agents, key=lambda a: a.agent_id)
     workers = max(1, min(parallelism, len(ordered)))
     if workers == 1:
-        replies = {a.agent_id: one_agent(a) for a in ordered}
+        replies = [one_agent(a) for a in ordered]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            replies = dict(zip((a.agent_id for a in ordered), pool.map(one_agent, ordered)))
+            replies = list(pool.map(one_agent, ordered))
+    return fold_votes(zip((a.agent_id for a in ordered), replies))
 
+
+def fold_votes(
+    replies: Iterable[tuple[int, list[EventMention]]],
+) -> tuple[list[EventMention], VoteLedger]:
+    """Fold (agent id, events) replies, in the order given, into the
+    first-seen union of distinct events and the ledger of their votes."""
     union: list[EventMention] = []
     ledger = VoteLedger()
-    for agent in ordered:
-        for event in replies[agent.agent_id]:
+    for agent_id, events in replies:
+        for event in events:
             key = canonical_key(event)
             if key not in ledger:
                 union.append(event)
-            ledger.record(key, agent.agent_id)
+            ledger.record(key, agent_id)
     return union, ledger
 
 

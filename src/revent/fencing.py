@@ -58,13 +58,17 @@ def parse_answer(raw: str, expected_key: str | None = None) -> tuple[str, object
             f"expected top-level key {expected_key!r}, got {key!r}", raw=raw
         )
     payload = body[eq + 1:].strip()
+    # Besides JSONDecodeError, json.loads raises ValueError on an integer
+    # too long to convert and RecursionError on deep nesting; literal_eval
+    # raises TypeError on an unhashable key and MemoryError or
+    # RecursionError on deep nesting. All of them are a malformed reply.
     try:
         value = json.loads(payload)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         try:
             value = ast.literal_eval(payload)
-        except (ValueError, SyntaxError):
-            raise ReplyParseError(f"unparseable answer payload: {payload!r}", raw=raw)
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+            raise ReplyParseError(f"unparseable answer payload: {payload!r}", raw=raw) from None
     return key, value
 
 

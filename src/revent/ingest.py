@@ -12,7 +12,12 @@ tagger prediction record
     same event schema plus "trigger_confidence" on each event and
     "confidence" on each argument.
 
-Output artifacts are written whole or not at all (write_text_atomic).
+All three loaders read through one record reader, so every malformed line
+(bad JSON, a non-object, a missing field or a value of the wrong type) is a
+CorpusFormatError naming its line number; a span that does not slice back
+to its surface is a SpanValidationError and an unknown doc_id an
+UnknownDocumentError. Output artifacts are written whole or not at all
+(write_text_atomic).
 
 Agent replies are free text containing one fenced block:
     ```Events = [{"trigger": str, "type": str,
@@ -26,10 +31,12 @@ text here, by a per-document ``Grounding``:
   start; an equal-distance tie goes to the earlier occurrence;
 - a surface that does not occur at all drops its event (for triggers) or
   just itself (for arguments).
-An argument role must be a non-empty string. Grounding an item is a pure
-function of (document, trigger surface, k, type, argument set), so one
-``Grounding`` indexes each surface once and memoises each grounded event
-for every reply about that document.
+Every item's shape is checked whether or not its trigger occurs, so a
+malformed reply is malformed against every document; an argument role must
+be a non-empty string. Grounding an item is a pure function of (document, trigger
+surface, k, type, argument set), so one ``Grounding`` indexes each
+surface's ``model.occurrences`` once and memoises each grounded event for
+every reply about that document.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from pathlib import Path
 
 from .errors import CorpusFormatError, ReplyParseError, UnknownDocumentError
 from .fencing import parse_answer
-from .model import ArgumentMention, Document, EventMention, Span
+from .model import ArgumentMention, Document, EventMention, Span, occurrences
 
 __all__ = [
     "Grounding",
@@ -102,15 +109,20 @@ def _event_from_record(rec: dict) -> EventMention:
     return EventMention(trig, rec["type"], args)
 
 
-def load_corpus(path: str | Path) -> list[Document]:
-    """Load a JSON-lines corpus, validating every gold span against the text.
+def _read_records(path: str | Path, decode, corpus: list[Document] | None = None) -> list:
+    """Decode every non-blank line of a JSON-lines file; return the values.
 
-    Raises CorpusFormatError with the offending line number on malformed
-    JSON or a repeated doc_id, and SpanValidationError naming the doc_id and span when a gold
-    span does not slice back to its surface string.
+    Without ``corpus`` each value is ``decode(record)``. With it, each
+    record must name one of its documents by "doc_id" (else
+    UnknownDocumentError), and each value is ``(doc, decode(record, doc))``.
+    Malformed JSON, a line that is not a JSON object, or a KeyError,
+    TypeError, ValueError or AttributeError raised while decoding becomes
+    CorpusFormatError with the line number, and so does a CorpusFormatError
+    that ``decode`` raises. Other ReventErrors, such as SpanValidationError,
+    pass through unchanged.
     """
-    docs: list[Document] = []
-    seen: set[str] = set()
+    by_id = None if corpus is None else {doc.doc_id: doc for doc in corpus}
+    values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -118,20 +130,49 @@ def load_corpus(path: str | Path) -> list[Document]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            except (ValueError, RecursionError) as exc:  # also too long an integer, too deep
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise CorpusFormatError(f"invalid JSON: {reason}", line=lineno) from exc
+            if not isinstance(rec, dict):
+                raise CorpusFormatError(f"record is a JSON {type(rec).__name__}, not an object", line=lineno)
             try:
-                doc_id, text = rec["doc_id"], rec["text"]
+                if by_id is None:
+                    value = decode(rec)
+                else:
+                    doc = by_id.get(rec.get("doc_id"))
+                    if doc is None:
+                        raise UnknownDocumentError(
+                            f"line {lineno}: prediction for unknown doc_id {rec.get('doc_id')!r}"
+                        )
+                    value = (doc, decode(rec, doc))
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(str(exc), line=lineno) from exc
             except KeyError as exc:
                 raise CorpusFormatError(f"missing field {exc}", line=lineno) from exc
-            if doc_id in seen:
-                raise CorpusFormatError(f"duplicate doc_id {doc_id!r}", line=lineno)
-            seen.add(doc_id)
-            gold = None
-            if "events" in rec:
-                gold = tuple(_event_from_record(e) for e in rec["events"])
-            docs.append(Document(doc_id, text, gold))
-    return docs
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise CorpusFormatError(f"malformed record: {exc}", line=lineno) from exc
+            values.append(value)
+    return values
+
+
+def load_corpus(path: str | Path) -> list[Document]:
+    """Load a JSON-lines corpus, validating every gold span against the text.
+
+    Raises CorpusFormatError with the offending line number on a malformed
+    record or a repeated doc_id, and SpanValidationError naming the doc_id
+    and span when a gold span does not slice back to its surface string.
+    """
+    seen: set[str] = set()
+
+    def decode(rec: dict) -> Document:
+        doc_id, text = rec["doc_id"], rec["text"]
+        if doc_id in seen:
+            raise CorpusFormatError(f"duplicate doc_id {doc_id!r}")
+        seen.add(doc_id)
+        gold = tuple(_event_from_record(e) for e in rec["events"]) if "events" in rec else None
+        return Document(doc_id, text, gold)
+
+    return _read_records(path, decode)
 
 
 def load_tagger_predictions(
@@ -142,55 +183,35 @@ def load_tagger_predictions(
     Every record's doc_id must exist in ``corpus`` and every span must
     satisfy document containment; confidences must lie in [0, 1].
     """
-    by_id = {doc.doc_id: doc for doc in corpus}
+
+    def decode(rec: dict, doc: Document) -> list[TaggerPrediction]:
+        preds = []
+        for erec in rec.get("events", ()):
+            event = _event_from_record(erec)
+            doc.check_containment(event.trigger)
+            for arg in event.arguments:
+                doc.check_containment(arg.span)
+            # Realign per-argument confidences with normalized order;
+            # duplicate argument keys keep the highest confidence.
+            conf_by_key: dict[tuple, float] = {}
+            for arec in erec.get("arguments", ()):
+                span = _span_from_record(arec, "argument")
+                key = (span.start, span.end, arec["role"])
+                conf = float(arec.get("confidence", 1.0))
+                conf_by_key[key] = max(conf, conf_by_key.get(key, 0.0))
+            preds.append(TaggerPrediction(
+                event=event,
+                trigger_confidence=float(erec["trigger_confidence"]),
+                argument_confidences=tuple(conf_by_key[a.key] for a in event.arguments),
+            ))
+        return preds
+
     out: dict[str, list[TaggerPrediction]] = {doc.doc_id: [] for doc in corpus}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            doc_id = rec.get("doc_id")
-            if doc_id not in by_id:
-                raise UnknownDocumentError(
-                    f"line {lineno}: prediction for unknown doc_id {doc_id!r}"
-                )
-            doc = by_id[doc_id]
-            for erec in rec.get("events", ()):
-                event = _event_from_record(erec)
-                doc.check_containment(event.trigger)
-                for arg in event.arguments:
-                    doc.check_containment(arg.span)
-                # Realign per-argument confidences with normalized order;
-                # duplicate argument keys keep the highest confidence.
-                conf_by_key: dict[tuple, float] = {}
-                for arec in erec.get("arguments", ()):
-                    span = _span_from_record(arec, "argument")
-                    key = (span.start, span.end, arec["role"])
-                    conf = float(arec.get("confidence", 1.0))
-                    conf_by_key[key] = max(conf, conf_by_key.get(key, 0.0))
-                out[doc_id].append(
-                    TaggerPrediction(
-                        event=event,
-                        trigger_confidence=_trigger_conf(erec, lineno),
-                        argument_confidences=tuple(
-                            conf_by_key[a.key] for a in event.arguments
-                        ),
-                    )
-                )
+    for doc, preds in _read_records(path, decode, corpus):
+        out[doc.doc_id].extend(preds)
     for preds in out.values():
         preds.sort(key=lambda p: (p.event.trigger.start, p.event.trigger.end))
     return out
-
-
-def _trigger_conf(erec: dict, lineno: int) -> float:
-    try:
-        return float(erec["trigger_confidence"])
-    except KeyError as exc:
-        raise CorpusFormatError("event missing trigger_confidence", line=lineno) from exc
 
 
 def load_final_predictions(
@@ -198,34 +219,21 @@ def load_final_predictions(
 ) -> dict[str, list[EventMention]]:
     """Load a pipeline prediction file (corpus event schema, provenance
     fields tolerated and ignored) keyed by doc_id."""
-    by_id = {doc.doc_id: doc for doc in corpus}
-    out: dict[str, list[EventMention]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            doc_id = rec.get("doc_id")
-            if doc_id not in by_id:
-                raise UnknownDocumentError(
-                    f"line {lineno}: prediction for unknown doc_id {doc_id!r}"
-                )
-            events = [_event_from_record(e) for e in rec.get("events", ())]
-            for event in events:
-                by_id[doc_id].check_containment(event.trigger)
-            out[doc_id] = events
-    return out
+
+    def decode(rec: dict, doc: Document) -> list[EventMention]:
+        events = [_event_from_record(e) for e in rec.get("events", ())]
+        for event in events:
+            doc.check_containment(event.trigger)
+        return events
+
+    return {doc.doc_id: events for doc, events in _read_records(path, decode, corpus)}
 
 
 class Grounding:
     """Occurrence index and grounded-event memo for one document.
 
-    ``spans`` maps a surface to a Span for each of its occurrences, sorted
-    by start, overlapping ones included, each found once with ``str.find``.
+    ``spans`` maps a surface to a Span for each of its ``occurrences``,
+    sorted by start, overlapping ones included, each found once.
     ``event`` grounds one reply item and memoises the EventMention, keyed on
     (trigger surface, occurrence, type, set of (argument text, role) pairs
     whose text occurs). Argument order and repeats do not change the event,
@@ -245,13 +253,10 @@ class Grounding:
     def spans(self, surface: str) -> list[Span]:
         found = self._spans.get(surface)
         if found is None:
-            found = []
-            text, width = self.doc.text, len(surface)
-            idx = text.find(surface)
-            while idx >= 0:
-                found.append(Span(surface, idx, idx + width))
-                idx = text.find(surface, idx + 1)
-            self._spans[surface] = found
+            width = len(surface)
+            found = self._spans[surface] = [
+                Span(surface, idx, idx + width) for idx in occurrences(self.doc.text, surface)
+            ]
         return found
 
     def event(
@@ -299,7 +304,8 @@ def parse_agent_output(
     dropped (span validation); so are individual non-occurring arguments.
     Raises ReplyParseError (carrying the raw text) when there is no fence,
     the payload is not the expected shape, or an argument role is not a
-    non-empty string - the caller decides the retry policy.
+    non-empty string, whether or not the item's trigger occurs - the
+    caller decides the retry policy.
 
     ``grounding`` shares one document's occurrence index and event memo
     across replies; by default each call builds a fresh one.
@@ -315,26 +321,29 @@ def parse_agent_output(
     mentions: dict[str, int] = {}
     events: list[EventMention] = []
     for item in payload:
+        # The whole item is checked even when its trigger does not occur,
+        # so a malformed reply is malformed against every document.
         if not isinstance(item, dict) or "trigger" not in item or "type" not in item:
             raise ReplyParseError(f"malformed event item: {item!r}", raw=raw)
+        arguments = item.get("arguments", ())
+        if not isinstance(arguments, (list, tuple)):
+            raise ReplyParseError(f"arguments is not a list: {item!r}", raw=raw)
         trigger = item["trigger"]
-        if not isinstance(trigger, str) or not trigger:
-            continue
-        occurrences = len(grounding.spans(trigger))
-        if not occurrences:
-            continue
-        k = mentions.get(trigger, 0)
-        mentions[trigger] = k + 1
+        n = len(grounding.spans(trigger)) if isinstance(trigger, str) else 0
         args = []
-        for arec in item.get("arguments", ()):
+        for arec in arguments:
             if not isinstance(arec, dict) or "text" not in arec or "role" not in arec:
                 raise ReplyParseError(f"malformed argument item: {arec!r}", raw=raw)
             text, role = arec["text"], arec["role"]
             if not isinstance(role, str) or not role:
                 raise ReplyParseError(f"argument role is not a non-empty string: {arec!r}", raw=raw)
-            if isinstance(text, str) and text and grounding.spans(text):
+            if n and isinstance(text, str) and grounding.spans(text):
                 args.append((text, role))
-        events.append(grounding.event(trigger, k % occurrences, str(item["type"]), frozenset(args)))
+        if not n:
+            continue
+        k = mentions.get(trigger, 0)
+        mentions[trigger] = k + 1
+        events.append(grounding.event(trigger, k % n, str(item["type"]), frozenset(args)))
     return events
 
 

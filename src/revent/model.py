@@ -2,7 +2,9 @@
 
 Offsets are character-based and half-open: a span covers text[start:end).
 All types are immutable after construction; the operations here are pure
-functions, so values can be shared freely across threads.
+functions, so values can be shared freely across threads. ``occurrences``
+is the one scan for where a surface string occurs in a text; grounding,
+the synthetic distractors and the decomposition sampler all use it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ __all__ = [
     "EventKey",
     "TriggerId",
     "span_overlap",
-    "locate_span",
+    "occurrences",
     "canonical_key",
     "trigger_id",
 ]
@@ -47,10 +49,6 @@ class Span:
                 f"span length {self.end - self.start} does not match "
                 f"surface string of length {len(self.text)} ({self.text!r})"
             )
-
-    @property
-    def range(self) -> tuple[int, int]:
-        return (self.start, self.end)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,18 +153,17 @@ def span_overlap(a: Span, b: Span) -> float:
     return inter / union
 
 
-def locate_span(doc: Document, surface: str, search_from: int = 0) -> Span | None:
-    """First occurrence of ``surface`` at or after ``search_from``, as a Span.
-
-    Returns None when the string does not occur (absence is a value, not an
-    error).
+def occurrences(text: str, surface: str) -> list[int]:
+    """Start offsets of every occurrence of ``surface`` in ``text``, left to
+    right, overlapping ones included. An empty surface has none.
     """
-    if not surface:
-        return None
-    idx = doc.text.find(surface, search_from)
-    if idx < 0:
-        return None
-    return Span(surface, idx, idx + len(surface))
+    starts: list[int] = []
+    if surface:
+        idx = text.find(surface)
+        while idx >= 0:
+            starts.append(idx)
+            idx = text.find(surface, idx + 1)
+    return starts
 
 
 def canonical_key(event: EventMention) -> EventKey:

@@ -196,8 +196,9 @@ def parse_argument_response(
     body = extract_fenced_block(raw)
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ReplyParseError(f"argument reply is not JSON: {exc.msg}", raw=raw) from exc
+    except (ValueError, RecursionError) as exc:  # as in fencing.parse_answer
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise ReplyParseError(f"argument reply is not JSON: {reason}", raw=raw) from exc
     if not isinstance(payload, list):
         raise ReplyParseError(f"argument reply is not a list: {payload!r}", raw=raw)
     if len(payload) != len(candidates):

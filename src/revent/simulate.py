@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ensemble import VoteLedger, cleanup_predictions
+from .ensemble import VoteLedger, cleanup_predictions, fold_votes
 from .errors import ConfigurationError
 from .ingest import TaggerPrediction
-from .model import ArgumentMention, Document, EventMention, Span, canonical_key
+from .model import ArgumentMention, Document, EventMention, Span, occurrences
 
 __all__ = [
     "OracleProfile",
@@ -131,15 +131,10 @@ def _distractor_spans(doc: Document, vocabulary) -> list[Span]:
     trigger_ranges = [(e.trigger.start, e.trigger.end) for e in gold]
     spans = []
     for word in vocabulary:
-        start = 0
-        while True:
-            idx = doc.text.find(word, start)
-            if idx < 0:
-                break
+        for idx in occurrences(doc.text, word):
             end = idx + len(word)
             if not any(idx < te and ts < end for ts, te in trigger_ranges):
                 spans.append(Span(word, idx, end))
-            start = idx + 1
     spans.sort(key=lambda s: (s.start, s.end))
     return spans
 
@@ -233,16 +228,7 @@ def synthesize_agent_predictions(
 
     out: dict[str, tuple[list[EventMention], VoteLedger]] = {}
     for doc in corpus:
-        ledger = VoteLedger()
-        union: list[EventMention] = []
-        seen = set()
-        for agent in range(1, n_agents + 1):
-            for event in per_doc_events[doc.doc_id][agent - 1]:
-                key = canonical_key(event)
-                if key not in seen:
-                    seen.add(key)
-                    union.append(event)
-                ledger.record(key, agent)
+        union, ledger = fold_votes(enumerate(per_doc_events[doc.doc_id], start=1))
         out[doc.doc_id] = (cleanup_predictions(union, doc), ledger)
     return out
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from revent.agreement import match_arguments, match_triggers
+from revent.agreement import MatchedPair, match_arguments, match_triggers
 from revent.errors import ContractError
 from revent.model import ArgumentMention, EventMention, Span, canonical_key, span_overlap
 
@@ -165,3 +165,49 @@ def test_partition_and_maximality_random():
         assert len(report.consensus) + len(report.tagger_only) == len(tagger)
         assert _is_valid_matching(report.consensus, smoa, tagger, threshold)
         assert _is_maximal(report.consensus, smoa, tagger, threshold)
+
+
+def _check_matching(report, smoa, tagger, label, span, threshold):
+    """Partition, one-to-one validity and maximality at either level."""
+    ids = lambda items: sorted(map(id, items))
+    assert ids([p.smoa for p in report.consensus] + list(report.smoa_only)) == ids(smoa)
+    assert ids([p.tagger for p in report.consensus] + list(report.tagger_only)) == ids(tagger)
+    for pair in report.consensus:
+        assert getattr(pair.smoa, label) == getattr(pair.tagger, label)
+        assert pair.overlap == span_overlap(getattr(pair.smoa, span), getattr(pair.tagger, span))
+        assert pair.overlap >= threshold
+        assert pair.retained is pair.tagger
+    for s, t in itertools.product(report.smoa_only, report.tagger_only):
+        compatible = getattr(s, label) == getattr(t, label)
+        assert not (compatible and span_overlap(getattr(s, span), getattr(t, span)) >= threshold)
+
+
+def _identities(report, label, span):
+    ident = lambda item: (getattr(item, span).start, getattr(item, span).end, getattr(item, label))
+    return (
+        sorted((ident(p.smoa), ident(p.tagger), p.overlap) for p in report.consensus),
+        sorted(map(ident, report.smoa_only)),
+        sorted(map(ident, report.tagger_only)),
+    )
+
+
+def test_matcher_properties_at_both_levels():
+    rng = random.Random(7)
+    trigger = Span("t", 40, 41)
+    for _ in range(300):
+        smoa = _random_events(rng, 7, types=("A", "B", "C"))
+        tagger = _random_events(rng, 7, types=("A", "B", "C"))
+        threshold = rng.choice([0.2, 0.5, 0.8, 1.0])
+        events = match_triggers(smoa, tagger, threshold)
+        _check_matching(events, smoa, tagger, "event_type", "trigger", threshold)
+
+        # The same spans and labels as arguments of one matched trigger.
+        as_args = lambda evs: tuple(ArgumentMention(e.trigger, e.event_type) for e in evs)
+        pair = MatchedPair(
+            smoa=EventMention(trigger, "E", as_args(smoa)),
+            tagger=EventMention(trigger, "E", as_args(tagger)),
+            overlap=1.0,
+        )
+        args = match_arguments(pair, threshold)
+        _check_matching(args, pair.smoa.arguments, pair.tagger.arguments, "role", "span", threshold)
+        assert _identities(args, "role", "span") == _identities(events, "event_type", "trigger")

@@ -156,6 +156,26 @@ def test_evaluate_subcommand(data_dir, tmp_path, capsys):
     assert metrics["argument_cls"]["fn"] == 1
 
 
+@pytest.mark.parametrize("bad_line", ['[1, 2]', '{"doc_id": "gandhi", "events": [{"type": "T"}]}'])
+def test_evaluate_malformed_predictions_exits_2_with_json_error(data_dir, tmp_path, capsys, bad_line):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(
+        (GOLDEN / "predictions.jsonl").read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8"
+    )
+    n_good = len((GOLDEN / "predictions.jsonl").read_text(encoding="utf-8").splitlines())
+    code = main([
+        "evaluate",
+        "--corpus", str(data_dir / "corpus.jsonl"),
+        "--predictions", str(predictions),
+        "--out", str(tmp_path / "metrics.json"),
+    ])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "CorpusFormatError"
+    assert error["message"].startswith(f"line {n_good + 1}: ")
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_gen_decomp_subcommand(data_dir, tmp_path, capsys):
     out = tmp_path / "decomp.jsonl"
     code = main([

@@ -12,6 +12,7 @@ from revent.ensemble import (
     VoteLedger,
     cleanup_predictions,
     default_agents,
+    fold_votes,
     run_self_moa,
 )
 from revent.errors import BackendError, ConfigurationError, OrchestrationError
@@ -346,3 +347,32 @@ def test_non_string_roles_drop_the_reply_at_any_parallelism():
                 assert backend.calls.count(("d", "agent:1")) == 2
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("payload", [
+    pytest.param("{[1]: 2}", id="unhashable-key"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+    pytest.param("1" * 5_000, id="long-integer"),
+])
+def test_unparseable_reply_is_retried_then_empty(parallelism, payload):
+    doc = _doc()
+    bad = f"```\nEvents = {payload}\n```"
+    backend = ScriptedBackend({
+        ("d", "agent:1"): [bad],
+        ("d", "agent:2"): [render_events_answer([_event("alpha", doc.text)])],
+    })
+    events, ledger = run_self_moa(doc, "p", default_agents(2), backend, parallelism)
+    assert [e.trigger.text for e in events] == ["alpha"]
+    assert ledger.votes(canonical_key(events[0])) == frozenset({2})
+    assert backend.calls.count(("d", "agent:1")) == 2
+
+
+def test_fold_votes_first_seen_union_in_reply_order():
+    text = _doc().text
+    alpha, beta, gamma = (_event(w, text) for w in ("alpha", "beta", "gamma"))
+    union, ledger = fold_votes([(2, [beta, alpha]), (1, [alpha, gamma]), (3, [])])
+    assert union == [beta, alpha, gamma]
+    assert ledger.votes(canonical_key(alpha)) == frozenset({1, 2})
+    assert ledger.votes(canonical_key(gamma)) == frozenset({1})
+    assert len(ledger) == 3

@@ -9,7 +9,7 @@ from revent.errors import (
     SpanValidationError,
     UnknownDocumentError,
 )
-from revent.fencing import render_events_answer
+from revent.fencing import parse_answer, render_events_answer
 from revent.ingest import (
     Grounding,
     load_corpus,
@@ -236,9 +236,10 @@ def test_malformed_items_still_raise_with_a_shared_grounding():
     ):
         with pytest.raises(ReplyParseError):
             parse_agent_output(_reply(good, bad), doc, grounding)
-    # As before, the arguments of an ungroundable trigger are not inspected.
-    skipped = {"trigger": "zz", "type": "T", "arguments": [{"text": "bb"}]}
-    assert parse_agent_output(_reply(skipped), doc, grounding) == []
+    # An item's shape is checked whether or not its trigger occurs.
+    absent = {"trigger": "zz", "type": "T", "arguments": [{"text": "bb"}]}
+    with pytest.raises(ReplyParseError):
+        parse_agent_output(_reply(absent), doc, grounding)
 
 
 def test_argument_order_and_repeats_share_one_grounded_event():
@@ -343,3 +344,96 @@ def test_load_final_predictions_roundtrip(tmp_path, worked_corpus, gandhi_doc):
     ])
     preds = load_final_predictions(path, worked_corpus)
     assert [e.trigger.text for e in preds["gandhi"]] == ["killing"]
+
+
+_LOADER_TEXT = "Kim met Lee"
+
+
+def _loader_record(loader):
+    """One valid record for ``loader``: an event "met" with argument "Kim"."""
+    arg = {"text": "Kim", "start": 0, "end": 3, "role": "A"}
+    event = {"trigger": {"text": "met", "start": 4, "end": 7}, "type": "Meet", "arguments": [arg]}
+    if loader == "tagger":
+        event["trigger_confidence"] = 0.9
+        arg["confidence"] = 0.8
+    rec = {"doc_id": "d", "events": [event]}
+    if loader == "corpus":
+        rec["text"] = _LOADER_TEXT
+    return rec
+
+
+def _break_record(rec, case):
+    event = rec["events"][0]
+    arg = event["arguments"][0]
+    if case == "missing-trigger":
+        del event["trigger"]
+    elif case == "missing-type":
+        del event["type"]
+    elif case == "missing-role":
+        del arg["role"]
+    elif case == "empty-role":
+        arg["role"] = ""
+    elif case == "text-confidence":
+        arg["confidence"] = "high"
+    elif case == "text-trigger-confidence":
+        event["trigger_confidence"] = "high"
+    return rec
+
+
+_LOADERS = {
+    "corpus": lambda path: load_corpus(path),
+    "tagger": lambda path: load_tagger_predictions(path, [Document("d", _LOADER_TEXT)]),
+    "final": lambda path: load_final_predictions(path, [Document("d", _LOADER_TEXT)]),
+}
+_LOADER_CASES = [
+    (loader, case)
+    for loader in _LOADERS
+    for case in ["non-object", "long-integer", "deep-nesting", "missing-trigger", "missing-type", "missing-role", "empty-role"]
+    + (["text-confidence", "text-trigger-confidence"] if loader == "tagger" else [])
+]
+
+
+@pytest.mark.parametrize("loader, case", _LOADER_CASES)
+def test_malformed_record_is_a_corpus_format_error_naming_its_line(tmp_path, loader, case):
+    good = _loader_record(loader)
+    if loader == "corpus":
+        good["doc_id"] = "d0"  # the bad line must not also be a duplicate doc_id
+    bad = {
+        "non-object": "[1, 2]",
+        "long-integer": "1" * 5_000,
+        "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    }.get(case) or json.dumps(_break_record(_loader_record(loader), case))
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        _LOADERS[loader](path)
+    assert info.value.line == 3
+    # The same file without its bad line loads.
+    path.write_text(json.dumps(good) + "\n", encoding="utf-8")
+    _LOADERS[loader](path)
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param("{[1]: 2}", id="unhashable-key"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+    pytest.param("1" * 5_000, id="long-integer"),
+    pytest.param("-" * 100_000 + "1", id="deep-unary"),
+])
+def test_unparseable_payload_is_a_reply_parse_error(payload):
+    raw = f"```\nEvents = {payload}\n```"
+    with pytest.raises(ReplyParseError):
+        parse_answer(raw, expected_key="Events")
+    with pytest.raises(ReplyParseError):
+        parse_agent_output(raw, Document("d", "aa bb"))
+
+
+@pytest.mark.parametrize("bad", [
+    {"trigger": "aa", "type": "T", "arguments": 5},
+    {"trigger": "aa", "type": "T", "arguments": None},
+    {"trigger": "aa", "type": "T", "arguments": [{"text": "bb"}]},
+    {"trigger": "aa", "type": "T", "arguments": [{"text": "bb", "role": ""}]},
+])
+def test_item_shape_is_checked_against_every_document(bad):
+    for text in ("aa bb", "zz bb", ""):
+        with pytest.raises(ReplyParseError):
+            parse_agent_output(_reply(bad), Document("d", text))

@@ -11,7 +11,7 @@ from revent.model import (
     EventMention,
     Span,
     canonical_key,
-    locate_span,
+    occurrences,
     span_overlap,
     trigger_id,
 )
@@ -52,19 +52,11 @@ def test_span_overlap_symmetric_random():
         assert span_overlap(a, a) == 1.0
 
 
-def test_locate_span_basic():
-    doc = Document("d", "the cat sat")
-    assert locate_span(doc, "cat", 0) == Span("cat", 4, 7)
-
-
-def test_locate_span_second_occurrence():
-    doc = Document("d", "aa aa")
-    assert locate_span(doc, "aa", 3) == Span("aa", 3, 5)
-
-
-def test_locate_span_absent_is_none():
-    doc = Document("d", "abc")
-    assert locate_span(doc, "xyz", 0) is None
+def test_occurrences_overlapping_absent_and_empty():
+    assert occurrences("the cat sat", "cat") == [4]
+    assert occurrences("aaaa", "aa") == [0, 1, 2]
+    assert occurrences("abc", "xyz") == []
+    assert occurrences("abc", "") == []
 
 
 def test_canonical_key_no_arguments():

@@ -295,3 +295,38 @@ def test_backend_call_count_bound():
     # one trigger query + one argument query, each attempted <= 1 + retry_limit times
     assert len(calls) <= (1 + config.retry_limit) * 2
 
+
+
+_UNPARSEABLE = [
+    pytest.param("{[1]: 2}", id="unhashable-key"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+    pytest.param("1" * 5_000, id="long-integer"),
+]
+
+
+@pytest.mark.parametrize("payload", _UNPARSEABLE)
+def test_unparseable_replies_are_parse_errors(payload):
+    with pytest.raises(ReplyParseError):
+        parse_trigger_response(f"```ClassificationMap = {payload}```", ["dead"])
+    with pytest.raises(ReplyParseError):
+        parse_argument_response(f"```\n{payload}\n```", [("bombing", "Target")])
+
+
+@pytest.mark.parametrize("payload", _UNPARSEABLE)
+def test_unparseable_replies_fall_back_to_keep_all(payload):
+    doc = _doc()
+
+    def reply(request):
+        if request.metadata["channel"].startswith("reflection:trigger"):
+            return f"```ClassificationMap = {payload}```"
+        return f"```\n{payload}\n```"
+
+    pending = [ArgumentMention(_span(doc, "bombing"), "Target")]
+    items = [_item(doc, "dead", "Life:Die", ambiguous=True, pending=pending)]
+    audit = AuditLog()
+    results = reflect(items, doc, RecordingBackend(reply), ReflectionConfig(retry_limit=1), audit)
+    assert _kept_triggers(results) == ["dead"]
+    assert [a.span.text for a in results[0].confirmed_arguments] == ["bombing"]
+    assert [e["outcome"].split(":")[0] for e in audit.entries] == ["parse-error"] * 2 + [
+        "fallback-keep-all", "parse-error", "parse-error", "fallback-keep-all"
+    ]
