@@ -25,7 +25,7 @@ from .fencing import (
     render_classification_map,
     render_events_answer,
 )
-from .model import Document
+from .model import Document, gold_argument_verdicts, gold_trigger_verdicts
 
 __all__ = [
     "ChatRequest",
@@ -167,44 +167,36 @@ class OracleBackend:
     """Answers every request from gold annotations (test double).
 
     Agent channels get the document's gold events; reflection channels get
-    verdicts computed by gold lookup (a candidate trigger phrase is a
-    Trigger iff some gold trigger has that surface; an argument is correct
-    iff its (text, role) belongs to a gold event with the queried trigger
-    surface and type). Upper-bounds reflection quality so aggregation can be
-    tested in isolation.
+    the verdicts of ``model.gold_trigger_verdicts`` and
+    ``model.gold_argument_verdicts``, the lookup the oracle reflector uses.
+    Upper-bounds reflection quality so aggregation can be tested in
+    isolation.
     """
 
     def __init__(self, corpus: list[Document]):
         self._docs = {doc.doc_id: doc for doc in corpus}
 
-    def _gold(self, doc_id: str | None):
-        doc = self._docs.get(doc_id or "")
-        if doc is None or doc.gold_events is None:
-            raise BackendError(f"oracle backend has no gold events for doc {doc_id!r}")
-        return doc.gold_events
-
     def complete(self, request: ChatRequest) -> str:
         doc_id = request.metadata.get(DOC_KEY)
         channel = request.metadata.get(CHANNEL_KEY, "")
-        gold = self._gold(doc_id)
+        doc = self._docs.get(doc_id or "")
+        if doc is None or doc.gold_events is None:
+            raise BackendError(f"oracle backend has no gold events for doc {doc_id!r}")
+        gold = doc.gold_events
         if channel.startswith("agent:"):
             return render_events_answer(gold)
+        candidates = json.loads(request.metadata.get("candidates", "[]"))
         if channel == "reflection:triggers":
-            candidates = json.loads(request.metadata.get("candidates", "[]"))
-            surfaces = {e.trigger.text for e in gold}
-            return render_classification_map(
-                {c: "Trigger" if c in surfaces else "Non-Trigger" for c in candidates}
-            )
+            verdicts = gold_trigger_verdicts(gold, candidates)
+            return render_classification_map({
+                c: "Trigger" if ok else "Non-Trigger" for c, ok in zip(candidates, verdicts)
+            })
         if channel.startswith("reflection:arguments"):
-            candidates = json.loads(request.metadata.get("candidates", "[]"))
             trig_text = request.metadata.get("trigger_text")
             trig_type = request.metadata.get("trigger_type")
-            valid: set[tuple[str, str]] = set()
-            for event in gold:
-                if event.trigger.text == trig_text and event.event_type == trig_type:
-                    valid.update((a.span.text, a.role) for a in event.arguments)
+            verdicts = gold_argument_verdicts(gold, trig_text, trig_type, candidates)
             return render_argument_verdicts(
-                [(text, role, (text, role) in valid) for text, role in candidates]
+                [(text, role, ok) for (text, role), ok in zip(candidates, verdicts)]
             )
         raise BackendError(f"oracle backend cannot answer channel {channel!r}")
 

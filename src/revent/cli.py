@@ -108,14 +108,21 @@ def _map_documents(corpus, parallelism, task) -> list:
     return [future.result() for future in futures]
 
 
-def _gather_predictions(corpus, tagger_preds, backend, agents, parallelism):
+def _tune_on(corpus_path, tagger_path, descriptor, agents, parallelism, **tune_options):
+    """Load a dev split, run the agents on it, and return
+    ``tune_thresholds(dev, predictions, **tune_options)``."""
+    corpus = load_corpus(corpus_path)
+    tagger_preds = load_tagger_predictions(tagger_path, corpus)
+    backend = make_backend(descriptor, corpus=corpus)
+
     def gather(doc, agent_workers):
         prompt = decomp.extraction_prompt(doc)
         return run_self_moa(doc, prompt, agents, backend, agent_workers)
 
     replies = _map_documents(corpus, parallelism, gather)
     smoa = {doc.doc_id: reply for doc, reply in zip(corpus, replies)}
-    return DevPredictions(tagger=tagger_preds, smoa=smoa, n_agents=len(agents))
+    predictions = DevPredictions(tagger=tagger_preds, smoa=smoa, n_agents=len(agents))
+    return tune_thresholds(corpus, predictions, **tune_options)
 
 
 def run_pipeline(config: RunConfig) -> dict:
@@ -131,15 +138,12 @@ def run_pipeline(config: RunConfig) -> dict:
     if config.thresholds_path is not None:
         thresholds = _resolve_thresholds(config.thresholds_path)
     else:
-        dev_corpus = load_corpus(config.tune_corpus)
-        dev_tagger = load_tagger_predictions(config.tune_tagger_preds, dev_corpus)
-        dev_backend = make_backend(config.backend, corpus=dev_corpus)
-        dev_predictions = _gather_predictions(
-            dev_corpus, dev_tagger, dev_backend, agents, config.parallelism
-        )
-        thresholds = tune_thresholds(
-            dev_corpus,
-            dev_predictions,
+        thresholds = _tune_on(
+            config.tune_corpus,
+            config.tune_tagger_preds,
+            config.backend,
+            agents,
+            config.parallelism,
             grid_step=config.grid_step,
             overlap_threshold=config.overlap_threshold,
         )
@@ -231,14 +235,12 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    corpus = load_corpus(args.corpus)
-    tagger_preds = load_tagger_predictions(args.tagger_preds, corpus)
-    backend = make_backend(args.backend, corpus=corpus)
-    agents = default_agents(args.agents, temperature=args.temperature)
-    predictions = _gather_predictions(corpus, tagger_preds, backend, agents, args.parallelism)
-    thresholds = tune_thresholds(
-        corpus,
-        predictions,
+    thresholds = _tune_on(
+        args.corpus,
+        args.tagger_preds,
+        args.backend,
+        default_agents(args.agents, temperature=args.temperature),
+        args.parallelism,
         grid_step=args.grid_step,
         overlap_threshold=args.overlap_threshold,
         reflection_standin=args.reflection_standin,

@@ -1,4 +1,11 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and ``short_repr`` for quoting
+reply content in their messages."""
+
+
+def short_repr(value) -> str:
+    """``repr(value)`` for an error message, cut after 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} chars)"
 
 
 class ReventError(Exception):
@@ -24,11 +31,7 @@ class UnknownDocumentError(ReventError):
 
 
 class ReplyParseError(ReventError):
-    """A model reply could not be parsed; carries the raw text for retries/audit."""
-
-    def __init__(self, message: str, raw: str = ""):
-        super().__init__(message)
-        self.raw = raw
+    """A model reply could not be parsed; the message quotes it by ``short_repr``."""
 
 
 class BackendError(ReventError):

@@ -12,7 +12,7 @@ import ast
 import json
 import re
 
-from .errors import ReplyParseError
+from .errors import ReplyParseError, short_repr
 
 _FENCE_RE = re.compile(r"```(?:[a-zA-Z0-9_-]+\n)?(.*?)```", re.DOTALL)
 
@@ -20,12 +20,12 @@ _FENCE_RE = re.compile(r"```(?:[a-zA-Z0-9_-]+\n)?(.*?)```", re.DOTALL)
 def extract_fenced_block(raw: str) -> str:
     """Return the body of the first triple-backtick fence in ``raw``.
 
-    Surrounding prose is ignored. Raises ReplyParseError (carrying the raw
-    text) when no fence is present.
+    Surrounding prose is ignored. Raises ReplyParseError when no fence is
+    present.
     """
     match = _FENCE_RE.search(raw)
     if match is None:
-        raise ReplyParseError("no triple-backtick fence found in reply", raw=raw)
+        raise ReplyParseError("no triple-backtick fence found in reply")
     return match.group(1).strip()
 
 
@@ -49,14 +49,12 @@ def parse_answer(raw: str, expected_key: str | None = None) -> tuple[str, object
     body = extract_fenced_block(raw)
     eq = body.find("=")
     if eq < 0:
-        raise ReplyParseError(f"fenced body has no 'Key =' assignment: {body!r}", raw=raw)
+        raise ReplyParseError(f"fenced body has no 'Key =' assignment: {short_repr(body)}")
     key = body[:eq].strip()
     if not key or not key.isidentifier():
-        raise ReplyParseError(f"malformed answer key {key!r}", raw=raw)
+        raise ReplyParseError(f"malformed answer key {short_repr(key)}")
     if expected_key is not None and key != expected_key:
-        raise ReplyParseError(
-            f"expected top-level key {expected_key!r}, got {key!r}", raw=raw
-        )
+        raise ReplyParseError(f"expected top-level key {expected_key!r}, got {short_repr(key)}")
     payload = body[eq + 1:].strip()
     # Besides JSONDecodeError, json.loads raises ValueError on an integer
     # too long to convert and RecursionError on deep nesting; literal_eval
@@ -68,7 +66,7 @@ def parse_answer(raw: str, expected_key: str | None = None) -> tuple[str, object
         try:
             value = ast.literal_eval(payload)
         except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-            raise ReplyParseError(f"unparseable answer payload: {payload!r}", raw=raw) from None
+            raise ReplyParseError(f"unparseable answer payload: {short_repr(payload)}") from None
     return key, value
 
 

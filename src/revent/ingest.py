@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .errors import CorpusFormatError, ReplyParseError, UnknownDocumentError
+from .errors import CorpusFormatError, ReplyParseError, UnknownDocumentError, short_repr
 from .fencing import parse_answer
 from .model import ArgumentMention, Document, EventMention, Span, occurrences
 
@@ -188,9 +188,7 @@ def load_tagger_predictions(
         preds = []
         for erec in rec.get("events", ()):
             event = _event_from_record(erec)
-            doc.check_containment(event.trigger)
-            for arg in event.arguments:
-                doc.check_containment(arg.span)
+            doc.check_event(event)
             # Realign per-argument confidences with normalized order;
             # duplicate argument keys keep the highest confidence.
             conf_by_key: dict[tuple, float] = {}
@@ -223,7 +221,7 @@ def load_final_predictions(
     def decode(rec: dict, doc: Document) -> list[EventMention]:
         events = [_event_from_record(e) for e in rec.get("events", ())]
         for event in events:
-            doc.check_containment(event.trigger)
+            doc.check_event(event)
         return events
 
     return {doc.doc_id: events for doc, events in _read_records(path, decode, corpus)}
@@ -302,10 +300,9 @@ def parse_agent_output(
     argument the occurrence nearest its trigger (the earlier one on a tie).
     Events whose trigger surface does not occur anywhere in the text are
     dropped (span validation); so are individual non-occurring arguments.
-    Raises ReplyParseError (carrying the raw text) when there is no fence,
-    the payload is not the expected shape, or an argument role is not a
-    non-empty string, whether or not the item's trigger occurs - the
-    caller decides the retry policy.
+    Raises ReplyParseError when there is no fence, the payload is not the
+    expected shape, or an argument role is not a non-empty string, whether
+    or not the item's trigger occurs - the caller decides the retry policy.
 
     ``grounding`` shares one document's occurrence index and event memo
     across replies; by default each call builds a fresh one.
@@ -316,7 +313,7 @@ def parse_agent_output(
         raise ValueError(f"grounding for doc {grounding.doc.doc_id!r} used on {doc.doc_id!r}")
     _, payload = parse_answer(raw, expected_key="Events")
     if not isinstance(payload, list):
-        raise ReplyParseError(f"Events payload is not a list: {payload!r}", raw=raw)
+        raise ReplyParseError(f"Events payload is not a list: {short_repr(payload)}")
 
     mentions: dict[str, int] = {}
     events: list[EventMention] = []
@@ -324,19 +321,21 @@ def parse_agent_output(
         # The whole item is checked even when its trigger does not occur,
         # so a malformed reply is malformed against every document.
         if not isinstance(item, dict) or "trigger" not in item or "type" not in item:
-            raise ReplyParseError(f"malformed event item: {item!r}", raw=raw)
+            raise ReplyParseError(f"malformed event item: {short_repr(item)}")
         arguments = item.get("arguments", ())
         if not isinstance(arguments, (list, tuple)):
-            raise ReplyParseError(f"arguments is not a list: {item!r}", raw=raw)
+            raise ReplyParseError(f"arguments is not a list: {short_repr(item)}")
         trigger = item["trigger"]
         n = len(grounding.spans(trigger)) if isinstance(trigger, str) else 0
         args = []
         for arec in arguments:
             if not isinstance(arec, dict) or "text" not in arec or "role" not in arec:
-                raise ReplyParseError(f"malformed argument item: {arec!r}", raw=raw)
+                raise ReplyParseError(f"malformed argument item: {short_repr(arec)}")
             text, role = arec["text"], arec["role"]
             if not isinstance(role, str) or not role:
-                raise ReplyParseError(f"argument role is not a non-empty string: {arec!r}", raw=raw)
+                raise ReplyParseError(
+                    f"argument role is not a non-empty string: {short_repr(arec)}"
+                )
             if n and isinstance(text, str) and grounding.spans(text):
                 args.append((text, role))
         if not n:

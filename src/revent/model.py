@@ -5,6 +5,8 @@ All types are immutable after construction; the operations here are pure
 functions, so values can be shared freely across threads. ``occurrences``
 is the one scan for where a surface string occurs in a text; grounding,
 the synthetic distractors and the decomposition sampler all use it.
+``gold_trigger_verdicts`` and ``gold_argument_verdicts`` are the one gold
+lookup behind the oracle reflector and the oracle backend.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "occurrences",
     "canonical_key",
     "trigger_id",
+    "gold_trigger_verdicts",
+    "gold_argument_verdicts",
 ]
 
 # (start, end, event_type) - identifies a trigger independent of its arguments.
@@ -121,17 +125,17 @@ class Document:
         if self.gold_events is not None:
             object.__setattr__(self, "gold_events", tuple(self.gold_events))
             for event in self.gold_events:
-                self.check_containment(event.trigger)
-                for arg in event.arguments:
-                    self.check_containment(arg.span)
+                self.check_event(event)
 
-    def check_containment(self, span: Span) -> None:
-        """Raise unless text[start:end) equals the span's surface string."""
-        if span.end > len(self.text) or self.text[span.start:span.end] != span.text:
-            raise SpanValidationError(
-                f"doc {self.doc_id!r}: span [{span.start}, {span.end}) does not "
-                f"slice to {span.text!r}"
-            )
+    def check_event(self, event: EventMention) -> None:
+        """Raise unless the trigger and every argument span slice back to
+        their surface strings (text[start:end) equals the span's text)."""
+        for span in (event.trigger, *(arg.span for arg in event.arguments)):
+            if not self.contains(span):
+                raise SpanValidationError(
+                    f"doc {self.doc_id!r}: span [{span.start}, {span.end}) does not "
+                    f"slice to {span.text!r}"
+                )
 
     def contains(self, span: Span) -> bool:
         return (
@@ -189,3 +193,20 @@ def canonical_key(event: EventMention) -> EventKey:
 def trigger_id(event: EventMention) -> TriggerId:
     """Trigger-level identity (start, end, event_type) of an event."""
     return (event.trigger.start, event.trigger.end, event.event_type)
+
+
+def gold_trigger_verdicts(gold, phrases: list[str]) -> list[bool]:
+    """Per phrase: is it the surface of some gold trigger?"""
+    surfaces = {event.trigger.text for event in gold}
+    return [phrase in surfaces for phrase in phrases]
+
+
+def gold_argument_verdicts(gold, trigger_text: str, event_type: str, candidates) -> list[bool]:
+    """Per (text, role) candidate: is it an argument of a gold event with
+    this trigger surface and type?"""
+    valid = {
+        (arg.span.text, arg.role) for event in gold
+        if event.trigger.text == trigger_text and event.event_type == event_type
+        for arg in event.arguments
+    }
+    return [(text, role) in valid for text, role in candidates]

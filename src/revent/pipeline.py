@@ -17,9 +17,10 @@ does the filtering, reflection and final assembly; it never mutates
 ``prepared``, so one prepared document can be decided at any number of
 threshold settings. ``extract_document`` is ``decide(prepare(...), ...)``.
 
-The reflection step is pluggable: the live reflector wraps a chat backend,
-while keep-all / drop-all / gold-oracle stand-ins support tuning and
-simulation.
+The reflection step is pluggable: every reflector is reflection.resolve
+with its own judges. The live reflector's judges prompt a chat backend,
+one argument prompt per trigger id; the keep-all / drop-all / gold-oracle
+stand-ins, for tuning and simulation, judge each argument on its own.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .model import (
     Span,
     TriggerId,
     canonical_key,
+    gold_argument_verdicts,
+    gold_trigger_verdicts,
     trigger_id,
 )
 from .reflection import (
@@ -57,6 +60,7 @@ from .reflection import (
     ReflectionItem,
     ReflectionResult,
     reflect,
+    resolve,
 )
 
 __all__ = [
@@ -76,16 +80,19 @@ __all__ = [
 Reflector = Callable[[Document, list[ReflectionItem]], list[ReflectionResult]]
 
 
+def _constant(flag: bool):
+    """A trigger or argument judge that answers ``flag`` for every candidate."""
+    return lambda *query: [flag] * len(query[-1])
+
+
 def keep_all_reflector(doc: Document, items: list[ReflectionItem]) -> list[ReflectionResult]:
     """Stand-in that confirms every ambiguous trigger and argument."""
-    return [ReflectionResult(item, True, item.pending_arguments) for item in items]
+    return resolve(items, _constant(True), _constant(True))
 
 
 def drop_all_reflector(doc: Document, items: list[ReflectionItem]) -> list[ReflectionResult]:
     """Stand-in that rejects every ambiguous trigger and argument."""
-    return [
-        ReflectionResult(item, not item.trigger_ambiguous, ()) for item in items
-    ]
+    return resolve(items, _constant(False), _constant(False))
 
 
 def oracle_reflector(doc: Document, items: list[ReflectionItem]) -> list[ReflectionResult]:
@@ -94,24 +101,13 @@ def oracle_reflector(doc: Document, items: list[ReflectionItem]) -> list[Reflect
     gold = doc.gold_events
     if gold is None:
         raise ConfigurationError(f"oracle reflection needs gold events on {doc.doc_id!r}")
-    trigger_surfaces = {e.trigger.text for e in gold}
-    results = []
-    for item in items:
-        kept = (not item.trigger_ambiguous) or item.event.trigger.text in trigger_surfaces
-        confirmed: tuple[ArgumentMention, ...] = ()
-        if kept:
-            valid = {
-                (a.span.text, a.role)
-                for e in gold
-                if e.trigger.text == item.event.trigger.text
-                and e.event_type == item.event.event_type
-                for a in e.arguments
-            }
-            confirmed = tuple(
-                a for a in item.pending_arguments if (a.span.text, a.role) in valid
-            )
-        results.append(ReflectionResult(item, kept, confirmed))
-    return results
+    return resolve(
+        items,
+        lambda phrases: gold_trigger_verdicts(gold, phrases),
+        lambda event, args: gold_argument_verdicts(
+            gold, event.trigger.text, event.event_type, [(a.span.text, a.role) for a in args]
+        ),
+    )
 
 
 def backend_reflector(
@@ -317,12 +313,7 @@ def decide(
         i for i, cand in enumerate(candidates) if cand.ambiguous or pending_args[i]
     ]
     items = [
-        ReflectionItem(
-            event=candidates[i].event,
-            trigger_ambiguous=candidates[i].ambiguous,
-            kept_arguments=tuple(a for a, _ in kept_args[i]),
-            pending_arguments=pending_args[i],
-        )
+        ReflectionItem(candidates[i].event, candidates[i].ambiguous, pending_args[i])
         for i in needs_reflection
     ]
     results = reflector(prepared.doc, items) if items else []

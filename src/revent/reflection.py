@@ -1,20 +1,20 @@
 """Structured reflection on ambiguous predictions.
 
-Ambiguous triggers are verified with one batched prompt per document asking
-for a Trigger / Non-Trigger verdict per candidate phrase; ambiguous
-arguments are verified with one prompt per trigger asking for an is_correct
-flag per (text, role) candidate, order-preserving. Reflection only prunes
-or confirms - it never invents predictions. Trigger verification runs
-first; arguments are only queried for triggers that survive.
+``resolve`` is the one reflection driver; a reflector only supplies its
+judges. Ambiguous triggers are verified with one batched prompt per
+document asking for a Trigger / Non-Trigger verdict per distinct candidate
+phrase. Arguments are then verified with one prompt per surviving trigger
+id, asking for an is_correct flag per (text, role) candidate,
+order-preserving; candidates that share a trigger id are asked about the
+union of their pending arguments once. So no channel is asked twice for a
+document, and a replay fixture of one reply per (document, channel) can
+hold any run. Reflection only prunes or confirms - it never invents
+predictions.
 
 Parse failures are retried up to the configured limit, then fall back to
 keeping every queried candidate: a failed prune must not silently delete
 recall. Fallbacks are recorded in the audit log, which only collects
 entries; the CLI writes them out as audit.jsonl.
-
-``reflect`` returns one ReflectionResult per input item - the trigger
-verdict and the confirmed pending arguments - and leaves assembling events
-from them to the pipeline.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from typing import Callable
 
 from .backends import ChatBackend, ChatRequest
-from .errors import BackendError, ContractError, OrchestrationError, ReplyParseError
+from .errors import BackendError, ContractError, OrchestrationError, ReplyParseError, short_repr
 from .fencing import extract_fenced_block, parse_answer
-from .model import ArgumentMention, Document, EventMention, Span, trigger_id
+from .model import ArgumentKey, ArgumentMention, Document, EventMention, TriggerId, trigger_id
 
 __all__ = [
     "ReflectionConfig",
@@ -39,6 +40,7 @@ __all__ = [
     "build_argument_prompt",
     "parse_trigger_response",
     "parse_argument_response",
+    "resolve",
     "reflect",
 ]
 
@@ -124,11 +126,11 @@ class ArgumentVerdict:
     entries: tuple[tuple[str, str, bool], ...]
 
 
-def build_trigger_prompt(doc: Document, candidates: list[Span]) -> str:
+def build_trigger_prompt(doc: Document, candidates: list[str]) -> str:
     """Render the batched trigger-verification prompt for one document."""
     if not candidates:
         raise ContractError("trigger reflection needs at least one candidate")
-    phrases = json.dumps([span.text for span in candidates], ensure_ascii=False)
+    phrases = json.dumps(candidates, ensure_ascii=False)
     return (
         _TRIGGER_TEMPLATE
         .replace("<CANDIDATE_TRIGGERS_TO_VERIFY>", phrases)
@@ -143,7 +145,7 @@ def build_argument_prompt(
     """Render the per-trigger argument-verification prompt."""
     if not candidates:
         raise ContractError("argument reflection needs at least one candidate")
-    doc.check_containment(trigger.trigger)
+    doc.check_event(trigger)
     rendered = json.dumps(
         [{"text": a.span.text, "role": a.role} for a in candidates],
         ensure_ascii=False,
@@ -164,7 +166,7 @@ def _normalize_verdict(value) -> str:
             return TRIGGER_LABEL
         if collapsed == "non-trigger":
             return NON_TRIGGER_LABEL
-    raise ReplyParseError(f"unrecognized trigger verdict {value!r}")
+    raise ReplyParseError(f"unrecognized trigger verdict {short_repr(value)}")
 
 
 def parse_trigger_response(raw: str, candidates: list[str]) -> TriggerVerdict:
@@ -175,7 +177,7 @@ def parse_trigger_response(raw: str, candidates: list[str]) -> TriggerVerdict:
     """
     _, payload = parse_answer(raw, expected_key="ClassificationMap")
     if not isinstance(payload, dict):
-        raise ReplyParseError(f"ClassificationMap is not a mapping: {payload!r}", raw=raw)
+        raise ReplyParseError(f"ClassificationMap is not a mapping: {short_repr(payload)}")
     verdict_map = {str(k): _normalize_verdict(v) for k, v in payload.items()}
     return TriggerVerdict(
         verdicts=tuple(
@@ -198,25 +200,24 @@ def parse_argument_response(
         payload = json.loads(body)
     except (ValueError, RecursionError) as exc:  # as in fencing.parse_answer
         reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-        raise ReplyParseError(f"argument reply is not JSON: {reason}", raw=raw) from exc
+        raise ReplyParseError(f"argument reply is not JSON: {reason}") from exc
     if not isinstance(payload, list):
-        raise ReplyParseError(f"argument reply is not a list: {payload!r}", raw=raw)
+        raise ReplyParseError(f"argument reply is not a list: {short_repr(payload)}")
     if len(payload) != len(candidates):
         raise ReplyParseError(
-            f"expected {len(candidates)} argument entries, got {len(payload)}", raw=raw
+            f"expected {len(candidates)} argument entries, got {len(payload)}"
         )
     entries: list[tuple[str, str, bool]] = []
     for entry, (text, role) in zip(payload, candidates):
         if not isinstance(entry, dict) or set(entry) != {"text", "role", "is_correct"}:
-            raise ReplyParseError(f"malformed argument entry: {entry!r}", raw=raw)
+            raise ReplyParseError(f"malformed argument entry: {short_repr(entry)}")
         if entry["text"] != text or entry["role"] != role:
             raise ReplyParseError(
-                f"argument entry {entry!r} does not match queried candidate "
-                f"({text!r}, {role!r}) - order must be preserved",
-                raw=raw,
+                f"argument entry {short_repr(entry)} does not match queried candidate "
+                f"{short_repr((text, role))} - order must be preserved"
             )
         if not isinstance(entry["is_correct"], bool):
-            raise ReplyParseError(f"is_correct is not a boolean: {entry!r}", raw=raw)
+            raise ReplyParseError(f"is_correct is not a boolean: {short_repr(entry)}")
         entries.append((text, role, entry["is_correct"]))
     return ArgumentVerdict(entries=tuple(entries))
 
@@ -235,15 +236,13 @@ class AuditLog:
 class ReflectionItem:
     """One trigger entering reflection, with its argument candidates.
 
-    ``kept_arguments`` survive without querying; ``pending_arguments`` need
-    an is_correct verdict, which is only requested if the trigger itself
-    survives (confirmed directly, or via a Trigger verdict when
-    ``trigger_ambiguous`` is set).
+    ``pending_arguments`` need an is_correct verdict, which is only
+    requested if the trigger itself survives (confirmed directly, or via a
+    Trigger verdict when ``trigger_ambiguous`` is set).
     """
 
     event: EventMention
     trigger_ambiguous: bool
-    kept_arguments: tuple[ArgumentMention, ...] = ()
     pending_arguments: tuple[ArgumentMention, ...] = ()
 
 
@@ -254,53 +253,45 @@ class ReflectionResult:
     confirmed_arguments: tuple[ArgumentMention, ...]
 
 
-def _ask(
-    backend: ChatBackend,
-    prompt: str,
-    config: ReflectionConfig,
-    metadata: dict[str, str],
-    parser,
-    fallback,
-    audit: AuditLog | None,
-    phase: str,
-    doc_id: str,
-):
-    request = ChatRequest.user(
-        prompt,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-        length_penalty=config.length_penalty,
-        metadata=metadata,
-    )
-    last_raw = ""
-    for attempt in range(1 + config.retry_limit):
-        try:
-            raw = backend.complete(request)
-        except BackendError as exc:
-            raise OrchestrationError(f"{phase} for doc {doc_id!r}: {exc}") from exc
-        last_raw = raw
-        try:
-            parsed = parser(raw)
-        except ReplyParseError as exc:
-            if audit:
-                audit.record(
-                    phase=phase, doc_id=doc_id, attempt=attempt, prompt=prompt,
-                    reply=raw, outcome=f"parse-error: {exc}", fallback=False,
-                )
-            continue
-        if audit:
-            audit.record(
-                phase=phase, doc_id=doc_id, attempt=attempt, prompt=prompt,
-                reply=raw, outcome="ok", fallback=False,
-            )
-        return parsed
-    logger.warning("%s for doc %s: unparseable after retries, keeping all candidates", phase, doc_id)
-    if audit:
-        audit.record(
-            phase=phase, doc_id=doc_id, attempt=config.retry_limit, prompt=prompt,
-            reply=last_raw, outcome="fallback-keep-all", fallback=True,
-        )
-    return fallback
+def resolve(
+    items: list[ReflectionItem],
+    judge_triggers: Callable[[list[str]], list[bool]],
+    judge_arguments: Callable[[EventMention, list[ArgumentMention]], list[bool]],
+) -> list[ReflectionResult]:
+    """Apply one document's reflection verdicts; one result per item, in order.
+
+    ``judge_triggers(phrases)`` returns one is-a-trigger flag per phrase.
+    It is asked at most once, with the distinct ambiguous trigger phrases
+    in first-seen order. An item survives if its trigger is not ambiguous
+    or its phrase was judged a trigger. ``judge_arguments(event, args)``
+    returns one is-correct flag per argument. It is asked once per trigger
+    id of a surviving item with pending arguments, with the union of those
+    items' pending arguments in first-seen order, one per argument key.
+    Each result confirms its own item's pending arguments that were judged
+    correct. A judge returning the wrong number of flags is a ValueError.
+    """
+    phrases = list(dict.fromkeys(i.event.trigger.text for i in items if i.trigger_ambiguous))
+    is_trigger = dict(zip(phrases, judge_triggers(phrases), strict=True)) if phrases else {}
+    kept = [not item.trigger_ambiguous or is_trigger[item.event.trigger.text] for item in items]
+
+    pending: dict[TriggerId, tuple[EventMention, dict[ArgumentKey, ArgumentMention]]] = {}
+    for item, keep in zip(items, kept):
+        if keep and item.pending_arguments:
+            union = pending.setdefault(trigger_id(item.event), (item.event, {}))[1]
+            for arg in item.pending_arguments:
+                union.setdefault(arg.key, arg)
+    confirmed: dict[TriggerId, set[ArgumentKey]] = {}
+    for tid, (event, union) in pending.items():
+        flags = judge_arguments(event, list(union.values()))
+        confirmed[tid] = {key for key, ok in zip(union, flags, strict=True) if ok}
+
+    results = []
+    for item, keep in zip(items, kept):
+        ok = confirmed[trigger_id(item.event)] if keep and item.pending_arguments else ()
+        results.append(ReflectionResult(
+            item, keep, tuple(arg for arg in item.pending_arguments if arg.key in ok)
+        ))
+    return results
 
 
 def reflect(
@@ -312,76 +303,74 @@ def reflect(
 ) -> list[ReflectionResult]:
     """Resolve ambiguous triggers and arguments for one document.
 
-    Returns one ReflectionResult per item, in input order. Issues at most
-    one trigger prompt (covering every ambiguous trigger phrase) and one
-    argument prompt per surviving trigger that has pending arguments. An
-    empty input returns an empty list with zero backend calls. Reflection
-    never emits an event absent from its input.
+    ``resolve`` with judges that prompt ``backend``: at most one trigger
+    prompt (covering every ambiguous trigger phrase) and one argument
+    prompt per surviving trigger id with pending arguments. An empty input
+    returns an empty list with zero backend calls. Reflection never emits
+    an event absent from its input.
     """
     config = config or ReflectionConfig()
-    if not items:
-        return []
 
-    phrases: list[str] = []
-    spans: list = []
-    for item in items:
-        if item.trigger_ambiguous and item.event.trigger.text not in phrases:
-            phrases.append(item.event.trigger.text)
-            spans.append(item.event.trigger)
-
-    trigger_verdict: TriggerVerdict | None = None
-    if phrases:
-        prompt = build_trigger_prompt(doc, spans)
-        trigger_verdict = _ask(
-            backend,
+    def ask(phase, channel, prompt, candidates, parse, **metadata) -> list[bool]:
+        """``parse(reply)``: one flag per candidate, or all True once the
+        reply is still unparseable after ``config.retry_limit`` retries."""
+        request = ChatRequest.user(
             prompt,
-            config,
+            temperature=config.temperature,
+            max_output_tokens=config.max_output_tokens,
+            length_penalty=config.length_penalty,
             metadata={
                 "doc_id": doc.doc_id,
-                "channel": "reflection:triggers",
-                "candidates": json.dumps(phrases, ensure_ascii=False),
-            },
-            parser=lambda raw: parse_trigger_response(raw, phrases),
-            fallback=TriggerVerdict(tuple((p, TRIGGER_LABEL) for p in phrases)),
-            audit=audit,
-            phase="reflection:triggers",
-            doc_id=doc.doc_id,
-        )
-
-    results: list[ReflectionResult] = []
-    for item in items:
-        kept = True
-        if item.trigger_ambiguous:
-            assert trigger_verdict is not None
-            kept = trigger_verdict.is_trigger(item.event.trigger.text)
-        if not kept or not item.pending_arguments:
-            results.append(ReflectionResult(item, kept, ()))
-            continue
-
-        candidates = [(a.span.text, a.role) for a in item.pending_arguments]
-        tid = trigger_id(item.event)
-        prompt = build_argument_prompt(doc, item.event, list(item.pending_arguments))
-        verdict: ArgumentVerdict = _ask(
-            backend,
-            prompt,
-            config,
-            metadata={
-                "doc_id": doc.doc_id,
-                "channel": f"reflection:arguments:{tid[0]}-{tid[1]}-{tid[2]}",
+                "channel": channel,
                 "candidates": json.dumps(candidates, ensure_ascii=False),
-                "trigger_text": item.event.trigger.text,
-                "trigger_type": item.event.event_type,
+                **metadata,
             },
-            parser=lambda raw: parse_argument_response(raw, candidates),
-            fallback=ArgumentVerdict(tuple((t, r, True) for t, r in candidates)),
-            audit=audit,
-            phase="reflection:arguments",
-            doc_id=doc.doc_id,
         )
-        confirmed = tuple(
-            arg
-            for arg, (_, _, ok) in zip(item.pending_arguments, verdict.entries)
-            if ok
+
+        def note(attempt, reply, outcome, fallback=False):
+            if audit:
+                audit.record(
+                    phase=phase, doc_id=doc.doc_id, attempt=attempt, prompt=prompt,
+                    reply=reply, outcome=outcome, fallback=fallback,
+                )
+
+        raw = ""
+        for attempt in range(1 + config.retry_limit):
+            try:
+                raw = backend.complete(request)
+            except BackendError as exc:
+                raise OrchestrationError(f"{phase} for doc {doc.doc_id!r}: {exc}") from exc
+            try:
+                flags = parse(raw)
+            except ReplyParseError as exc:
+                note(attempt, raw, f"parse-error: {exc}")
+                continue
+            note(attempt, raw, "ok")
+            return flags
+        logger.warning(
+            "%s for doc %s: unparseable after retries, keeping all candidates", phase, doc.doc_id
         )
-        results.append(ReflectionResult(item, True, confirmed))
-    return results
+        note(config.retry_limit, raw, "fallback-keep-all", fallback=True)
+        return [True] * len(candidates)
+
+    def judge_triggers(phrases: list[str]) -> list[bool]:
+        return ask(
+            "reflection:triggers", "reflection:triggers",
+            build_trigger_prompt(doc, phrases), phrases,
+            lambda raw: [
+                verdict == TRIGGER_LABEL
+                for _, verdict in parse_trigger_response(raw, phrases).verdicts
+            ],
+        )
+
+    def judge_arguments(event: EventMention, args: list[ArgumentMention]) -> list[bool]:
+        candidates = [(a.span.text, a.role) for a in args]
+        start, end, event_type = trigger_id(event)
+        return ask(
+            "reflection:arguments", f"reflection:arguments:{start}-{end}-{event_type}",
+            build_argument_prompt(doc, event, args), candidates,
+            lambda raw: [ok for _, _, ok in parse_argument_response(raw, candidates).entries],
+            trigger_text=event.trigger.text, trigger_type=event.event_type,
+        )
+
+    return resolve(items, judge_triggers, judge_arguments)

@@ -11,6 +11,7 @@ from revent import cli
 from revent.cli import RunConfig, main
 from revent.errors import BackendError, ConfigurationError
 from revent.fencing import render_events_answer
+from revent.model import EventMention
 from revent.simulate import OracleProfile, make_synthetic_corpus, synthesize_tagger_predictions
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -424,3 +425,71 @@ def test_oracle_extract_scores_perfect_argument_f1(tmp_path):
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert metrics["trigger_cls"]["f1"] == 1.0
     assert metrics["argument_cls"]["f1"] == 1.0
+
+
+class _SubsetAgents:
+    """Agents that each keep every gold event with p 0.9 and each of its
+    arguments with p 0.8, so one trigger reaches reflection with several
+    argument sets; reflection is answered by the wrapped backend. Records
+    every (doc_id, channel, reply)."""
+
+    def __init__(self, inner, corpus):
+        self.inner = inner
+        self.gold = {doc.doc_id: doc.gold_events for doc in corpus}
+        self.calls = []
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        doc_id, channel = request.metadata["doc_id"], request.metadata["channel"]
+        if channel.startswith("agent:"):
+            rng = random.Random(f"{doc_id}:{channel}")
+            reply = render_events_answer([
+                EventMention(
+                    e.trigger, e.event_type, tuple(a for a in e.arguments if rng.random() < 0.8)
+                )
+                for e in self.gold[doc_id] if rng.random() < 0.9
+            ])
+        else:
+            reply = self.inner.complete(request)
+        with self.lock:
+            self.calls.append((doc_id, channel, reply))
+        return reply
+
+
+def _subset_agents_run(tmp_path, monkeypatch):
+    """One extract run under _SubsetAgents; returns (flags, output dir, backend)."""
+    flags = _write_synthetic(tmp_path / "in", 20, seed=3)
+    backends = []
+
+    def subset_agents(inner, corpus):
+        backends.append(_SubsetAgents(inner, corpus))
+        return backends[-1]
+
+    _wrap_backend(monkeypatch, subset_agents)
+    out = tmp_path / "recorded"
+    assert main(_extract_args(tmp_path, out, **flags)) == 0
+    monkeypatch.undo()
+    (backend,) = backends
+    return flags, out, backend
+
+
+def test_one_argument_prompt_per_trigger_id(tmp_path, monkeypatch):
+    _, _, backend = _subset_agents_run(tmp_path, monkeypatch)
+    asked = [(doc_id, channel) for doc_id, channel, _ in backend.calls
+             if channel.startswith("reflection:arguments:")]
+    assert asked
+    assert len(set(asked)) == len(asked)
+
+
+def test_recorded_run_replays_byte_identically(tmp_path, monkeypatch):
+    flags, recorded, backend = _subset_agents_run(tmp_path, monkeypatch)
+    fixture: dict[str, dict[str, str]] = {}
+    for doc_id, channel, reply in backend.calls:
+        fixture.setdefault(doc_id, {})[channel] = reply
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(fixture), encoding="utf-8")
+    replayed = tmp_path / "replayed"
+    argv = _extract_args(tmp_path, replayed, **{**flags, "--backend": f"replay:{path}"})
+    assert main(argv) == 0
+    for name in ("predictions.jsonl", "audit.jsonl", "metrics.json", "thresholds.json"):
+        assert (replayed / name).read_bytes() == (recorded / name).read_bytes(), name

@@ -140,9 +140,8 @@ def test_parse_agent_output_drops_absent_trigger(nisman_doc):
 
 
 def test_parse_agent_output_no_fence_is_parse_error(nisman_doc):
-    with pytest.raises(ReplyParseError) as exc:
+    with pytest.raises(ReplyParseError):
         parse_agent_output("Events = []", nisman_doc)
-    assert exc.value.raw == "Events = []"
 
 
 def test_parse_agent_output_multi_occurrence_cursor():
@@ -411,6 +410,16 @@ def test_malformed_record_is_a_corpus_format_error_naming_its_line(tmp_path, loa
     # The same file without its bad line loads.
     path.write_text(json.dumps(good) + "\n", encoding="utf-8")
     _LOADERS[loader](path)
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_argument_span_must_slice_back_to_its_surface(tmp_path, loader):
+    rec = _loader_record(loader)
+    rec["events"][0]["arguments"][0]["text"] = "XYZ"  # text[0:3] is "Kim"
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(SpanValidationError, match="XYZ"):
+        _LOADERS[loader](path)
 
 
 @pytest.mark.parametrize("payload", [

@@ -16,6 +16,7 @@ from revent.reflection import (
     parse_argument_response,
     parse_trigger_response,
     reflect,
+    resolve,
 )
 
 
@@ -48,7 +49,7 @@ def test_reflection_config_defaults():
 
 def test_trigger_prompt_contains_template_parts():
     doc = _doc()
-    prompt = build_trigger_prompt(doc, [_span(doc, "dead"), _span(doc, "shot")])
+    prompt = build_trigger_prompt(doc, ["dead", "shot"])
     assert '"dead"' in prompt and '"shot"' in prompt
     assert doc.text in prompt
     assert (
@@ -62,8 +63,8 @@ def test_trigger_prompt_contains_template_parts():
 
 def test_trigger_prompt_single_candidate_same_shape():
     doc = _doc()
-    two = build_trigger_prompt(doc, [_span(doc, "dead"), _span(doc, "shot")])
-    one = build_trigger_prompt(doc, [_span(doc, "dead")])
+    two = build_trigger_prompt(doc, ["dead", "shot"])
+    one = build_trigger_prompt(doc, ["dead"])
     # Identical template; only the candidate lists differ.
     assert one.replace('["dead"]', "@") == two.replace('["dead", "shot"]', "@")
 
@@ -180,11 +181,10 @@ def test_prompt_parse_round_trip_random():
         assert [entry[2] for entry in parsed.entries] == flags
 
 
-def _item(doc, surface, etype, ambiguous, kept=(), pending=()):
+def _item(doc, surface, etype, ambiguous, pending=()):
     return ReflectionItem(
         event=EventMention(_span(doc, surface), etype),
         trigger_ambiguous=ambiguous,
-        kept_arguments=tuple(kept),
         pending_arguments=tuple(pending),
     )
 
@@ -330,3 +330,82 @@ def test_unparseable_replies_fall_back_to_keep_all(payload):
     assert [e["outcome"].split(":")[0] for e in audit.entries] == ["parse-error"] * 2 + [
         "fallback-keep-all", "parse-error", "parse-error", "fallback-keep-all"
     ]
+
+
+_LONG = "x" * 200_000
+
+
+@pytest.mark.parametrize("reply", [
+    pytest.param(f'```ClassificationMap = {{"dead": "{_LONG}"}}```', id="long-verdict"),
+    pytest.param(f'```\n["{_LONG}"]\n```', id="long-entry"),
+    pytest.param(
+        "```\n" + json.dumps([{"text": _LONG, "role": "Target", "is_correct": True}]) + "\n```",
+        id="long-argument-text",
+    ),
+])
+def test_long_unparseable_reply_is_stored_once_per_audit_entry(reply):
+    doc = _doc()
+    pending = [ArgumentMention(_span(doc, "bombing"), "Target")]
+    items = [_item(doc, "dead", "Life:Die", ambiguous=True, pending=pending)]
+    audit = AuditLog()
+    reflect(items, doc, RecordingBackend(lambda req: reply), ReflectionConfig(retry_limit=1), audit)
+    assert [e["outcome"].split(":")[0] for e in audit.entries] == [
+        "parse-error", "parse-error", "fallback-keep-all"
+    ] * 2
+    for entry in audit.entries:
+        assert entry["reply"] == reply
+        assert len(entry["outcome"]) < 300, entry["outcome"][:300]
+
+
+def _per_item_reference(items, trigger_truth, argument_truth):
+    """What each item's verdicts are when it is judged on its own."""
+    results = []
+    for item in items:
+        kept = not item.trigger_ambiguous or trigger_truth[item.event.trigger.text]
+        confirmed = tuple(
+            a for a in item.pending_arguments if kept and argument_truth[item.event, a.key]
+        )
+        results.append((item, kept, confirmed))
+    return results
+
+
+def test_resolve_equals_per_item_verdicts_random():
+    rng = random.Random(8)
+    doc = Document("d", "aa bb cc dd ee ff gg hh")
+    words = doc.text.split()
+    for _ in range(500):
+        items = []
+        for _ in range(rng.randint(0, 8)):
+            trigger = _span(doc, rng.choice(words[:3]))
+            pool = [ArgumentMention(_span(doc, w), rng.choice("AB")) for w in words[3:]]
+            items.append(ReflectionItem(
+                EventMention(trigger, rng.choice(["T1", "T2"])),
+                rng.random() < 0.5,
+                tuple(rng.sample(pool, rng.randint(0, 3))),
+            ))
+        trigger_truth = {w: rng.random() < 0.5 for w in words}
+        argument_truth = {}
+        for item in items:
+            for arg in item.pending_arguments:
+                argument_truth.setdefault((item.event, arg.key), rng.random() < 0.5)
+        trigger_calls, argument_calls = [], []
+
+        def judge_triggers(phrases):
+            trigger_calls.append(phrases)
+            return [trigger_truth[p] for p in phrases]
+
+        def judge_arguments(event, args):
+            argument_calls.append((event, [a.key for a in args]))
+            return [argument_truth[event, a.key] for a in args]
+
+        results = resolve(items, judge_triggers, judge_arguments)
+        assert [(r.item, r.trigger_kept, r.confirmed_arguments) for r in results] == (
+            _per_item_reference(items, trigger_truth, argument_truth)
+        )
+        assert len(trigger_calls) <= 1
+        for phrases in trigger_calls:
+            assert len(set(phrases)) == len(phrases)
+        asked = [event for event, _ in argument_calls]
+        assert len(set(asked)) == len(asked)
+        for _, keys in argument_calls:
+            assert len(set(keys)) == len(keys)
