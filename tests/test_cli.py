@@ -41,6 +41,56 @@ def test_extract_matches_golden_files(data_dir, tmp_path, capsys):
     assert "Trg-I" in out
 
 
+def test_extract_thresholds_and_summary_match_golden_files(data_dir, tmp_path):
+    argv = _extract_args(data_dir, tmp_path)
+    assert main(argv) == 0
+    assert (tmp_path / "thresholds.json").read_bytes() == (GOLDEN / "thresholds.json").read_bytes()
+    # "backend" holds this run's fixture path; the golden file has the
+    # descriptor of a run from the repo root.
+    summary = (tmp_path / "run_summary.json").read_text(encoding="utf-8")
+    backend = json.dumps(argv[argv.index("--backend") + 1])
+    assert summary.count(backend) == 1
+    masked = summary.replace(backend, json.dumps("replay:tests/data/replay.json"))
+    assert masked == (GOLDEN / "run_summary.json").read_text(encoding="utf-8")
+
+
+def test_tune_thresholds_file_and_stdout_match_golden_file(data_dir, tmp_path, capsys):
+    out = tmp_path / "tuned.json"
+    code = main([
+        "tune-thresholds",
+        "--corpus", str(data_dir / "corpus.jsonl"),
+        "--tagger-preds", str(data_dir / "tagger.jsonl"),
+        "--backend", f"replay:{data_dir / 'replay.json'}",
+        "--grid-step", "0.1",
+        "--out", str(out),
+    ])
+    assert code == 0
+    golden = (GOLDEN / "tune_thresholds.json").read_bytes()
+    assert out.read_bytes() == golden
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_simulate_report_matches_golden_file(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--out", str(out)]) == 0
+    golden = (GOLDEN / "simulate.json").read_bytes()
+    assert out.read_bytes() == golden
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_evaluate_golden_predictions_writes_golden_metrics(data_dir, tmp_path, capsys):
+    out = tmp_path / "metrics.json"
+    code = main([
+        "evaluate",
+        "--corpus", str(data_dir / "corpus.jsonl"),
+        "--predictions", str(GOLDEN / "predictions.jsonl"),
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "metrics.json").read_bytes()
+    assert "Trg-I" in capsys.readouterr().out
+
+
 def test_extract_twice_is_byte_identical(data_dir, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(_extract_args(data_dir, out1)) == 0
