@@ -25,6 +25,7 @@ from .fencing import (
     render_classification_map,
     render_events_answer,
 )
+from .ingest import read_json_document
 from .model import Document, gold_argument_verdicts, gold_trigger_verdicts
 
 __all__ = [
@@ -141,7 +142,8 @@ class ReplayBackend:
     The fixture maps doc_id -> channel -> reply text, where the channel is
     the request metadata's routing string (``agent:1``,
     ``reflection:triggers``, ``reflection:arguments:<trigger>``). Missing
-    entries raise BackendError so a fixture gap never passes silently.
+    entries raise BackendError so a fixture gap never passes silently; a
+    fixture file of any other shape is a ConfigurationError.
     """
 
     def __init__(self, replies: Mapping[str, Mapping[str, str]]):
@@ -149,8 +151,12 @@ class ReplayBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        def decode(replies: dict) -> "ReplayBackend":
+            if not all(isinstance(r, str) for chans in replies.values() for r in chans.values()):
+                raise TypeError("every reply must be a string under a doc_id and a channel")
+            return cls(replies)
+
+        return read_json_document(path, decode)
 
     def complete(self, request: ChatRequest) -> str:
         doc_id = request.metadata.get(DOC_KEY)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .ensemble import VoteLedger
 from .errors import ConfigurationError
-from .ingest import write_text_atomic
+from .ingest import read_json_document, write_json_atomic
 from .model import ArgumentKey, ArgumentMention, EventMention, TriggerId
 
 __all__ = [
@@ -173,14 +173,11 @@ def filter_disagreements(dis, thresholds: ThresholdTriple) -> Partition:
 
 
 def save_threshold_set(thresholds: ThresholdSet, path: str | Path) -> None:
-    write_text_atomic(
-        Path(path), json.dumps(thresholds.as_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json_atomic(path, thresholds.as_dict())
 
 
 def load_threshold_set(path: str | Path) -> ThresholdSet:
-    with open(path, encoding="utf-8") as fh:
-        return ThresholdSet.from_dict(json.load(fh))
+    return read_json_document(path, ThresholdSet.from_dict)
 
 
 def bundled_thresholds(model: str, dataset: str, temperature: float | str) -> ThresholdSet:
@@ -192,7 +189,10 @@ def bundled_thresholds(model: str, dataset: str, temperature: float | str) -> Th
     table = json.loads(
         resources.files("revent.data").joinpath("thresholds.json").read_text("utf-8")
     )
-    temp_key = f"{float(temperature):g}"
+    try:
+        temp_key = f"{float(temperature):g}"
+    except ValueError as exc:
+        raise ConfigurationError(f"temperature {temperature!r} is not a number") from exc
     try:
         trig = table["trigger"][model.lower()][dataset.lower()][temp_key]
         arg = table["argument"][model.lower()][dataset.lower()][temp_key]

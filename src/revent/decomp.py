@@ -35,6 +35,7 @@ from typing import Any, Callable
 
 from .errors import ContractError
 from .fencing import events_to_payload, parse_answer, render_answer
+from .ingest import open_atomic
 from .model import Document, EventMention, Span, occurrences
 
 __all__ = [
@@ -655,6 +656,7 @@ def generate_dataset(
 
 
 def write_dataset(records: list[InstructionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Stream the records to ``path`` as JSON lines, whole or not at all."""
+    with open_atomic(path) as fh:
         for record in records:
             fh.write(json.dumps(record.to_record(), ensure_ascii=False) + "\n")

@@ -16,8 +16,11 @@ All three loaders read through one record reader, so every malformed line
 (bad JSON, a non-object, a missing field or a value of the wrong type) is a
 CorpusFormatError naming its line number; a span that does not slice back
 to its surface is a SpanValidationError and an unknown doc_id an
-UnknownDocumentError. Output artifacts are written whole or not at all
-(write_text_atomic).
+UnknownDocumentError. A configuration file (thresholds, replay fixture,
+scenario) holds one JSON object and is read by read_json_document, so any
+fault in it is a ConfigurationError naming the file. Output artifacts are
+written whole or not at all (open_atomic), and every JSON report has one
+format (json_report).
 
 Agent replies are free text containing one fenced block:
     ```Events = [{"trigger": str, "type": str,
@@ -45,11 +48,12 @@ import json
 import os
 import tempfile
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .errors import CorpusFormatError, ReplyParseError, UnknownDocumentError, short_repr
+from .errors import ConfigurationError, CorpusFormatError, ReplyParseError, UnknownDocumentError, short_repr
 from .fencing import parse_answer
 from .model import ArgumentMention, Document, EventMention, Span, occurrences
 
@@ -60,6 +64,10 @@ __all__ = [
     "load_tagger_predictions",
     "load_final_predictions",
     "parse_agent_output",
+    "read_json_document",
+    "json_report",
+    "open_atomic",
+    "write_json_atomic",
     "write_text_atomic",
 ]
 
@@ -109,6 +117,19 @@ def _event_from_record(rec: dict) -> EventMention:
     return EventMention(trig, rec["type"], args)
 
 
+def _json_object(text: str, what: str) -> dict:
+    """``text`` parsed as one JSON object; anything else is a ValueError
+    saying why, with ``what`` naming the text."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise ValueError(f"invalid JSON: {reason}") from exc
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is a JSON {type(value).__name__}, not an object")
+    return value
+
+
 def _read_records(path: str | Path, decode, corpus: list[Document] | None = None) -> list:
     """Decode every non-blank line of a JSON-lines file; return the values.
 
@@ -129,12 +150,9 @@ def _read_records(path: str | Path, decode, corpus: list[Document] | None = None
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also too long an integer, too deep
-                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-                raise CorpusFormatError(f"invalid JSON: {reason}", line=lineno) from exc
-            if not isinstance(rec, dict):
-                raise CorpusFormatError(f"record is a JSON {type(rec).__name__}, not an object", line=lineno)
+                rec = _json_object(line, "record")
+            except ValueError as exc:
+                raise CorpusFormatError(str(exc), line=lineno) from exc
             try:
                 if by_id is None:
                     value = decode(rec)
@@ -153,6 +171,22 @@ def _read_records(path: str | Path, decode, corpus: list[Document] | None = None
                 raise CorpusFormatError(f"malformed record: {exc}", line=lineno) from exc
             values.append(value)
     return values
+
+
+def read_json_document(path: str | Path, decode):
+    """``decode(value)`` for the one JSON object a configuration file holds.
+
+    Bad JSON or UTF-8, a top level that is not an object, or a KeyError,
+    TypeError, ValueError, AttributeError or ConfigurationError raised while
+    decoding becomes a ConfigurationError naming ``path``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return decode(_json_object(fh.read(), "the top level"))
+        except KeyError as exc:
+            raise ConfigurationError(f"{path}: missing key {exc}") from exc
+        except (ConfigurationError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def load_corpus(path: str | Path) -> list[Document]:
@@ -346,15 +380,36 @@ def parse_agent_output(
     return events
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over."""
+def json_report(value) -> str:
+    """``value`` as indented, key-sorted JSON ending in a newline: the format
+    of every JSON report a run writes or prints."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def write_json_atomic(path: str | Path, value) -> None:
+    """``write_text_atomic`` of ``json_report(value)``."""
+    write_text_atomic(path, json_report(value))
+
+
+@contextmanager
+def open_atomic(path: str | Path):
+    """A text handle on a temp file beside ``path``, renamed over ``path``
+    when the block ends; if it raises, the temp file is removed and
+    ``path`` is left as it was."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all (``open_atomic``)."""
+    with open_atomic(path) as fh:
+        fh.write(text)

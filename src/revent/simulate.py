@@ -11,14 +11,14 @@ any model.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .confidence import ThresholdSet
 from .ensemble import VoteLedger, cleanup_predictions, fold_votes
-from .errors import ConfigurationError
-from .ingest import TaggerPrediction
+from .errors import ConfigurationError, short_repr
+from .ingest import TaggerPrediction, read_json_document
 from .model import ArgumentMention, Document, EventMention, Span, occurrences
 
 __all__ = [
@@ -250,10 +250,23 @@ def default_scenario() -> dict:
 
 
 def load_scenario(path: str | Path) -> dict:
-    base = default_scenario()
-    with open(path, encoding="utf-8") as fh:
-        base.update(json.load(fh))
-    return base
+    """The default scenario with the top-level keys a JSON object file sets
+    replaced; each value must have its default's type (any number for a
+    float) and the profiles and thresholds must build, else ConfigurationError."""
+
+    def decode(data: dict) -> dict:
+        scenario = {**default_scenario(), **data}
+        for key, default in default_scenario().items():
+            value = scenario[key]
+            kinds = (int, float) if isinstance(default, float) else type(default)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{key!r} must be a {type(default).__name__}, got {short_repr(value)}")
+        OracleProfile(**scenario["tagger"])
+        OracleProfile(**scenario["agents"])
+        ThresholdSet.from_dict(scenario["thresholds"])
+        return scenario
+
+    return read_json_document(path, decode)
 
 
 def run_scenario(scenario: dict) -> dict:
@@ -263,7 +276,6 @@ def run_scenario(scenario: dict) -> dict:
     oracle reflection), so the complementarity claim - the combined F1
     exceeds both standalone F1s - is directly checkable from the report.
     """
-    from .confidence import ThresholdSet
     from .metrics import gold_from_corpus, score_predictions
     from .pipeline import extract_document, oracle_reflector
 

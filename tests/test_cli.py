@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from revent import cli
-from revent.cli import RunConfig, main
-from revent.errors import BackendError, ConfigurationError
+from revent.cli import main
+from revent.errors import BackendError
 from revent.fencing import render_events_answer
 from revent.model import EventMention
 from revent.simulate import OracleProfile, make_synthetic_corpus, synthesize_tagger_predictions
@@ -114,36 +114,76 @@ def test_extract_missing_tagger_file_nonzero_exit(data_dir, tmp_path, capsys):
     assert json.loads(err)["error"]
 
 
-def test_run_config_requires_exactly_one_threshold_source(data_dir, tmp_path):
-    with pytest.raises(ConfigurationError):
-        RunConfig(
-            corpus=data_dir / "corpus.jsonl",
-            tagger_preds=data_dir / "tagger.jsonl",
-            backend="oracle",
-            out_dir=tmp_path,
-        )
-    with pytest.raises(ConfigurationError):
-        RunConfig(
-            corpus=data_dir / "corpus.jsonl",
-            tagger_preds=data_dir / "tagger.jsonl",
-            backend="oracle",
-            out_dir=tmp_path,
-            thresholds_path="x.json",
-            tune_corpus=data_dir / "corpus.jsonl",
-        )
+def _assert_configuration_error(argv, out, capsys, match):
+    """``main(argv)`` exits 2 with a JSON ConfigurationError naming ``match``
+    and leaves ``out`` without files."""
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ConfigurationError"
+    assert match in error["message"]
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_run_config_requires_exactly_one_threshold_source(data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = _extract_args(data_dir, out, **{"--backend": "oracle"})
+    del argv[argv.index("--thresholds"):argv.index("--thresholds") + 2]
+    _assert_configuration_error(argv, out, capsys, "threshold source")
+    argv += ["--thresholds", "x.json", "--tune", str(data_dir / "corpus.jsonl")]
+    _assert_configuration_error(argv, out, capsys, "threshold source")
 
 
 @pytest.mark.parametrize("parallelism", [0, -3])
-def test_run_config_rejects_parallelism_below_one(data_dir, tmp_path, parallelism):
-    with pytest.raises(ConfigurationError, match="parallelism"):
-        RunConfig(
-            corpus=data_dir / "corpus.jsonl",
-            tagger_preds=data_dir / "tagger.jsonl",
-            backend="oracle",
-            out_dir=tmp_path,
-            thresholds_path="builtin:llama-3.1/m2e2/0.9",
-            parallelism=parallelism,
-        )
+def test_run_config_rejects_parallelism_below_one(data_dir, tmp_path, capsys, parallelism):
+    out = tmp_path / "out"
+    argv = _extract_args(data_dir, out, **{"--backend": "oracle", "--parallelism": str(parallelism)})
+    _assert_configuration_error(argv, out, capsys, "parallelism")
+
+
+def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = _extract_args(tmp_path / "missing", out, **{"--tune": str(tmp_path / "missing.jsonl")})
+    _assert_configuration_error(argv, out, capsys, "threshold source")
+    argv = _extract_args(tmp_path / "missing", out, **{"--parallelism": "0"})
+    _assert_configuration_error(argv, out, capsys, "parallelism")
+    argv = _extract_args(tmp_path / "missing", out, **{"--agents": "0"})
+    _assert_configuration_error(argv, out, capsys, "agents")
+    argv = ["tune-thresholds", "--corpus", str(tmp_path / "missing.jsonl"),
+            "--tagger-preds", str(tmp_path / "missing.jsonl"), "--backend", "oracle",
+            "--parallelism", "0", "--out", str(out / "thresholds.json")]
+    _assert_configuration_error(argv, out, capsys, "parallelism")
+
+
+# Configuration files and descriptors that are wrong in content, by shape
+# or by type: (file content or None, flags with {path} for the file).
+BAD_CONFIGURATIONS = {
+    "builtin-temperature-not-a-number": (None, {"--thresholds": "builtin:llama-3.1/m2e2/abc"}),
+    "thresholds-wrong-type": ('{"trigger": 5}', {"--thresholds": "{path}"}),
+    "thresholds-not-json": ("{oops", {"--thresholds": "{path}"}),
+    "replay-not-json": ("{oops", {"--backend": "replay:{path}"}),
+    "replay-not-an-object": ("[1, 2]", {"--backend": "replay:{path}"}),
+    "replay-reply-not-a-string": ('{"gandhi": {"agent:1": 5}}', {"--backend": "replay:{path}"}),
+    "scenario-not-json": ("{oops", {"--scenario": "{path}"}),
+    "scenario-not-an-object": ("[1, 2]", {"--scenario": "{path}"}),
+    "scenario-wrong-type": ('{"n_docs": "x"}', {"--scenario": "{path}"}),
+    "scenario-missing-key": ('{"thresholds": {"trigger": {}}}', {"--scenario": "{path}"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGURATIONS))
+def test_bad_configuration_exits_2_with_json_error(data_dir, tmp_path, capsys, case):
+    content, flags = BAD_CONFIGURATIONS[case]
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    flags = {key: value.format(path=path) for key, value in flags.items()}
+    out = tmp_path / "out"
+    if "--scenario" in flags:
+        argv = ["simulate", "--scenario", flags["--scenario"], "--out", str(out / "report.json")]
+    else:
+        argv = _extract_args(data_dir, out, **flags)
+    match = "abc" if content is None else str(path)
+    _assert_configuration_error(argv, out, capsys, match)
 
 
 def test_tune_thresholds_rejects_parallelism_below_one(data_dir, tmp_path, capsys):

@@ -319,6 +319,23 @@ def test_write_dataset_jsonl(tmp_path):
     assert first["variant"] == "trigger_detection_only"
 
 
+def test_write_dataset_failure_keeps_the_old_file(tmp_path):
+    corpus = make_synthetic_corpus(3, seed=1)
+    records = generate_dataset(corpus, variants={TaskVariant.TRIGGER_DETECTION}, seed=0)
+    out = tmp_path / "decomp.jsonl"
+    write_dataset(records[:1], out)
+    before = out.read_bytes()
+
+    class Broken:
+        def to_record(self):
+            raise RuntimeError("record cannot be serialised")
+
+    with pytest.raises(RuntimeError, match="serialised"):
+        write_dataset([*records, Broken(), *records], out)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["decomp.jsonl"]
+
+
 def test_trigger_detection_only_never_samples_negatives(monkeypatch):
     import revent.decomp as decomp
 
