@@ -21,6 +21,7 @@ __all__ = [
     "MatchReport",
     "match_triggers",
     "match_arguments",
+    "overlap_in_range",
 ]
 
 Mention = EventMention | ArgumentMention
@@ -49,6 +50,11 @@ class MatchReport:
     tagger_only: tuple[Mention, ...]
 
 
+def overlap_in_range(threshold: float) -> bool:
+    """Whether ``threshold`` is a usable overlap threshold: in (0, 1]."""
+    return 0.0 < threshold <= 1.0
+
+
 def _match(smoa: list, tagger: list, label: str, span: str, threshold: float) -> MatchReport:
     """Greedy maximum-overlap one-to-one matching on attributes ``label`` and ``span``.
 
@@ -57,7 +63,7 @@ def _match(smoa: list, tagger: list, label: str, span: str, threshold: float) ->
     earliest ensemble span, then input order. Every input item lands in
     exactly one of the report's three lists.
     """
-    if not 0.0 < threshold <= 1.0:
+    if not overlap_in_range(threshold):
         raise ContractError(f"overlap threshold must be in (0, 1], got {threshold}")
     s_items = [(getattr(s, label), getattr(s, span)) for s in smoa]
     t_items = [(getattr(t, label), getattr(t, span)) for t in tagger]

@@ -42,6 +42,11 @@ _ROLES = frozenset({"system", "user", "assistant"})
 # Client errors worth another attempt: request timeout and rate limiting.
 _RETRIED_4XX = frozenset({408, 429})
 
+# The retry schedule of HttpChatBackend (see its docstring).
+_TIMEOUT_S = 120.0
+_MAX_ATTEMPTS = 3
+_BACKOFF_S = 0.5
+
 CHANNEL_KEY = "channel"
 DOC_KEY = "doc_id"
 
@@ -79,25 +84,15 @@ class HttpChatBackend:
 
     Credentials come from the environment (default variable REVENT_API_KEY)
     and are sent as a bearer token when present. Connection errors, malformed
-    replies and HTTP 408, 429 and 5xx are retried with exponential backoff
+    replies and HTTP 408, 429 and 5xx are retried: 3 attempts of up to
+    120 s each, sleeping 0.5 s before the second and 1.0 s before the third,
     before raising BackendError; any other 4xx raises it at once.
     """
 
-    def __init__(
-        self,
-        url: str,
-        model: str = "default",
-        api_key_env: str = "REVENT_API_KEY",
-        timeout: float = 120.0,
-        max_attempts: int = 3,
-        backoff: float = 0.5,
-    ):
+    def __init__(self, url: str, model: str = "default", api_key_env: str = "REVENT_API_KEY"):
         self.url = url
         self.model = model
         self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff = backoff
 
     def complete(self, request: ChatRequest) -> str:
         body: dict = {
@@ -115,12 +110,12 @@ class HttpChatBackend:
             headers["Authorization"] = f"Bearer {api_key}"
 
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(_BACKOFF_S * 2 ** (attempt - 1))
             req = urllib.request.Request(self.url, data=data, headers=headers)
             try:
-                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                with urllib.request.urlopen(req, timeout=_TIMEOUT_S) as resp:
                     reply = json.loads(resp.read().decode("utf-8"))
                 return str(reply["content"])
             except urllib.error.HTTPError as exc:
@@ -132,7 +127,7 @@ class HttpChatBackend:
             except (urllib.error.URLError, OSError, json.JSONDecodeError, KeyError) as exc:
                 last_error = exc
         raise BackendError(
-            f"chat endpoint {self.url} failed after {self.max_attempts} attempts: {last_error}"
+            f"chat endpoint {self.url} failed after {_MAX_ATTEMPTS} attempts: {last_error}"
         )
 
 

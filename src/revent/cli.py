@@ -3,11 +3,12 @@
 Subcommands: extract (run the full pipeline and write predictions, metrics,
 and the reflection audit log), tune-thresholds, evaluate, gen-decomp, and
 simulate. Each runs from its parsed arguments. ``main`` checks the flags
-(``--parallelism``, ``--agents``, and extract's one threshold source) before
-any input is read; every bad input after parsing, configuration files
-included, exits 2 with a JSON error on stderr. All reports are JSON, in the
-one format of ``ingest.json_report``; files are written once, atomically,
-at the end of a run.
+(``--parallelism``, ``--agents``, ``--overlap-threshold``, ``--grid-step``
+where it is read, and extract's one threshold source) before any input is
+read, and so before any backend call; every bad input after parsing,
+configuration files included, exits 2 with a JSON error on stderr. All
+reports are JSON, in the one format of ``ingest.json_report``; files are
+written once, atomically, at the end of a run.
 
 ``--parallelism`` bounds the backend calls in flight across the whole run.
 ``_run_agents`` is the one agent fan-out, for extract and for tuning:
@@ -30,6 +31,7 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from pathlib import Path
 
 from . import decomp, simulate
+from .agreement import overlap_in_range
 from .backends import make_backend
 from .confidence import ThresholdSet, bundled_thresholds, load_threshold_set, save_threshold_set
 from .decomp import TaskVariant, generate_dataset, write_dataset
@@ -40,7 +42,7 @@ from .ingest import write_json_atomic, write_text_atomic
 from .metrics import gold_from_corpus, score_predictions
 from .pipeline import backend_reflector, extract_document
 from .reflection import AuditLog, ReflectionConfig
-from .tuning import DevPredictions, tune_thresholds
+from .tuning import DevPredictions, grid_step_in_range, tune_thresholds
 
 _GATE_FLAGS = {"trgC": "trg-c", "trgI": "trg-i"}
 
@@ -57,6 +59,13 @@ def _check_flags(args) -> None:
             )
         if args.tune is not None and args.tune_tagger_preds is None:
             raise ConfigurationError("--tune requires --tune-tagger-preds")
+    if "overlap_threshold" in args and not overlap_in_range(args.overlap_threshold):
+        raise ConfigurationError(
+            f"--overlap-threshold must be in (0, 1], got {args.overlap_threshold}"
+        )
+    tunes = args.command == "tune-thresholds" or getattr(args, "tune", None) is not None
+    if tunes and not grid_step_in_range(args.grid_step):
+        raise ConfigurationError(f"--grid-step must be positive and finite, got {args.grid_step}")
 
 
 def _resolve_thresholds(source: str) -> ThresholdSet:

@@ -119,14 +119,6 @@ class Partition:
     removed: tuple
     reflect: tuple
 
-    def __len__(self) -> int:
-        return (
-            len(self.retained_tagger)
-            + len(self.retained_smoa)
-            + len(self.removed)
-            + len(self.reflect)
-        )
-
 
 def smoa_confidence(
     ledger: VoteLedger,

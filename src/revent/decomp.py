@@ -91,8 +91,7 @@ class InstructionRecord:
 
 def parse_record_answer(record: InstructionRecord):
     """Parse a record's fenced answer back to its payload (round-trip)."""
-    _, payload = parse_answer(record.answer, expected_key=ANSWER_KEYS[record.variant])
-    return payload
+    return parse_answer(record.answer, ANSWER_KEYS[record.variant])
 
 
 # --- prompt canon ---------------------------------------------------------

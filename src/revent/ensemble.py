@@ -35,23 +35,24 @@ __all__ = [
 ]
 
 
+# The output-token limit of every agent request.
+_MAX_OUTPUT_TOKENS = 4096
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     agent_id: int
     temperature: float = 0.9
-    max_output_tokens: int = 4096
 
     def __post_init__(self):
         if self.agent_id < 1:
             raise ConfigurationError("agent ids start at 1")
         if self.temperature < 0:
             raise ConfigurationError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ConfigurationError("max_output_tokens must be positive")
 
 
-def default_agents(n: int, temperature: float = 0.9, max_output_tokens: int = 4096) -> list[AgentConfig]:
-    return [AgentConfig(i, temperature, max_output_tokens) for i in range(1, n + 1)]
+def default_agents(n: int, temperature: float = 0.9) -> list[AgentConfig]:
+    return [AgentConfig(i, temperature) for i in range(1, n + 1)]
 
 
 class VoteLedger:
@@ -130,7 +131,7 @@ def run_self_moa(
         request = ChatRequest.user(
             prompt,
             temperature=agent.temperature,
-            max_output_tokens=agent.max_output_tokens,
+            max_output_tokens=_MAX_OUTPUT_TOKENS,
             metadata={"doc_id": doc.doc_id, "channel": f"agent:{agent.agent_id}"},
         )
         for attempt in (0, 1):

@@ -38,22 +38,21 @@ def render_answer(key: str, value) -> str:
     return render_fence(f"{key} = {json.dumps(value, ensure_ascii=False)}")
 
 
-def parse_answer(raw: str, expected_key: str | None = None) -> tuple[str, object]:
-    """Parse a fenced ``Key = <value>`` answer back to (key, value).
+def parse_answer(raw: str, expected_key: str) -> object:
+    """Parse a fenced ``Key = <value>`` answer whose key is ``expected_key``
+    back to its value.
 
     The value is decoded as JSON first; Python literal syntax (single
     quotes, True/False) is accepted as a fallback so near-miss model output
     still parses. Raises ReplyParseError on a missing fence, a malformed
-    body, or a key mismatch.
+    body, or any other key.
     """
     body = extract_fenced_block(raw)
     eq = body.find("=")
     if eq < 0:
         raise ReplyParseError(f"fenced body has no 'Key =' assignment: {short_repr(body)}")
     key = body[:eq].strip()
-    if not key or not key.isidentifier():
-        raise ReplyParseError(f"malformed answer key {short_repr(key)}")
-    if expected_key is not None and key != expected_key:
+    if key != expected_key:
         raise ReplyParseError(f"expected top-level key {expected_key!r}, got {short_repr(key)}")
     payload = body[eq + 1:].strip()
     # Besides JSONDecodeError, json.loads raises ValueError on an integer
@@ -67,7 +66,7 @@ def parse_answer(raw: str, expected_key: str | None = None) -> tuple[str, object
             value = ast.literal_eval(payload)
         except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
             raise ReplyParseError(f"unparseable answer payload: {short_repr(payload)}") from None
-    return key, value
+    return value
 
 
 def events_to_payload(events) -> list[dict]:

@@ -13,14 +13,16 @@ tagger prediction record
     "confidence" on each argument.
 
 All three loaders read through one record reader, so every malformed line
-(bad JSON, a non-object, a missing field or a value of the wrong type) is a
-CorpusFormatError naming its line number; a span that does not slice back
-to its surface is a SpanValidationError and an unknown doc_id an
-UnknownDocumentError. A configuration file (thresholds, replay fixture,
-scenario) holds one JSON object and is read by read_json_document, so any
-fault in it is a ConfigurationError naming the file. Output artifacts are
-written whole or not at all (open_atomic), and every JSON report has one
-format (json_report).
+(bad JSON, a non-object, a missing field or a value of the wrong type: an
+offset that is not a JSON integer, a "type" or "role" that is not a
+non-empty string) is a CorpusFormatError naming its line number, and so
+is a repeated doc_id in a corpus or final-predictions file; a span that
+does not slice back to its surface is a SpanValidationError and an unknown
+doc_id an UnknownDocumentError. A configuration file (thresholds, replay
+fixture, scenario) holds one JSON object and is read by
+read_json_document, so any fault in it is a ConfigurationError naming the
+file. Output artifacts are written whole or not at all (open_atomic), and
+every JSON report has one format (json_report).
 
 Agent replies are free text containing one fenced block:
     ```Events = [{"trigger": str, "type": str,
@@ -35,18 +37,18 @@ text here, by a per-document ``Grounding``:
 - a surface that does not occur at all drops its event (for triggers) or
   just itself (for arguments).
 Every item's shape is checked whether or not its trigger occurs, so a
-malformed reply is malformed against every document; an argument role must
-be a non-empty string. Grounding an item is a pure function of (document, trigger
-surface, k, type, argument set), so one ``Grounding`` indexes each
-surface's ``model.occurrences`` once and memoises each grounded event for
-every reply about that document.
+malformed reply is malformed against every document; an event type and an
+argument role must be non-empty strings. Grounding an item is a pure
+function of (document, trigger surface, k, type, argument set), so one
+``Grounding`` indexes each surface's ``model.occurrences`` once and
+memoises each grounded event for every reply about that document.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -102,19 +104,30 @@ class TaggerPrediction:
 
 
 def _span_from_record(rec: dict, what: str) -> Span:
+    start, end = rec["start"], rec["end"]
+    # bool is a subclass of int, but JSON true/false is no offset.
+    if type(start) is not int or type(end) is not int:
+        raise CorpusFormatError(f"{what} offsets are not JSON integers: {short_repr(rec)}")
     try:
-        return Span(rec["text"], int(rec["start"]), int(rec["end"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return Span(rec["text"], start, end)
+    except (TypeError, ValueError) as exc:
         raise CorpusFormatError(f"malformed {what} span {rec!r}: {exc}") from exc
+
+
+def _label(rec: dict, field: str) -> str:
+    value = rec[field]
+    if not isinstance(value, str) or not value:
+        raise CorpusFormatError(f"{field} is not a non-empty string: {short_repr(value)}")
+    return value
 
 
 def _event_from_record(rec: dict) -> EventMention:
     trig = _span_from_record(rec["trigger"], "trigger")
     args = tuple(
-        ArgumentMention(_span_from_record(a, "argument"), a["role"])
+        ArgumentMention(_span_from_record(a, "argument"), _label(a, "role"))
         for a in rec.get("arguments", ())
     )
-    return EventMention(trig, rec["type"], args)
+    return EventMention(trig, _label(rec, "type"), args)
 
 
 def _json_object(text: str, what: str) -> dict:
@@ -250,9 +263,14 @@ def load_final_predictions(
     path: str | Path, corpus: list[Document]
 ) -> dict[str, list[EventMention]]:
     """Load a pipeline prediction file (corpus event schema, provenance
-    fields tolerated and ignored) keyed by doc_id."""
+    fields tolerated and ignored) keyed by doc_id; a repeated doc_id is a
+    CorpusFormatError."""
+    seen: set[str] = set()
 
     def decode(rec: dict, doc: Document) -> list[EventMention]:
+        if doc.doc_id in seen:
+            raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
         events = [_event_from_record(e) for e in rec.get("events", ())]
         for event in events:
             doc.check_event(event)
@@ -335,8 +353,9 @@ def parse_agent_output(
     Events whose trigger surface does not occur anywhere in the text are
     dropped (span validation); so are individual non-occurring arguments.
     Raises ReplyParseError when there is no fence, the payload is not the
-    expected shape, or an argument role is not a non-empty string, whether
-    or not the item's trigger occurs - the caller decides the retry policy.
+    expected shape, or an event type or argument role is not a non-empty
+    string, whether or not the item's trigger occurs - the caller decides
+    the retry policy.
 
     ``grounding`` shares one document's occurrence index and event memo
     across replies; by default each call builds a fresh one.
@@ -345,7 +364,7 @@ def parse_agent_output(
         grounding = Grounding(doc)
     elif grounding.doc is not doc:
         raise ValueError(f"grounding for doc {grounding.doc.doc_id!r} used on {doc.doc_id!r}")
-    _, payload = parse_answer(raw, expected_key="Events")
+    payload = parse_answer(raw, "Events")
     if not isinstance(payload, list):
         raise ReplyParseError(f"Events payload is not a list: {short_repr(payload)}")
 
@@ -356,6 +375,9 @@ def parse_agent_output(
         # so a malformed reply is malformed against every document.
         if not isinstance(item, dict) or "trigger" not in item or "type" not in item:
             raise ReplyParseError(f"malformed event item: {short_repr(item)}")
+        event_type = item["type"]
+        if not isinstance(event_type, str) or not event_type:
+            raise ReplyParseError(f"event type is not a non-empty string: {short_repr(item)}")
         arguments = item.get("arguments", ())
         if not isinstance(arguments, (list, tuple)):
             raise ReplyParseError(f"arguments is not a list: {short_repr(item)}")
@@ -376,7 +398,7 @@ def parse_agent_output(
             continue
         k = mentions.get(trigger, 0)
         mentions[trigger] = k + 1
-        events.append(grounding.event(trigger, k % n, str(item["type"]), frozenset(args)))
+        events.append(grounding.event(trigger, k % n, event_type, frozenset(args)))
     return events
 
 
@@ -395,10 +417,11 @@ def write_json_atomic(path: str | Path, value) -> None:
 def open_atomic(path: str | Path):
     """A text handle on a temp file beside ``path``, renamed over ``path``
     when the block ends; if it raises, the temp file is removed and
-    ``path`` is left as it was."""
+    ``path`` is left as it was. The file's mode is 0666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh

@@ -110,12 +110,9 @@ def oracle_reflector(doc: Document, items: list[ReflectionItem]) -> list[Reflect
     )
 
 
-def backend_reflector(
-    backend: ChatBackend,
-    config: ReflectionConfig | None = None,
-    audit: AuditLog | None = None,
-) -> Reflector:
-    """The live reflector: structured prompts against a chat backend."""
+def backend_reflector(backend: ChatBackend, config: ReflectionConfig, audit: AuditLog) -> Reflector:
+    """The live reflector: structured prompts against a chat backend,
+    every exchange recorded in ``audit``."""
 
     def run(doc: Document, items: list[ReflectionItem]) -> list[ReflectionResult]:
         return reflect(items, doc, backend, config, audit)

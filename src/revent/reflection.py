@@ -175,7 +175,7 @@ def parse_trigger_response(raw: str, candidates: list[str]) -> TriggerVerdict:
     Candidates missing from the map are kept as Trigger (the fallback
     decision); phrases in the map that were never queried are ignored.
     """
-    _, payload = parse_answer(raw, expected_key="ClassificationMap")
+    payload = parse_answer(raw, "ClassificationMap")
     if not isinstance(payload, dict):
         raise ReplyParseError(f"ClassificationMap is not a mapping: {short_repr(payload)}")
     verdict_map = {str(k): _normalize_verdict(v) for k, v in payload.items()}
@@ -298,8 +298,8 @@ def reflect(
     items: list[ReflectionItem],
     doc: Document,
     backend: ChatBackend,
-    config: ReflectionConfig | None = None,
-    audit: AuditLog | None = None,
+    config: ReflectionConfig,
+    audit: AuditLog,
 ) -> list[ReflectionResult]:
     """Resolve ambiguous triggers and arguments for one document.
 
@@ -307,9 +307,8 @@ def reflect(
     prompt (covering every ambiguous trigger phrase) and one argument
     prompt per surviving trigger id with pending arguments. An empty input
     returns an empty list with zero backend calls. Reflection never emits
-    an event absent from its input.
+    an event absent from its input. Every exchange is recorded in ``audit``.
     """
-    config = config or ReflectionConfig()
 
     def ask(phase, channel, prompt, candidates, parse, **metadata) -> list[bool]:
         """``parse(reply)``: one flag per candidate, or all True once the
@@ -328,11 +327,10 @@ def reflect(
         )
 
         def note(attempt, reply, outcome, fallback=False):
-            if audit:
-                audit.record(
-                    phase=phase, doc_id=doc.doc_id, attempt=attempt, prompt=prompt,
-                    reply=reply, outcome=outcome, fallback=fallback,
-                )
+            audit.record(
+                phase=phase, doc_id=doc.doc_id, attempt=attempt, prompt=prompt,
+                reply=reply, outcome=outcome, fallback=fallback,
+            )
 
         raw = ""
         for attempt in range(1 + config.retry_limit):

@@ -82,7 +82,6 @@ def make_synthetic_corpus(
     n_docs: int,
     seed: int = 0,
     max_events_per_doc: int = 3,
-    with_arguments: bool = True,
 ) -> list[Document]:
     """Generate annotated documents with exactly groundable spans.
 
@@ -115,11 +114,9 @@ def make_synthetic_corpus(
             trig = emit(rng.choice(_TRIGGER_WORDS[event_type]))
             emit("near")
             place = emit(rng.choice(_PLACES))
-            args = []
-            if with_arguments:
-                args.append(ArgumentMention(subj, "Agent"))
-                if rng.random() < 0.7:
-                    args.append(ArgumentMention(place, "Place"))
+            args = [ArgumentMention(subj, "Agent")]
+            if rng.random() < 0.7:
+                args.append(ArgumentMention(place, "Place"))
             events.append(EventMention(trig, event_type, tuple(args)))
         docs.append(Document(f"doc-{d:04d}", " ".join(words), tuple(events)))
     return docs

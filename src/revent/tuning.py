@@ -41,6 +41,7 @@ from .pipeline import PreparedDocument, Reflector, decide, prepare, standin_refl
 __all__ = [
     "DevPredictions",
     "derive_search_values",
+    "grid_step_in_range",
     "collect_confidence_samples",
     "evaluate_threshold_set",
     "tune_thresholds",
@@ -67,6 +68,11 @@ def _quartiles(data: list[float]) -> tuple[float, float]:
     return data[0], data[0]
 
 
+def grid_step_in_range(step: float) -> bool:
+    """Whether ``step`` is a usable grid step: positive and finite."""
+    return 0.0 < step < math.inf
+
+
 def derive_search_values(
     correct: list[float], incorrect: list[float], step: float
 ) -> list[float]:
@@ -76,8 +82,8 @@ def derive_search_values(
     above the highest third quartile (clamped at 0), and always includes
     0.0 and the 1.0 + step sentinel.
     """
-    if step <= 0:
-        raise ConfigurationError("grid step must be positive")
+    if not grid_step_in_range(step):
+        raise ConfigurationError(f"grid step must be positive and finite, got {step}")
     pools = [d for d in (correct, incorrect) if d]
     if not pools:
         raise ConfigurationError("no dev predictions to derive a search range from")

@@ -4,6 +4,7 @@ import urllib.error
 
 import pytest
 
+from revent import backends
 from revent.backends import (
     ChatRequest,
     HttpChatBackend,
@@ -70,7 +71,12 @@ def test_http_backend_sends_length_penalty_when_set(monkeypatch):
     assert captured["body"]["length_penalty"] == 1.05
 
 
-def test_http_backend_retries_then_raises(monkeypatch):
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(backends, "_BACKOFF_S", 0.0)
+
+
+def test_http_backend_retries_then_raises(monkeypatch, no_backoff):
     calls = []
 
     def fake_urlopen(req, timeout):
@@ -78,10 +84,25 @@ def test_http_backend_retries_then_raises(monkeypatch):
         raise OSError("connection refused")
 
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    backend = HttpChatBackend("https://down.example", max_attempts=3, backoff=0.0)
+    backend = HttpChatBackend("https://down.example")
     with pytest.raises(BackendError, match="3 attempts"):
         backend.complete(ChatRequest.user("p"))
     assert len(calls) == 3
+
+
+def test_http_backend_retry_schedule(monkeypatch):
+    timeouts, sleeps = [], []
+
+    def fake_urlopen(req, timeout):
+        timeouts.append(timeout)
+        raise OSError("connection refused")
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    with pytest.raises(BackendError, match="3 attempts"):
+        HttpChatBackend("https://down.example").complete(ChatRequest.user("p"))
+    assert timeouts == [120.0, 120.0, 120.0]
+    assert sleeps == [0.5, 1.0]
 
 
 def _http_error_urlopen(code, calls):
@@ -96,17 +117,17 @@ def _http_error_urlopen(code, calls):
 def test_http_backend_does_not_retry_client_errors(monkeypatch, code):
     calls = []
     monkeypatch.setattr("urllib.request.urlopen", _http_error_urlopen(code, calls))
-    backend = HttpChatBackend("https://llm.example/chat", max_attempts=3, backoff=0.0)
+    backend = HttpChatBackend("https://llm.example/chat")
     with pytest.raises(BackendError, match=f"HTTP {code}"):
         backend.complete(ChatRequest.user("p"))
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("code", [408, 429, 500, 503])
-def test_http_backend_retries_transient_statuses(monkeypatch, code):
+def test_http_backend_retries_transient_statuses(monkeypatch, no_backoff, code):
     calls = []
     monkeypatch.setattr("urllib.request.urlopen", _http_error_urlopen(code, calls))
-    backend = HttpChatBackend("https://llm.example/chat", max_attempts=3, backoff=0.0)
+    backend = HttpChatBackend("https://llm.example/chat")
     with pytest.raises(BackendError, match="3 attempts"):
         backend.complete(ChatRequest.user("p"))
     assert len(calls) == 3

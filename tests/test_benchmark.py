@@ -1,0 +1,26 @@
+"""The benchmark's contract with the program: the names it traces exist."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, monkeypatch):
+    """perfbench/``name``.py as a module, registered only for this test."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves(monkeypatch):
+    tracer = _load("tracer", monkeypatch).Tracer()
+    try:
+        tracer.install(_load("run", monkeypatch).trace_targets())
+    finally:
+        tracer.uninstall()
+    # A known stale target: tuning no longer imports extract_document.
+    assert tracer.missing == ["revent.tuning.extract_document"]

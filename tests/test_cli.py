@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 import sys
 import threading
 import time
@@ -107,6 +109,23 @@ def test_thresholds_file_written_like_other_artifacts(data_dir, tmp_path):
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
+def test_artifacts_honour_the_umask(data_dir, tmp_path):
+    artifacts = ["audit.jsonl", "decomp.jsonl", "metrics.json", "predictions.jsonl",
+                 "run_summary.json", "thresholds.json"]
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / oct(umask)
+        previous = os.umask(umask)
+        try:
+            assert main(_extract_args(data_dir, out)) == 0
+            assert main(["gen-decomp", "--corpus", str(data_dir / "corpus.jsonl"),
+                         "--out", str(out / "decomp.jsonl")]) == 0
+        finally:
+            os.umask(previous)
+        assert sorted(p.name for p in out.iterdir()) == artifacts
+        for name in artifacts:
+            assert stat.S_IMODE((out / name).stat().st_mode) == mode, (oct(umask), name)
+
+
 def test_extract_missing_tagger_file_nonzero_exit(data_dir, tmp_path, capsys):
     code = main(_extract_args(data_dir, tmp_path, **{"--tagger-preds": "no/such/file.jsonl"}))
     assert code == 2
@@ -152,6 +171,22 @@ def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys):
             "--tagger-preds", str(tmp_path / "missing.jsonl"), "--backend", "oracle",
             "--parallelism", "0", "--out", str(out / "thresholds.json")]
     _assert_configuration_error(argv, out, capsys, "parallelism")
+    for value in ("0", "-0.5", "1.5", "nan"):
+        argv = _extract_args(tmp_path / "missing", out, **{"--overlap-threshold": value})
+        _assert_configuration_error(argv, out, capsys, "--overlap-threshold")
+    for value in ("0", "-0.1", "inf", "nan"):
+        argv = _extract_args(tmp_path / "missing", out, **{"--grid-step": value})
+        i = argv.index("--thresholds")
+        argv[i:i + 2] = ["--tune", str(tmp_path / "missing.jsonl"),
+                         "--tune-tagger-preds", str(tmp_path / "missing.jsonl")]
+        _assert_configuration_error(argv, out, capsys, "--grid-step")
+        argv[0] = "tune-thresholds"
+        del argv[i:i + 4]
+        _assert_configuration_error(argv, out, capsys, "--grid-step")
+    # extract with a thresholds file does not read --grid-step.
+    argv = _extract_args(tmp_path / "missing", out, **{"--grid-step": "0"})
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
 
 # Configuration files and descriptors that are wrong in content, by shape

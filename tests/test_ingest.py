@@ -376,7 +376,19 @@ def _break_record(rec, case):
         arg["confidence"] = "high"
     elif case == "text-trigger-confidence":
         event["trigger_confidence"] = "high"
-    return rec
+    elif case == "float-offset":
+        event["trigger"]["start"] = 4.9
+    elif case == "string-offset":
+        event["trigger"]["end"] = "7"
+    elif case == "bool-offset":
+        arg["start"] = False
+    elif case == "integer-type":
+        event["type"] = 5
+    elif case == "empty-type":
+        event["type"] = ""
+    elif case == "integer-role":
+        arg["role"] = 5
+    return rec  # unchanged for "repeated-doc-id": it repeats the good line's doc_id
 
 
 _LOADERS = {
@@ -387,8 +399,10 @@ _LOADERS = {
 _LOADER_CASES = [
     (loader, case)
     for loader in _LOADERS
-    for case in ["non-object", "long-integer", "deep-nesting", "missing-trigger", "missing-type", "missing-role", "empty-role"]
+    for case in ["non-object", "long-integer", "deep-nesting", "missing-trigger", "missing-type", "missing-role", "empty-role",
+                 "float-offset", "string-offset", "bool-offset", "integer-type", "empty-type", "integer-role"]
     + (["text-confidence", "text-trigger-confidence"] if loader == "tagger" else [])
+    + (["repeated-doc-id"] if loader == "final" else [])
 ]
 
 
@@ -431,7 +445,7 @@ def test_argument_span_must_slice_back_to_its_surface(tmp_path, loader):
 def test_unparseable_payload_is_a_reply_parse_error(payload):
     raw = f"```\nEvents = {payload}\n```"
     with pytest.raises(ReplyParseError):
-        parse_answer(raw, expected_key="Events")
+        parse_answer(raw, "Events")
     with pytest.raises(ReplyParseError):
         parse_agent_output(raw, Document("d", "aa bb"))
 
@@ -441,6 +455,10 @@ def test_unparseable_payload_is_a_reply_parse_error(payload):
     {"trigger": "aa", "type": "T", "arguments": None},
     {"trigger": "aa", "type": "T", "arguments": [{"text": "bb"}]},
     {"trigger": "aa", "type": "T", "arguments": [{"text": "bb", "role": ""}]},
+    {"trigger": "aa", "type": None},
+    {"trigger": "aa", "type": 5},
+    {"trigger": "aa", "type": ""},
+    {"trigger": "aa", "type": {"k": 1}},
 ])
 def test_item_shape_is_checked_against_every_document(bad):
     for text in ("aa bb", "zz bb", ""):

@@ -30,7 +30,7 @@ THRESHOLDS = bundled_thresholds("llama-3.1", "m2e2", 0.9)
 
 def _run_doc(doc, tagger_preds, backend, audit=None):
     events, ledger = run_self_moa(doc, "prompt", default_agents(10), backend)
-    reflector = backend_reflector(backend, ReflectionConfig(), audit)
+    reflector = backend_reflector(backend, ReflectionConfig(), audit or AuditLog())
     return extract_document(
         doc, tagger_preds, events, ledger, 10, THRESHOLDS, 0.5, reflector
     )

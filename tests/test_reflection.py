@@ -202,14 +202,14 @@ def test_reflect_walkthrough_keeps_dead_drops_nothing_else():
         _item(doc, "dead", "Life:Die", ambiguous=True),
         _item(doc, "shot", "Conflict:Attack", ambiguous=True),
     ]
-    results = reflect(items, doc, backend)
+    results = reflect(items, doc, backend, ReflectionConfig(), AuditLog())
     assert _kept_triggers(results) == ["dead"]
     assert len(backend.requests) == 1
 
 
 def test_reflect_empty_input_zero_calls():
     backend = RecordingBackend(lambda req: "unused")
-    assert reflect([], _doc(), backend) == []
+    assert reflect([], _doc(), backend, ReflectionConfig(), AuditLog()) == []
     assert backend.requests == []
 
 
@@ -225,7 +225,7 @@ def test_rejected_trigger_never_queries_arguments():
 
     backend = RecordingBackend(reply)
     items = [_item(doc, "shot", "Conflict:Attack", ambiguous=True, pending=pending)]
-    results = reflect(items, doc, backend)
+    results = reflect(items, doc, backend, ReflectionConfig(), AuditLog())
     assert _kept_triggers(results) == []
     assert len(backend.requests) == 1  # only the trigger query
 
@@ -241,7 +241,7 @@ def test_confirmed_trigger_with_pending_args_queries_arguments():
 
     backend = RecordingBackend(reply)
     items = [_item(doc, "shot", "Conflict:Attack", ambiguous=False, pending=pending)]
-    results = reflect(items, doc, backend)
+    results = reflect(items, doc, backend, ReflectionConfig(), AuditLog())
     assert _kept_triggers(results) == ["shot"]
     assert [a.span.text for a in results[0].confirmed_arguments] == ["Gandhi"]
     assert len(backend.requests) == 1
@@ -263,7 +263,7 @@ def test_all_trigger_mock_is_identity():
         _item(doc, "dead", "Life:Die", ambiguous=True),
         _item(doc, "shot", "Conflict:Attack", ambiguous=True, pending=pending),
     ]
-    results = reflect(items, doc, backend)
+    results = reflect(items, doc, backend, ReflectionConfig(), AuditLog())
     assert _kept_triggers(results) == ["dead", "shot"]
     assert [a.span.text for a in results[1].confirmed_arguments] == ["bombing"]
 
@@ -291,7 +291,7 @@ def test_backend_call_count_bound():
     config = ReflectionConfig(retry_limit=2)
     pending = [ArgumentMention(_span(doc, "bombing"), "Target")]
     items = [_item(doc, "dead", "Life:Die", ambiguous=True, pending=pending)]
-    reflect(items, doc, RecordingBackend(reply), config)
+    reflect(items, doc, RecordingBackend(reply), config, AuditLog())
     # one trigger query + one argument query, each attempted <= 1 + retry_limit times
     assert len(calls) <= (1 + config.retry_limit) * 2
 
