@@ -35,7 +35,7 @@ from .agreement import overlap_in_range
 from .backends import make_backend
 from .confidence import ThresholdSet, bundled_thresholds, load_threshold_set, save_threshold_set
 from .decomp import TaskVariant, generate_dataset, write_dataset
-from .ensemble import default_agents, run_self_moa
+from .ensemble import default_agents, run_self_moa, temperature_in_range
 from .errors import ConfigurationError, ReventError
 from .ingest import json_report, load_corpus, load_final_predictions, load_tagger_predictions
 from .ingest import write_json_atomic, write_text_atomic
@@ -62,6 +62,10 @@ def _check_flags(args) -> None:
     if "overlap_threshold" in args and not overlap_in_range(args.overlap_threshold):
         raise ConfigurationError(
             f"--overlap-threshold must be in (0, 1], got {args.overlap_threshold}"
+        )
+    if "temperature" in args and not temperature_in_range(args.temperature):
+        raise ConfigurationError(
+            f"--temperature must be non-negative and finite, got {args.temperature}"
         )
     tunes = args.command == "tune-thresholds" or getattr(args, "tune", None) is not None
     if tunes and not grid_step_in_range(args.grid_step):

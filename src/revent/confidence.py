@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .ensemble import VoteLedger
 from .errors import ConfigurationError
-from .ingest import read_json_document, write_json_atomic
+from .ingest import is_finite_number, read_json_document, write_json_atomic
 from .model import ArgumentKey, ArgumentMention, EventMention, TriggerId
 
 __all__ = [
@@ -73,6 +73,9 @@ class ThresholdTriple:
     theta_smoa_lo: float
 
     def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not is_finite_number(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.theta_smoa_lo < 0 or self.theta_s < 0:
             raise ConfigurationError("thresholds must be non-negative")
         if self.theta_smoa_lo > self.theta_smoa_hi:

@@ -16,6 +16,7 @@ several documents at once and passes each its share of the run's
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "AgentConfig",
     "VoteLedger",
     "default_agents",
+    "temperature_in_range",
     "run_self_moa",
     "fold_votes",
     "cleanup_predictions",
@@ -39,6 +41,12 @@ __all__ = [
 _MAX_OUTPUT_TOKENS = 4096
 
 
+def temperature_in_range(temperature: float) -> bool:
+    """Whether ``temperature`` is a usable sampling temperature: non-negative
+    and finite."""
+    return 0.0 <= temperature < math.inf
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     agent_id: int
@@ -47,8 +55,10 @@ class AgentConfig:
     def __post_init__(self):
         if self.agent_id < 1:
             raise ConfigurationError("agent ids start at 1")
-        if self.temperature < 0:
-            raise ConfigurationError("temperature must be >= 0")
+        if not temperature_in_range(self.temperature):
+            raise ConfigurationError(
+                f"temperature must be non-negative and finite, got {self.temperature}"
+            )
 
 
 def default_agents(n: int, temperature: float = 0.9) -> list[AgentConfig]:

@@ -14,11 +14,12 @@ tagger prediction record
 
 All three loaders read through one record reader, so every malformed line
 (bad JSON, a non-object, a missing field or a value of the wrong type: an
-offset that is not a JSON integer, a "type" or "role" that is not a
-non-empty string) is a CorpusFormatError naming its line number, and so
-is a repeated doc_id in a corpus or final-predictions file; a span that
-does not slice back to its surface is a SpanValidationError and an unknown
-doc_id an UnknownDocumentError. A configuration file (thresholds, replay
+offset that is not a JSON integer, a confidence that is not a finite JSON
+number, a "type" or "role" that is not a non-empty string) is a
+CorpusFormatError naming its line number, and so is a repeated doc_id in
+a corpus or final-predictions file; a span that does not slice back to
+its surface is a SpanValidationError and an unknown doc_id an
+UnknownDocumentError. A configuration file (thresholds, replay
 fixture, scenario) holds one JSON object and is read by
 read_json_document, so any fault in it is a ConfigurationError naming the
 file. Output artifacts are written whole or not at all (open_atomic), and
@@ -47,6 +48,7 @@ memoises each grounded event for every reply about that document.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 from bisect import bisect_left
@@ -62,6 +64,7 @@ from .model import ArgumentMention, Document, EventMention, Span, occurrences
 __all__ = [
     "Grounding",
     "TaggerPrediction",
+    "is_finite_number",
     "load_corpus",
     "load_tagger_predictions",
     "load_final_predictions",
@@ -72,6 +75,17 @@ __all__ = [
     "write_json_atomic",
     "write_text_atomic",
 ]
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite JSON number: an int or a float, never a
+    bool, a string, NaN, an infinity or an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -228,8 +242,14 @@ def load_tagger_predictions(
     """Load tagger predictions keyed by doc_id, sorted by trigger start.
 
     Every record's doc_id must exist in ``corpus`` and every span must
-    satisfy document containment; confidences must lie in [0, 1].
+    satisfy document containment; confidences must be JSON numbers (not
+    bools or strings) in [0, 1].
     """
+
+    def confidence(value) -> float:
+        if not is_finite_number(value):
+            raise CorpusFormatError(f"confidence must be a finite number, got {value!r}")
+        return float(value)
 
     def decode(rec: dict, doc: Document) -> list[TaggerPrediction]:
         preds = []
@@ -242,11 +262,11 @@ def load_tagger_predictions(
             for arec in erec.get("arguments", ()):
                 span = _span_from_record(arec, "argument")
                 key = (span.start, span.end, arec["role"])
-                conf = float(arec.get("confidence", 1.0))
+                conf = confidence(arec.get("confidence", 1.0))
                 conf_by_key[key] = max(conf, conf_by_key.get(key, 0.0))
             preds.append(TaggerPrediction(
                 event=event,
-                trigger_confidence=float(erec["trigger_confidence"]),
+                trigger_confidence=confidence(erec["trigger_confidence"]),
                 argument_confidences=tuple(conf_by_key[a.key] for a in event.arguments),
             ))
         return preds

@@ -43,6 +43,9 @@ class SubtaskCounts:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
+    def __add__(self, other: "SubtaskCounts") -> "SubtaskCounts":
+        return SubtaskCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
+
     def as_dict(self) -> dict:
         return {
             "tp": self.tp, "fp": self.fp, "fn": self.fn,
@@ -56,6 +59,15 @@ class Metrics:
     trigger_cls: SubtaskCounts
     argument_id: SubtaskCounts
     argument_cls: SubtaskCounts
+
+    def __add__(self, other: "Metrics") -> "Metrics":
+        """Pooled counts of two disjoint document sets (micro averaging)."""
+        return Metrics(
+            self.trigger_id + other.trigger_id,
+            self.trigger_cls + other.trigger_cls,
+            self.argument_id + other.argument_id,
+            self.argument_cls + other.argument_cls,
+        )
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name).as_dict() for name in SUBTASKS}
@@ -110,7 +122,7 @@ def score_predictions(
     if unknown:
         raise UnknownDocumentError(f"predictions for unknown doc_ids: {sorted(unknown)}")
 
-    totals = {name: [0, 0, 0] for name in SUBTASKS}
+    totals = {name: SubtaskCounts(0, 0, 0) for name in SUBTASKS}
     for doc_id, gold_events in gold.items():
         pred_events = preds.get(doc_id, [])
 
@@ -130,9 +142,6 @@ def score_predictions(
 
         p, g = tuples(pred_events), tuples(gold_events)
         for name in SUBTASKS:
-            tp, fp, fn = _counts(p[name], g[name])
-            totals[name][0] += tp
-            totals[name][1] += fp
-            totals[name][2] += fn
+            totals[name] += SubtaskCounts(*_counts(p[name], g[name]))
 
-    return Metrics(**{name: SubtaskCounts(*totals[name]) for name in SUBTASKS})
+    return Metrics(**totals)

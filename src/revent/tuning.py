@@ -8,14 +8,21 @@ by the dev-set F1 of the downstream pipeline - with reflection replaced by
 a stand-in, keep-all by default - and the argmax-F1 triple wins; ties break
 to the smallest theta_smoa_lo, then theta_s, then theta_smoa_hi.
 
-Each dev document is run through pipeline.prepare once per call. A
-threshold setting only decides, for every scored trigger and argument,
-whether a tagger item is kept or removed and whether an ensemble item is
-retained, reflected or removed; that band vector over the dev set is fixed
-by how many of the pooled confidences fall below each cutoff. The stand-in
-reflectors are pure functions of their items, so settings with equal cut
-positions give identical decisions: pipeline.decide and scoring run once per
-distinct band signature, and every other grid point reuses its metrics.
+Each dev document is run through pipeline.prepare once per call. A cutoff
+only decides, for every scored item it applies to, which side of it the
+item's confidence falls on, so two grid values that put the same number of
+the level's pooled confidences below them are interchangeable. The search
+therefore walks per-axis classes: theta_s over the tagger confidences,
+theta_smoa_lo and theta_smoa_hi over the ensemble confidences, each class
+stood for by its smallest grid value. Walking these in ascending
+(lo, theta_s, hi) order and keeping a triple only on a strict improvement
+returns the same lexicographically smallest argmax as the full grid, and
+every visited triple is a distinct band setting.
+
+Micro-F1 is a sum of per-document counts, and the stand-in reflectors are
+pure functions of one document's items. So each document is decided and
+scored once per its own band signature - how many of its own confidences
+fall below each cutoff - and a visited triple sums the documents' counts.
 
 Trigger thresholds are tuned first against trigger-classification F1; the
 argument triple is then tuned against argument-classification F1 with the
@@ -27,7 +34,9 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable
 
 from .confidence import Source, ThresholdSet, ThresholdTriple, smoa_confidence
@@ -152,65 +161,99 @@ def collect_confidence_samples(
     return (tagger_c, tagger_i), (smoa_c, smoa_i)
 
 
+@dataclass
+class _DevDocument:
+    """A prepared dev document, its own confidence cuts (see
+    ``_confidence_cuts``) and its metrics at each own band signature."""
+
+    prepared: PreparedDocument
+    cuts: tuple[tuple[list[float], list[float]], ...]
+    metrics: dict[tuple[int, ...], Metrics] = field(default_factory=dict)
+
+    def metrics_at(self, thresholds: ThresholdSet, reflector: Reflector) -> Metrics:
+        # How many of the document's confidences fall below each cutoff. A
+        # tagger item is kept iff its confidence is at or above theta_s, an
+        # ensemble item is retained at or above theta_smoa_hi and removed
+        # below theta_smoa_lo, so these counts fix every item's band.
+        signature = tuple(
+            bisect_left(cuts, theta)
+            for (tagger, smoa), t in zip(self.cuts, (thresholds.trigger, thresholds.argument))
+            for cuts, theta in (
+                (tagger, t.theta_s), (smoa, t.theta_smoa_hi), (smoa, t.theta_smoa_lo)
+            )
+        )
+        if signature not in self.metrics:
+            doc = self.prepared.doc
+            final = decide(self.prepared, thresholds, reflector).final_events
+            self.metrics[signature] = score_predictions(
+                {doc.doc_id: final}, gold_from_corpus([doc])
+            )
+        return self.metrics[signature]
+
+
 def evaluate_threshold_set(
-    prepared: list[PreparedDocument], thresholds: ThresholdSet, reflector: Reflector
+    dev: list[_DevDocument], thresholds: ThresholdSet, reflector: Reflector
 ) -> Metrics:
-    """Dev-set metrics of the downstream pipeline at one threshold setting."""
-    preds = {p.doc.doc_id: decide(p, thresholds, reflector).final_events for p in prepared}
-    return score_predictions(preds, gold_from_corpus([p.doc for p in prepared]))
+    """Dev-set metrics of the downstream pipeline at one threshold setting:
+    the sum of every document's counts."""
+    return reduce(add, (d.metrics_at(thresholds, reflector) for d in dev))
 
 
-def _confidence_cuts(prepared: list[PreparedDocument]) -> dict[tuple[str, Source], list[float]]:
-    """Sorted distinct confidences of every scored item, per level and source."""
-    pools: dict[tuple[str, Source], set[float]] = {
-        (level, source): set() for level in ("trigger", "argument") for source in Source
-    }
-    for p in prepared:
-        for level, items in (("trigger", p.trigger_scored), ("argument", p.scored_arguments())):
-            for item in items:
-                pools[level, item.source].add(item.confidence)
-    return {key: sorted(values) for key, values in pools.items()}
+def _confidence_cuts(
+    prepared: list[PreparedDocument],
+) -> tuple[tuple[list[float], list[float]], ...]:
+    """Sorted distinct (tagger, ensemble) confidences of every scored item,
+    for the trigger level, then the argument level."""
+    levels = (
+        [item for p in prepared for item in p.trigger_scored],
+        [item for p in prepared for item in p.scored_arguments()],
+    )
+    return tuple(
+        tuple(
+            sorted({item.confidence for item in items if item.source is source})
+            for source in (Source.TAGGER, Source.SMOA)
+        )
+        for items in levels
+    )
 
 
-def _band_signature(
-    cuts: dict[tuple[str, Source], list[float]], thresholds: ThresholdSet
-) -> tuple[int, ...]:
-    """How many pooled confidences fall below each cutoff. A tagger item is
-    kept iff its confidence is at or above theta_s, an ensemble item is
-    retained at or above theta_smoa_hi and removed below theta_smoa_lo, so
-    these counts fix the band of every scored item, and vice versa."""
-    signature = []
-    for level, triple in (("trigger", thresholds.trigger), ("argument", thresholds.argument)):
-        tagger, smoa = cuts[level, Source.TAGGER], cuts[level, Source.SMOA]
-        signature += [
-            bisect_left(tagger, triple.theta_s),
-            bisect_left(smoa, triple.theta_smoa_hi),
-            bisect_left(smoa, triple.theta_smoa_lo),
-        ]
-    return tuple(signature)
+def _representatives(values: list[float], cuts: list[float]) -> list[float]:
+    """The smallest of each run of the ascending ``values`` that puts the
+    same number of ``cuts`` below it."""
+    reps: list[float] = []
+    below = -1
+    for value in values:
+        count = bisect_left(cuts, value)
+        if count != below:
+            reps.append(value)
+            below = count
+    return reps
 
 
 def _tune_level(
-    level: str,
-    s_values: list[float],
-    m_values: list[float],
-    metrics_at: Callable[[ThresholdSet], Metrics],
-    fixed_trigger: ThresholdTriple | None,
+    samples: tuple[tuple[list[float], list[float]], tuple[list[float], list[float]]],
+    cuts: tuple[list[float], list[float]],
+    grid_step: float,
+    f1_at: Callable[[ThresholdTriple], float],
 ) -> ThresholdTriple:
+    """The argmax of ``f1_at`` over one level's grids, one value per class."""
+
+    def values(correct, incorrect):
+        if not correct and not incorrect:
+            # This source made no dev predictions, so its cutoff is inert;
+            # search just the two extremes.
+            return [0.0, round(1.0 + grid_step, 10)]
+        return derive_search_values(correct, incorrect, grid_step)
+
+    (tc, ti), (mc, mi) = samples
+    s_reps = _representatives(values(tc, ti), cuts[0])
+    m_reps = _representatives(values(mc, mi), cuts[1])
     best: tuple[float, ThresholdTriple] | None = None
-    for lo in m_values:
-        for theta_s in s_values:
-            for hi in m_values:
-                if lo > hi:
-                    continue
+    for i, lo in enumerate(m_reps):
+        for theta_s in s_reps:
+            for hi in m_reps[i:]:
                 triple = ThresholdTriple(theta_s=theta_s, theta_smoa_hi=hi, theta_smoa_lo=lo)
-                if level == "trigger":
-                    thresholds = ThresholdSet(trigger=triple, argument=_DROP_ALL_ARGS)
-                else:
-                    assert fixed_trigger is not None
-                    thresholds = ThresholdSet(trigger=fixed_trigger, argument=triple)
-                metrics = metrics_at(thresholds)
-                f1 = (metrics.trigger_cls if level == "trigger" else metrics.argument_cls).f1
+                f1 = f1_at(triple)
                 # Ascending (lo, theta_s, hi) iteration + strict improvement
                 # keeps the lexicographically smallest argmax.
                 if best is None or f1 > best[0]:
@@ -230,20 +273,15 @@ def tune_thresholds(
 
     Equals exhaustive brute-force search over the derived grids; see the
     module docstring for the search-range and tie-break rules and for why
-    each distinct band signature is evaluated only once.
+    only one grid value per class is visited and each document is decided
+    once per own band signature.
     """
     if not dev:
         raise ConfigurationError("threshold tuning needs a non-empty dev set")
     reflector = standin_reflector(reflection_standin)
-
-    def values(correct, incorrect):
-        if not correct and not incorrect:
-            # This source made no dev predictions, so its cutoff is inert;
-            # search just the two extremes.
-            return [0.0, round(1.0 + grid_step, 10)]
-        return derive_search_values(correct, incorrect, grid_step)
-
-    (tc, ti), (mc, mi) = collect_confidence_samples(dev, predictions, "trigger")
+    samples = collect_confidence_samples(dev, predictions, "trigger")
+    # Scoring is keyed by doc_id, so a repeated doc_id counts once, as its
+    # last document.
     prepared = [
         prepare(
             doc,
@@ -252,23 +290,21 @@ def tune_thresholds(
             predictions.n_agents,
             overlap_threshold,
         )
-        for doc in dev
+        for doc in {doc.doc_id: doc for doc in dev}.values()
     ]
-    cuts = _confidence_cuts(prepared)
-    cache: dict[tuple[int, ...], Metrics] = {}
+    documents = [_DevDocument(p, _confidence_cuts([p])) for p in prepared]
+    trigger_cuts, argument_cuts = _confidence_cuts(prepared)
 
-    def metrics_at(thresholds: ThresholdSet) -> Metrics:
-        signature = _band_signature(cuts, thresholds)
-        if signature not in cache:
-            cache[signature] = evaluate_threshold_set(prepared, thresholds, reflector)
-        return cache[signature]
+    def f1(thresholds: ThresholdSet, subtask: str) -> float:
+        return getattr(evaluate_threshold_set(documents, thresholds, reflector), subtask).f1
 
-    trigger_triple = _tune_level(
-        "trigger", values(tc, ti), values(mc, mi), metrics_at, None
+    trigger = _tune_level(
+        samples, trigger_cuts, grid_step,
+        lambda triple: f1(ThresholdSet(trigger=triple, argument=_DROP_ALL_ARGS), "trigger_cls"),
     )
-
-    (tc, ti), (mc, mi) = collect_confidence_samples(dev, predictions, "argument")
-    argument_triple = _tune_level(
-        "argument", values(tc, ti), values(mc, mi), metrics_at, trigger_triple
+    samples = collect_confidence_samples(dev, predictions, "argument")
+    argument = _tune_level(
+        samples, argument_cuts, grid_step,
+        lambda triple: f1(ThresholdSet(trigger=trigger, argument=triple), "argument_cls"),
     )
-    return ThresholdSet(trigger=trigger_triple, argument=argument_triple)
+    return ThresholdSet(trigger=trigger, argument=argument)

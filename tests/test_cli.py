@@ -183,6 +183,12 @@ def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys):
         argv[0] = "tune-thresholds"
         del argv[i:i + 4]
         _assert_configuration_error(argv, out, capsys, "--grid-step")
+    for value in ("nan", "inf", "-1"):
+        argv = _extract_args(tmp_path / "missing", out, **{"--temperature": value})
+        _assert_configuration_error(argv, out, capsys, "--temperature")
+        argv[0] = "tune-thresholds"
+        del argv[argv.index("--thresholds"):argv.index("--thresholds") + 2]
+        _assert_configuration_error(argv, out, capsys, "--temperature")
     # extract with a thresholds file does not read --grid-step.
     argv = _extract_args(tmp_path / "missing", out, **{"--grid-step": "0"})
     assert main(argv) == 2
@@ -195,6 +201,16 @@ BAD_CONFIGURATIONS = {
     "builtin-temperature-not-a-number": (None, {"--thresholds": "builtin:llama-3.1/m2e2/abc"}),
     "thresholds-wrong-type": ('{"trigger": 5}', {"--thresholds": "{path}"}),
     "thresholds-not-json": ("{oops", {"--thresholds": "{path}"}),
+    "thresholds-nan": (
+        '{"trigger": {"theta_s": NaN, "theta_smoa_hi": 0.5, "theta_smoa_lo": 0.1}, '
+        '"argument": {"theta_s": 0.5, "theta_smoa_hi": 0.5, "theta_smoa_lo": 0.1}}',
+        {"--thresholds": "{path}"},
+    ),
+    "thresholds-bool": (
+        '{"trigger": {"theta_s": 0.5, "theta_smoa_hi": 0.5, "theta_smoa_lo": 0.1}, '
+        '"argument": {"theta_s": true, "theta_smoa_hi": 0.5, "theta_smoa_lo": 0.1}}',
+        {"--thresholds": "{path}"},
+    ),
     "replay-not-json": ("{oops", {"--backend": "replay:{path}"}),
     "replay-not-an-object": ("[1, 2]", {"--backend": "replay:{path}"}),
     "replay-reply-not-a-string": ('{"gandhi": {"agent:1": 5}}', {"--backend": "replay:{path}"}),

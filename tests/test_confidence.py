@@ -150,6 +150,23 @@ def test_threshold_triple_invariant():
     ThresholdTriple(theta_s=0.5, theta_smoa_hi=1.10, theta_smoa_lo=1.10)
 
 
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), True, False, "0.5", None,
+    pytest.param(10**400, id="huge-int"),
+])
+@pytest.mark.parametrize("field", ["theta_s", "theta_smoa_hi", "theta_smoa_lo"])
+def test_threshold_triple_rejects_values_that_are_not_finite_numbers(field, value):
+    values = {"theta_s": 0.5, "theta_smoa_hi": 0.8, "theta_smoa_lo": 0.2, field: value}
+    with pytest.raises(ConfigurationError, match=f"{field} must be a finite number"):
+        ThresholdTriple(**values)
+
+
+def test_threshold_triple_accepts_json_integers():
+    assert ThresholdTriple(theta_s=0, theta_smoa_hi=2, theta_smoa_lo=1).as_dict() == {
+        "theta_s": 0, "theta_smoa_hi": 2, "theta_smoa_lo": 1,
+    }
+
+
 def test_bundled_thresholds_lookup():
     ts = bundled_thresholds("llama-3.1", "m2e2", 0.9)
     assert ts.trigger == M2E2_LLAMA_09_TRIGGER

@@ -129,6 +129,12 @@ def test_single_worker_runs_agents_on_the_calling_thread():
     assert ledger.votes(canonical_key(events[0])) == frozenset({1, 2, 3})
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0])
+def test_agent_temperature_must_be_non_negative_and_finite(temperature):
+    with pytest.raises(ConfigurationError, match="temperature must be non-negative and finite"):
+        AgentConfig(1, temperature)
+
+
 def test_agent_ids_must_be_contiguous():
     with pytest.raises(ConfigurationError):
         run_self_moa(_doc(), "p", [AgentConfig(2)], ScriptedBackend({}))

@@ -111,6 +111,30 @@ def test_load_tagger_predictions_confidence_out_of_range(tmp_path, worked_corpus
         load_tagger_predictions(path, worked_corpus)
 
 
+@pytest.mark.parametrize("value", [
+    "0.8", True, False, None, [0.5], float("nan"), pytest.param(10**400, id="huge-int"),
+])
+@pytest.mark.parametrize("field", ["trigger_confidence", "confidence"])
+def test_load_tagger_predictions_rejects_confidences_that_are_not_numbers(
+    tmp_path, worked_corpus, field, value
+):
+    nisman = next(d for d in worked_corpus if d.doc_id == "nisman")
+    b = nisman.text.index("bombing")
+    k = nisman.text.index("Nisman")
+    event = {"trigger": {"text": "bombing", "start": b, "end": b + 7}, "type": "A",
+             "trigger_confidence": 0.9,
+             "arguments": [{"text": "Nisman", "start": k, "end": k + 6, "role": "R",
+                            "confidence": 0.8}]}
+    if field == "trigger_confidence":
+        event[field] = value
+    else:
+        event["arguments"][0][field] = value
+    path = _write_lines(tmp_path / "t.jsonl", [{"doc_id": "nisman", "events": [event]}])
+    with pytest.raises(CorpusFormatError, match="confidence must be a finite number") as info:
+        load_tagger_predictions(path, worked_corpus)
+    assert info.value.line == 1
+
+
 def test_load_tagger_predictions_unknown_doc(tmp_path, worked_corpus):
     path = _write_lines(tmp_path / "t.jsonl", [{"doc_id": "nope", "events": []}])
     with pytest.raises(UnknownDocumentError, match="nope"):

@@ -1,6 +1,7 @@
 import pytest
 
-from revent.confidence import ThresholdSet, ThresholdTriple
+from revent import tuning
+from revent.confidence import Source, ThresholdSet, ThresholdTriple
 from revent.ensemble import VoteLedger
 from revent.errors import ConfigurationError
 from revent.ingest import TaggerPrediction
@@ -11,6 +12,7 @@ from revent.pipeline import (
     extract_document,
     keep_all_reflector,
     oracle_reflector,
+    prepare,
 )
 from revent.simulate import OracleProfile, make_synthetic_corpus, synthesize_agent_predictions, synthesize_tagger_predictions
 from revent.tuning import (
@@ -218,3 +220,71 @@ def test_tuner_equals_brute_force_when_argument_cutoffs_decide():
     # Both argument cutoffs land in the gaps between correct and wrong.
     assert 0.3 < tuned.argument.theta_s <= 0.7
     assert 0.3 < tuned.argument.theta_smoa_lo
+
+
+STANDINS = [
+    ("keep-all", keep_all_reflector),
+    ("drop-all", drop_all_reflector),
+    ("oracle", oracle_reflector),
+]
+
+
+@pytest.mark.parametrize("corpus_seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("standin, reflector", STANDINS)
+def test_seeded_tuner_equals_brute_force(corpus_seed, standin, reflector):
+    dev, predictions = _dev_fixture(3, corpus_seed=corpus_seed)
+    tuned = tune_thresholds(dev, predictions, grid_step=0.1, reflection_standin=standin)
+    assert tuned == _brute_force_tune(dev, predictions, grid_step=0.1, reflector=reflector)
+
+
+def _bands(prepared, thresholds):
+    """The band of every scored item of one prepared document: kept or not
+    for a tagger item; retained (1), reflected (0) or removed (-1) for an
+    ensemble item."""
+
+    def band(item, triple):
+        if item.source is Source.TAGGER:
+            return int(item.confidence >= triple.theta_s)
+        return (item.confidence >= triple.theta_smoa_hi) - (item.confidence < triple.theta_smoa_lo)
+
+    return (
+        tuple(band(item, thresholds.trigger) for item in prepared.trigger_scored),
+        tuple(band(item, thresholds.argument) for item in prepared.scored_arguments()),
+    )
+
+
+@pytest.mark.parametrize("grid_step", [0.1, 0.001])
+def test_tuner_work_is_bounded_by_the_data(monkeypatch, grid_step):
+    dev, predictions = _dev_fixture(6)
+    visited, decided = [], []
+    evaluate, decide = tuning.evaluate_threshold_set, tuning.decide
+
+    def counted_evaluate(documents, thresholds, reflector):
+        visited.append(thresholds)
+        return evaluate(documents, thresholds, reflector)
+
+    def counted_decide(prepared, thresholds, reflector):
+        decided.append((prepared.doc.doc_id, _bands(prepared, thresholds)))
+        return decide(prepared, thresholds, reflector)
+
+    monkeypatch.setattr(tuning, "evaluate_threshold_set", counted_evaluate)
+    monkeypatch.setattr(tuning, "decide", counted_decide)
+    tune_thresholds(dev, predictions, grid_step=grid_step)
+
+    # Each document is decided at most once per band setting of its own items.
+    assert decided and len(decided) == len(set(decided))
+    # Each level visits at most one point per (theta_s, lo, hi) class, and a
+    # class is fixed by how many distinct confidences fall below the cutoff.
+    prepared = [
+        prepare(doc, predictions.tagger.get(doc.doc_id, []), *predictions.smoa[doc.doc_id],
+                predictions.n_agents)
+        for doc in dev
+    ]
+    for level, items in (
+        ("trigger", [i for p in prepared for i in p.trigger_scored]),
+        ("argument", [i for p in prepared for i in p.scored_arguments()]),
+    ):
+        tagger = len({i.confidence for i in items if i.source is Source.TAGGER})
+        smoa = len({i.confidence for i in items if i.source is Source.SMOA})
+        points = sum((t.argument == DROP_ALL) == (level == "trigger") for t in visited)
+        assert 0 < points <= (tagger + 1) * (smoa + 1) ** 2
