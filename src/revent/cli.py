@@ -143,7 +143,7 @@ def _report(value, out: Path | None = None) -> None:
 
 
 def _json_line(record) -> str:
-    return json.dumps(record, ensure_ascii=False, sort_keys=True)
+    return json.dumps(record, ensure_ascii=False, sort_keys=True, allow_nan=False)
 
 
 def run_pipeline(args) -> dict:

@@ -113,7 +113,8 @@ class ThresholdSet:
 class Partition:
     """Disjoint split of a disagreement set; the union is the input.
 
-    Items are whatever was filtered - ScoredEvent at the trigger level,
+    Items are whatever was filtered - anything with a ``source`` and a
+    ``confidence``: the pipeline's single-source trigger candidates, or
     ScoredArgument at the argument level.
     """
 

@@ -658,4 +658,4 @@ def write_dataset(records: list[InstructionRecord], path: str | Path) -> None:
     """Stream the records to ``path`` as JSON lines, whole or not at all."""
     with open_atomic(path) as fh:
         for record in records:
-            fh.write(json.dumps(record.to_record(), ensure_ascii=False) + "\n")
+            fh.write(json.dumps(record.to_record(), ensure_ascii=False, allow_nan=False) + "\n")

@@ -424,8 +424,9 @@ def parse_agent_output(
 
 def json_report(value) -> str:
     """``value`` as indented, key-sorted JSON ending in a newline: the format
-    of every JSON report a run writes or prints."""
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    of every JSON report a run writes or prints. A non-finite number raises
+    ValueError, so none reaches a report."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json_atomic(path: str | Path, value) -> None:

@@ -11,11 +11,17 @@ into the final provenance-tagged event set.
 
 The work is split in two steps. ``prepare`` does everything that does not
 depend on the thresholds - tagger de-duplication, cleanup, trigger and
-argument matching, and every tagger and ensemble confidence - and returns
-an immutable PreparedDocument. ``decide(prepared, thresholds, reflector)``
-does the filtering, reflection and final assembly; it never mutates
-``prepared``, so one prepared document can be decided at any number of
-threshold settings. ``extract_document`` is ``decide(prepare(...), ...)``.
+argument matching, and every tagger and ensemble confidence - and builds
+each trigger candidate once: a consensus candidate with its agreed and
+scored arguments, and a single-source candidate that also carries its side
+and trigger confidence. It returns them in an immutable PreparedDocument.
+``decide(prepared, thresholds, reflector)`` partitions the single-source
+candidates themselves with filter_disagreements, then makes one pass over
+every candidate - filter its arguments, keep the retained ones, queue a
+reflection item if it needs a verdict - calls the reflector once and
+assembles the final set. It never mutates ``prepared``, so one prepared
+document can be decided at any number of threshold settings.
+``extract_document`` is ``decide(prepare(...), ...)``.
 
 The reflection step is pluggable: every reflector is reflection.resolve
 with its own judges. The live reflector's judges prompt a chat backend,
@@ -33,7 +39,6 @@ from .backends import ChatBackend
 from .confidence import (
     Partition,
     ScoredArgument,
-    ScoredEvent,
     Source,
     ThresholdSet,
     filter_disagreements,
@@ -48,7 +53,6 @@ from .model import (
     Document,
     EventMention,
     Span,
-    TriggerId,
     canonical_key,
     gold_argument_verdicts,
     gold_trigger_verdicts,
@@ -133,13 +137,18 @@ def standin_reflector(name: str) -> Reflector:
 
 @dataclass(frozen=True)
 class _Candidate:
-    """One trigger that may reach the final set, with its scored arguments."""
+    """One trigger that may reach the final set, with its scored arguments.
+
+    A single-source candidate carries its side and trigger confidence, so
+    filter_disagreements partitions candidates directly; a consensus
+    candidate has neither and carries its agreed arguments instead.
+    """
 
     trigger: Span
     event_type: str
-    provenance: Provenance           # provenance if it survives
-    ambiguous: bool                  # needs a trigger verdict
     scored_args: tuple[ScoredArgument, ...]
+    source: Source | None = None
+    confidence: float | None = None
     agreed_args: tuple[tuple[ArgumentMention, Provenance], ...] = ()
 
     @property
@@ -154,14 +163,12 @@ class PreparedDocument:
     doc: Document
     trigger_report: MatchReport
     consensus: tuple[_Candidate, ...]
-    # Single-source triggers, tagger side first, each with its scored arguments.
-    trigger_scored: tuple[ScoredEvent, ...]
-    trigger_args: dict[ScoredEvent, tuple[ScoredArgument, ...]]
+    # Single-source candidates, tagger side first.
+    trigger_scored: tuple[_Candidate, ...]
 
     def scored_arguments(self) -> list[ScoredArgument]:
         """Every argument an argument threshold can decide on."""
-        pools = [c.scored_args for c in self.consensus] + list(self.trigger_args.values())
-        return [arg for pool in pools for arg in pool]
+        return [arg for c in self.consensus + self.trigger_scored for arg in c.scored_args]
 
 
 @dataclass
@@ -171,23 +178,11 @@ class DocumentResult:
     doc_id: str
     trigger_report: MatchReport
     trigger_partition: Partition
-    argument_partitions: dict[TriggerId, Partition]
     final: list[ProvenancedEvent]
 
     @property
     def final_events(self) -> list[EventMention]:
         return [pe.event for pe in self.final]
-
-
-def _merge_partitions(base: Partition | None, extra: Partition) -> Partition:
-    if base is None:
-        return extra
-    return Partition(
-        retained_tagger=base.retained_tagger + extra.retained_tagger,
-        retained_smoa=base.retained_smoa + extra.retained_smoa,
-        removed=base.removed + extra.removed,
-        reflect=base.reflect + extra.reflect,
-    )
 
 
 def _dedupe_tagger(preds: list[TaggerPrediction]) -> list[TaggerPrediction]:
@@ -228,6 +223,16 @@ def prepare(
             ScoredArgument(a, source, smoa_confidence(ledger, n_agents, tid, a.key)) for a in args
         )
 
+    def single_source(event: EventMention, source: Source) -> _Candidate:
+        if source is Source.TAGGER:
+            confidence = pred_by_key[canonical_key(event)].trigger_confidence
+        else:
+            confidence = smoa_confidence(ledger, n_agents, trigger_id(event))
+        return _Candidate(
+            event.trigger, event.event_type, score_arguments(event, source, event.arguments),
+            source, confidence,
+        )
+
     # Consensus keeps the tagger span and pools both argument sides.
     consensus = []
     for pair in report.consensus:
@@ -235,28 +240,17 @@ def prepare(
         consensus.append(_Candidate(
             trigger=pair.tagger.trigger,
             event_type=pair.tagger.event_type,
-            provenance=Provenance.AGREED,
-            ambiguous=False,
             scored_args=score_arguments(pair.tagger, Source.TAGGER, arg_report.tagger_only)
             + score_arguments(pair.smoa, Source.SMOA, arg_report.smoa_only),
             agreed_args=tuple((m.retained, Provenance.AGREED) for m in arg_report.consensus),
         ))
 
-    trigger_scored = tuple(
-        ScoredEvent(e, Source.TAGGER, pred_by_key[canonical_key(e)].trigger_confidence)
-        for e in report.tagger_only
-    ) + tuple(
-        ScoredEvent(e, Source.SMOA, smoa_confidence(ledger, n_agents, trigger_id(e)))
-        for e in report.smoa_only
-    )
     return PreparedDocument(
         doc=doc,
         trigger_report=report,
         consensus=tuple(consensus),
-        trigger_scored=trigger_scored,
-        trigger_args={
-            s: score_arguments(s.event, s.source, s.event.arguments) for s in trigger_scored
-        },
+        trigger_scored=tuple(single_source(e, Source.TAGGER) for e in report.tagger_only)
+        + tuple(single_source(e, Source.SMOA) for e in report.smoa_only),
     )
 
 
@@ -270,72 +264,56 @@ def decide(
     ``prepared`` is only read, so the result depends on ``thresholds`` and
     on the reflector's verdicts alone.
     """
-    # Candidates in path-precedence order: consensus, retained tagger,
-    # retained ensemble, reflected.
     trigger_partition = filter_disagreements(prepared.trigger_scored, thresholds.trigger)
-    candidates = list(prepared.consensus)
-    for group, prov in (
+
+    # One pass over the candidates in path-precedence order (consensus,
+    # retained tagger, retained ensemble, reflected): filter each one's
+    # arguments, keep its retained pairs, and queue a reflection item when
+    # its trigger is ambiguous or it has pending arguments.
+    entries = []
+    items = []
+    for group, provenance in (
+        (prepared.consensus, Provenance.AGREED),
         (trigger_partition.retained_tagger, Provenance.HIGH_CONF_TAGGER),
         (trigger_partition.retained_smoa, Provenance.HIGH_CONF_SMOA),
         (trigger_partition.reflect, Provenance.REFLECTED),
     ):
-        for scored in group:
-            candidates.append(_Candidate(
-                trigger=scored.event.trigger,
-                event_type=scored.event.event_type,
-                provenance=prov,
-                ambiguous=prov is Provenance.REFLECTED,
-                scored_args=prepared.trigger_args[scored],
-            ))
+        ambiguous = provenance is Provenance.REFLECTED
+        for cand in group:
+            part = filter_disagreements(cand.scored_args, thresholds.argument)
+            arg_pairs = [
+                *cand.agreed_args,
+                *((s.argument, Provenance.HIGH_CONF_TAGGER) for s in part.retained_tagger),
+                *((s.argument, Provenance.HIGH_CONF_SMOA) for s in part.retained_smoa),
+            ]
+            pending = tuple(s.argument for s in part.reflect)
+            awaits = ambiguous or bool(pending)
+            if awaits:
+                items.append(ReflectionItem(cand.event, ambiguous, pending))
+            entries.append((cand, provenance, arg_pairs, awaits))
 
-    # Argument-level filtering under every candidate trigger. Candidates can
-    # share a trigger identifier (same trigger proposed with different
-    # argument sets), so the reported per-trigger partitions merge.
-    argument_partitions: dict[TriggerId, Partition] = {}
-    kept_args: list[list[tuple[ArgumentMention, Provenance]]] = []
-    pending_args: list[tuple[ArgumentMention, ...]] = []
-    for cand in candidates:
-        part = filter_disagreements(cand.scored_args, thresholds.argument)
-        tid = (cand.trigger.start, cand.trigger.end, cand.event_type)
-        argument_partitions[tid] = _merge_partitions(argument_partitions.get(tid), part)
-        kept_args.append(
-            list(cand.agreed_args)
-            + [(s.argument, Provenance.HIGH_CONF_TAGGER) for s in part.retained_tagger]
-            + [(s.argument, Provenance.HIGH_CONF_SMOA) for s in part.retained_smoa]
-        )
-        pending_args.append(tuple(s.argument for s in part.reflect))
-
-    # Reflection on ambiguous triggers and pending arguments.
-    needs_reflection = [
-        i for i, cand in enumerate(candidates) if cand.ambiguous or pending_args[i]
-    ]
-    items = [
-        ReflectionItem(candidates[i].event, candidates[i].ambiguous, pending_args[i])
-        for i in needs_reflection
-    ]
     results = reflector(prepared.doc, items) if items else []
     if len(results) != len(items):
         raise ConfigurationError(
             f"reflector returned {len(results)} results for {len(items)} items"
         )
-    result_at = dict(zip(needs_reflection, results))
 
-    # Merge the surviving candidates, still in path-precedence order.
+    # The verdicts come back in item order: drop rejected triggers and add
+    # confirmed arguments, still in path-precedence order.
+    verdicts = iter(results)
     kept = []
-    for i, cand in enumerate(candidates):
-        result = result_at.get(i)
-        if result is not None and not result.trigger_kept:
-            continue
-        arg_pairs = kept_args[i]
-        if result is not None:
+    for cand, provenance, arg_pairs, awaits in entries:
+        if awaits:
+            result = next(verdicts)
+            if not result.trigger_kept:
+                continue
             arg_pairs += [(arg, Provenance.REFLECTED) for arg in result.confirmed_arguments]
-        kept.append((cand.trigger, cand.event_type, cand.provenance, arg_pairs))
+        kept.append((cand.trigger, cand.event_type, provenance, arg_pairs))
 
     return DocumentResult(
         doc_id=prepared.doc.doc_id,
         trigger_report=prepared.trigger_report,
         trigger_partition=trigger_partition,
-        argument_partitions=argument_partitions,
         final=finalize_events(kept),
     )
 

@@ -15,10 +15,11 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .agreement import overlap_in_range
 from .confidence import ThresholdSet
 from .ensemble import VoteLedger, cleanup_predictions, fold_votes
 from .errors import ConfigurationError, short_repr
-from .ingest import TaggerPrediction, read_json_document
+from .ingest import TaggerPrediction, is_finite_number, read_json_document
 from .model import ArgumentMention, Document, EventMention, Span, occurrences
 
 __all__ = [
@@ -72,6 +73,16 @@ class OracleProfile:
     def __post_init__(self):
         if not (0.0 <= self.target_precision <= 1.0 and 0.0 <= self.target_recall <= 1.0):
             raise ConfigurationError("precision and recall targets must be in [0, 1]")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigurationError(f"seed must be an integer, got {short_repr(self.seed)}")
+        for name in ("correct_confidence", "incorrect_confidence"):
+            pair = getattr(self, name)
+            if not (
+                len(pair) == 2 and all(map(is_finite_number, pair)) and 0 <= pair[0] <= pair[1] <= 1
+            ):
+                raise ConfigurationError(
+                    f"{name} must be [lo, hi] with 0 <= lo <= hi <= 1, got {short_repr(pair)}"
+                )
         if self.target_precision < 1.0 and not self.hallucination_vocabulary:
             raise ConfigurationError(
                 "precision below 1.0 needs a non-empty hallucination vocabulary"
@@ -249,7 +260,8 @@ def default_scenario() -> dict:
 def load_scenario(path: str | Path) -> dict:
     """The default scenario with the top-level keys a JSON object file sets
     replaced; each value must have its default's type (any number for a
-    float) and the profiles and thresholds must build, else ConfigurationError."""
+    float), the counts must be at least 1, the overlap threshold in (0, 1],
+    and the profiles and thresholds must build, else ConfigurationError."""
 
     def decode(data: dict) -> dict:
         scenario = {**default_scenario(), **data}
@@ -258,6 +270,12 @@ def load_scenario(path: str | Path) -> dict:
             kinds = (int, float) if isinstance(default, float) else type(default)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise TypeError(f"{key!r} must be a {type(default).__name__}, got {short_repr(value)}")
+        for key in ("n_docs", "n_agents"):
+            if scenario[key] < 1:
+                raise ConfigurationError(f"{key!r} must be at least 1, got {scenario[key]}")
+        overlap = scenario["overlap_threshold"]
+        if not overlap_in_range(overlap):
+            raise ConfigurationError(f"'overlap_threshold' must be in (0, 1], got {overlap}")
         OracleProfile(**scenario["tagger"])
         OracleProfile(**scenario["agents"])
         ThresholdSet.from_dict(scenario["thresholds"])

@@ -218,6 +218,23 @@ BAD_CONFIGURATIONS = {
     "scenario-not-an-object": ("[1, 2]", {"--scenario": "{path}"}),
     "scenario-wrong-type": ('{"n_docs": "x"}', {"--scenario": "{path}"}),
     "scenario-missing-key": ('{"thresholds": {"trigger": {}}}', {"--scenario": "{path}"}),
+    "scenario-negative-docs": ('{"n_docs": -3}', {"--scenario": "{path}"}),
+    "scenario-zero-agents": ('{"n_agents": 0}', {"--scenario": "{path}"}),
+    "scenario-overlap-nan": ('{"overlap_threshold": NaN}', {"--scenario": "{path}"}),
+    "scenario-confidence-nan": (
+        '{"tagger": {"target_precision": 0.9, "target_recall": 0.6, '
+        '"correct_confidence": [NaN, 1.0]}}',
+        {"--scenario": "{path}"},
+    ),
+    "scenario-confidence-above-one": (
+        '{"agents": {"target_precision": 0.5, "target_recall": 0.9, '
+        '"correct_confidence": [0.5, 7]}}',
+        {"--scenario": "{path}"},
+    ),
+    "scenario-seed-nan": (
+        '{"tagger": {"target_precision": 0.9, "target_recall": 0.6, "seed": NaN}}',
+        {"--scenario": "{path}"},
+    ),
 }
 
 

@@ -12,6 +12,7 @@ from revent.errors import (
 from revent.fencing import parse_answer, render_events_answer
 from revent.ingest import (
     Grounding,
+    json_report,
     load_corpus,
     load_final_predictions,
     load_tagger_predictions,
@@ -488,3 +489,9 @@ def test_item_shape_is_checked_against_every_document(bad):
     for text in ("aa bb", "zz bb", ""):
         with pytest.raises(ReplyParseError):
             parse_agent_output(_reply(bad), Document("d", text))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_report_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        json_report({"x": value})

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from revent.confidence import Source, ThresholdSet, ThresholdTriple, bundled_thresholds
+from revent.confidence import ThresholdSet, ThresholdTriple, bundled_thresholds
 from revent.ensemble import VoteLedger, default_agents, run_self_moa
 from revent.errors import ConfigurationError
 from revent.integration import Provenance
@@ -28,9 +28,17 @@ from revent.simulate import (
 THRESHOLDS = bundled_thresholds("llama-3.1", "m2e2", 0.9)
 
 
-def _run_doc(doc, tagger_preds, backend, audit=None):
+def _run_doc(doc, tagger_preds, backend, audit=None, seen=None):
+    """Extract ``doc`` with the live reflector; every reflection item it is
+    handed is appended to ``seen`` when given."""
     events, ledger = run_self_moa(doc, "prompt", default_agents(10), backend)
-    reflector = backend_reflector(backend, ReflectionConfig(), audit or AuditLog())
+    live = backend_reflector(backend, ReflectionConfig(), audit or AuditLog())
+
+    def reflector(doc, items):
+        if seen is not None:
+            seen.extend(items)
+        return live(doc, items)
+
     return extract_document(
         doc, tagger_preds, events, ledger, 10, THRESHOLDS, 0.5, reflector
     )
@@ -58,7 +66,8 @@ def test_nisman_walkthrough(nisman_doc, worked_tagger, replay_backend):
 
 
 def test_gandhi_walkthrough(gandhi_doc, worked_tagger, replay_backend):
-    result = _run_doc(gandhi_doc, worked_tagger["gandhi"], replay_backend)
+    seen = []
+    result = _run_doc(gandhi_doc, worked_tagger["gandhi"], replay_backend, seen=seen)
 
     assert [p.tagger.trigger.text for p in result.trigger_report.consensus] == ["killing"]
     assert [s.event.trigger.text for s in result.trigger_partition.removed] == ["fired"]
@@ -74,12 +83,16 @@ def test_gandhi_walkthrough(gandhi_doc, worked_tagger, replay_backend):
     provs = dict(zip((a.span.text for a in final.event.arguments), final.argument_provenances))
     assert provs == {"assassin": Provenance.AGREED, "Gandhi": Provenance.REFLECTED}
 
-    # the low-confidence tagger-side argument was removed, not reflected
-    killing_id = final.trigger_id
-    part = result.argument_partitions[killing_id]
-    assert [s.argument.span.text for s in part.removed] == ["man"]
-    assert [s.argument.span.text for s in part.reflect] == ["Gandhi"]
-    assert [s.source for s in part.removed] == [Source.TAGGER]
+    # only the ensemble-side "Gandhi" under the agreed trigger was reflected;
+    # the low-confidence tagger-side "man" was removed, not reflected
+    assert [
+        (item.event.trigger.text, item.trigger_ambiguous,
+         tuple(a.span.text for a in item.pending_arguments))
+        for item in seen
+    ] == [("killing", False, ("Gandhi",))]
+    tagger_args = [a.span.text for a in result.trigger_report.consensus[0].tagger.arguments]
+    assert "man" in tagger_args
+    assert "man" not in [a.span.text for a in final.event.arguments]
 
 
 def test_audit_log_records_reflection_traffic(nisman_doc, worked_tagger, replay_backend):
@@ -236,7 +249,6 @@ def test_decide_on_a_reused_prepared_document_equals_extract():
         )
         assert got.final == fresh.final
         assert got.trigger_partition == fresh.trigger_partition
-        assert got.argument_partitions == fresh.argument_partitions
         reflected += bool(got.trigger_partition.reflect)
     assert prepared == snapshot
     assert reflected  # some runs took the reflection path

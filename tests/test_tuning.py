@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from revent import tuning
@@ -227,6 +229,52 @@ STANDINS = [
     ("drop-all", drop_all_reflector),
     ("oracle", oracle_reflector),
 ]
+
+
+def _seeded_argument_dev_set(seed, n_docs=3):
+    """Both sources find each doc's one trigger and disagree on its
+    arguments. Each side misses some gold arguments and adds wrong ones: the
+    tagger at seeded confidences, higher on the whole for gold, and the
+    agents in seeded proposals whose vote counts set each argument's
+    confidence."""
+    rng = random.Random(seed)
+    words = ["beta", "gamma", "delta", "epsilon", "zeta", "iota"]
+    docs, tagger, smoa = [], {}, {}
+    for i in range(n_docs):
+        text = "alpha " + " ".join(words) + f" (doc {i})"
+        trigger = _ev(text, "alpha", "A").trigger
+        args = [
+            ArgumentMention(Span(w, text.index(w), text.index(w) + len(w)), rng.choice("RS"))
+            for w in words
+        ]
+        gold = rng.sample(args, 3)
+        doc = Document(f"s{i}", text, (EventMention(trigger, "A", tuple(gold)),))
+        docs.append(doc)
+
+        def pick(p_gold, p_wrong):
+            return tuple(a for a in args if rng.random() < (p_gold if a in gold else p_wrong))
+
+        event = EventMention(trigger, "A", pick(0.7, 0.5))
+        tagger[doc.doc_id] = [TaggerPrediction(event, rng.uniform(0.6, 1.0), tuple(
+            rng.uniform(0.4, 1.0) if a in gold else rng.uniform(0.0, 0.6) for a in event.arguments
+        ))]
+        smoa[doc.doc_id] = _smoa_doc(doc, [
+            (EventMention(trigger, "A", pick(0.8, 0.3)), rng.randint(1, 10))
+            for _ in range(rng.randint(2, 3))
+        ])
+    return docs, DevPredictions(tagger=tagger, smoa=smoa, n_agents=10)
+
+
+@pytest.mark.parametrize("standin, reflector", STANDINS)
+def test_seeded_argument_disagreements_tune_like_brute_force(standin, reflector):
+    tuned = []
+    for seed in (1, 2, 3, 4):
+        dev, predictions = _seeded_argument_dev_set(seed)
+        got = tune_thresholds(dev, predictions, grid_step=0.1, reflection_standin=standin)
+        assert got == _brute_force_tune(dev, predictions, grid_step=0.1, reflector=reflector)
+        tuned.append(got.argument)
+    # The argument cutoffs decide on this data: some seed tunes away from keep-all.
+    assert any(t != ThresholdTriple(0.0, 0.0, 0.0) for t in tuned)
 
 
 @pytest.mark.parametrize("corpus_seed", [1, 2, 3, 4])
