@@ -15,11 +15,21 @@ answer and provenance, the kind of target it focuses on, and the targets
 the target against its kind and renders the spec; ``ANSWER_KEYS`` and
 ``WHOLE_DOCUMENT_VARIANTS`` are read off the table.
 
+Work is done once per variant and once per document, not once per record.
+Each variant's canon header (role through example) is rendered once, at
+import, and every prompt of that variant, ``extraction_prompt``'s too,
+adds only the passage, its context blocks and the question.
+``generate_dataset`` orders a document's gold once and renders each of its
+targets through the same renderer ``render_instruction`` uses after its
+target check. JSON is encoded through shared encoders.
+
 Negative candidates for trigger discrimination are n-grams that occur
 exactly once in the passage, share no substring with any gold trigger, sit
 within a three-token window of a trigger, and pass a part-of-speech gate
 (verb / noun / determiner, judged by ``default_pos_gate``'s lexicon and
-suffix heuristic). At most three negatives per document.
+suffix heuristic). At most three negatives per document. One pass over the
+passage gates each token once and tests each n-gram's window distance
+before the passage is scanned for its occurrences.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import ContractError
-from .fencing import events_to_payload, parse_answer, render_answer
+from .fencing import compact_json, events_to_payload, parse_answer, render_answer
 from .ingest import open_atomic
 from .model import Document, EventMention, Span, occurrences
 
@@ -96,7 +106,9 @@ def parse_record_answer(record: InstructionRecord):
 
 # --- prompt canon ---------------------------------------------------------
 
-def _render_prompt(spec: _Spec, doc: Document, events: list[EventMention], target) -> str:
+def _canon_header(spec: _Spec) -> str:
+    """The prompt up to the passage: role, task, rules, output format and
+    example, the same for every record of a variant."""
     lines = [spec.role, spec.task, "", "Generation Rules:"]
     lines += [f"{i}. {rule}" for i, rule in enumerate(spec.rules, start=1)]
     lines += [
@@ -111,8 +123,12 @@ def _render_prompt(spec: _Spec, doc: Document, events: list[EventMention], targe
         "```",
         "",
         "Passage:",
-        f'"{doc.text}"',
     ]
+    return "\n".join(lines)
+
+
+def _render_prompt(spec: _Spec, doc: Document, events: list[EventMention], target) -> str:
+    lines = [spec.header, f'"{doc.text}"']
     for block in spec.context(events, target):
         lines += ["", block]
     lines += ["", f"Q: {spec.question(events, target)}"]
@@ -126,10 +142,6 @@ def _ordered_gold(doc: Document) -> list[EventMention]:
         doc.gold_events,
         key=lambda e: (e.trigger.start, e.trigger.end, e.event_type),
     )
-
-
-def _j(value) -> str:
-    return json.dumps(value, ensure_ascii=False)
 
 
 def extraction_prompt(doc: Document) -> str:
@@ -197,53 +209,52 @@ def sample_negative_ngrams(
         return []
 
     raw_tokens = [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", doc.text)]
-    trigger_token_idx: set[int] = set()
-    for ti, (_, tstart, tend) in enumerate(raw_tokens):
-        for trig in gold_triggers:
-            if tstart < trig.end and trig.start < tend:
-                trigger_token_idx.add(ti)
+    trigger_token_idx = [
+        ti for ti, (_, tstart, tend) in enumerate(raw_tokens)
+        if any(tstart < trig.end and trig.start < tend for trig in gold_triggers)
+    ]
     if not trigger_token_idx:
         return []
+    # token distance from each raw token to the nearest trigger token; a
+    # window's distance is the least over its tokens (0 = overlapping)
+    near = [min(abs(t - i) for t in trigger_token_idx) for i in range(len(raw_tokens))]
 
+    # (raw index, start, end, bare, gated): bare tokens carry no punctuation
+    # to strip, gated ones pass the part-of-speech gate
     stripped = []
     for idx, (tok, tstart, _) in enumerate(raw_tokens):
         cleaned = _strip_token(tok, tstart)
         if cleaned is not None:
-            stripped.append((idx, *cleaned))
+            text, start, end = cleaned
+            stripped.append((idx, start, end, text == tok, default_pos_gate(text)))
 
+    # (start, end) order: windows grow rightwards from each token in turn
     candidates: list[Span] = []
-    for pos, (idx, _, _, _) in enumerate(stripped):
-        for length in (1, 2, 3):
-            window = stripped[pos:pos + length]
-            if len(window) < length:
-                break
-            if [w[0] for w in window] != list(range(idx, idx + length)):
+    for pos, (idx, start, _, bare, _) in enumerate(stripped):
+        gap = len(raw_tokens)
+        for offset, (last_idx, _, end, last_bare, gated) in enumerate(stripped[pos:pos + 3]):
+            # a window failing any test that breaks fails it in every longer window
+            if last_idx != idx + offset:
                 break  # tokens must be adjacent in the raw text
-            if length > 1 and any(
-                raw_tokens[w[0]][0] != w[1] for w in window
-            ):
+            if offset and not (bare and last_bare):
                 break  # multi-token candidates use punctuation-free tokens only
-            start, end = window[0][2], window[-1][3]
+            if not gated:
+                break
+            gap = min(gap, near[last_idx])
+            if gap == 0:
+                break  # the window holds a trigger token
+            if gap > 3:
+                continue
             cand_text = doc.text[start:end]
-            if not all(default_pos_gate(w[1]) for w in window):
-                continue
-            if len(occurrences(doc.text, cand_text)) != 1:
-                continue
             if any(
                 cand_text in trig.text or trig.text in cand_text
                 or (start < trig.end and trig.start < end)
                 for trig in gold_triggers
             ):
                 continue
-            # token distance to the nearest trigger token (0 = overlapping,
-            # which the positional check above already excluded)
-            c_lo, c_hi = idx, idx + length - 1
-            gap = min(max(t - c_hi, c_lo - t, 0) for t in trigger_token_idx)
-            if not 0 < gap <= 3:
-                continue
-            candidates.append(Span(cand_text, start, end))
+            if len(occurrences(doc.text, cand_text)) == 1:
+                candidates.append(Span(cand_text, start, end))
 
-    candidates.sort(key=lambda s: (s.start, s.end))
     rng = random.Random(f"{seed}:{doc.doc_id}:negatives")
     picked = candidates if len(candidates) <= k else rng.sample(candidates, k)
     return sorted(picked, key=lambda s: (s.start, s.end))
@@ -308,14 +319,14 @@ def _trigger_provenance(events, ti) -> dict:
 
 
 def _typed_triggers_context(events, target) -> list[str]:
-    return ["Triggers:\n" + _j([[e.trigger.text, e.event_type] for e in events])]
+    return ["Triggers:\n" + compact_json([[e.trigger.text, e.event_type] for e in events])]
 
 
 def _masked_context(events, pair) -> list[str]:
     payload = events_to_payload(events)
     ti, ai = pair
     payload[ti]["arguments"][ai]["role"] = MASK_TOKEN
-    return ["Partial events:\n" + _j(payload)]
+    return ["Partial events:\n" + compact_json(payload)]
 
 
 def _candidate_labels(events, negatives) -> dict[str, str]:
@@ -340,7 +351,7 @@ def _role_multi_context(events, ti) -> list[str]:
     event = events[ti]
     return [
         f'Trigger:\n"{event.trigger.text}" (type: "{event.event_type}")',
-        "Candidate Arguments:\n" + _j([a.span.text for a in event.arguments]),
+        "Candidate Arguments:\n" + compact_json([a.span.text for a in event.arguments]),
     ]
 
 
@@ -371,6 +382,10 @@ class _Spec:
     targets: _Enumerator = lambda doc, events, negatives, seed: [None]
     context: _Builder = lambda events, target: []
     provenance: _Builder = lambda events, target: {}
+    header: str = field(init=False)  # the canon up to the passage, rendered from the fields above
+
+    def __post_init__(self):
+        object.__setattr__(self, "header", _canon_header(self))
 
 
 # Shared by full-structure (so by ``extraction_prompt``) and role-ablated construction.
@@ -448,7 +463,7 @@ _SPECS: dict[TaskVariant, _Spec] = {
         ),
         write_hint='TriggerTypes = ["Type1", "Type2", ...].',
         example='TriggerTypes = ["Treatment", "Diagnosis"]',
-        context=lambda events, _: ["Triggers:\n" + _j([e.trigger.text for e in events])],
+        context=lambda events, _: ["Triggers:\n" + compact_json([e.trigger.text for e in events])],
         question=lambda events, _: "What are the event types of the listed triggers, in order?",
         answer=lambda events, _: [e.event_type for e in events],
     ),
@@ -485,7 +500,7 @@ _SPECS: dict[TaskVariant, _Spec] = {
         write_hint='ClassificationMap = {"phrase1": "Trigger", "phrase2": "Non-Trigger", ...}.',
         example='ClassificationMap = {"therapy": "Trigger", "increase dose": "Non-Trigger"}',
         context=lambda events, negatives: [
-            "Candidates:\n" + _j(list(_candidate_labels(events, negatives)))
+            "Candidates:\n" + compact_json(list(_candidate_labels(events, negatives)))
         ],
         question=lambda events, _: "For each candidate above, decide whether it is a 'Trigger' or 'Non-Trigger'.",
         answer=_candidate_labels,
@@ -600,6 +615,18 @@ WHOLE_DOCUMENT_VARIANTS = frozenset(
 
 # --- rendering ------------------------------------------------------------
 
+def _render(variant: TaskVariant, doc: Document, events: list[EventMention], target) -> InstructionRecord:
+    """One record from the ordered gold ``events`` and an accepted target."""
+    spec = _SPECS[variant]
+    return InstructionRecord(
+        variant=variant,
+        prompt=_render_prompt(spec, doc, events, target),
+        answer=render_answer(spec.key, spec.answer(events, target)),
+        doc_id=doc.doc_id,
+        provenance=spec.provenance(events, target),
+    )
+
+
 def render_instruction(
     variant: TaskVariant, doc: Document, target=None
 ) -> InstructionRecord:
@@ -615,13 +642,7 @@ def render_instruction(
     spec = _SPECS[variant]
     if not spec.target.accepts(doc, events, target):
         raise ContractError(f"{variant.value}: target must be {spec.target.value}, got {target!r}")
-    return InstructionRecord(
-        variant=variant,
-        prompt=_render_prompt(spec, doc, events, target),
-        answer=render_answer(spec.key, spec.answer(events, target)),
-        doc_id=doc.doc_id,
-        provenance=spec.provenance(events, target),
-    )
+    return _render(variant, doc, events, target)
 
 
 def generate_dataset(
@@ -637,9 +658,11 @@ def generate_dataset(
     one uniformly chosen argument role per eligible document; and the
     discrimination variants draw their hard negatives per document. Output
     order is (document, variant, target) regardless of execution order, and
-    the result is deterministic for a fixed seed.
+    the result is deterministic for a fixed seed. Each document's gold is
+    ordered once, and its targets, enumerated from the variant table, are
+    rendered without ``render_instruction``'s target check.
     """
-    chosen = variants if variants is not None else set(TaskVariant)
+    chosen = [v for v in TaskVariant if variants is None or v in variants]
     sample = any(_SPECS[v].target in (_Target.CANDIDATE, _Target.NEGATIVES) for v in chosen)
     records: list[InstructionRecord] = []
     for doc in corpus:
@@ -647,15 +670,17 @@ def generate_dataset(
         negatives = (
             sample_negative_ngrams(doc, [e.trigger for e in events], k=3, seed=seed) if sample else []
         )
-        for variant in TaskVariant:
-            if variant in chosen:
-                for target in _SPECS[variant].targets(doc, events, negatives, seed):
-                    records.append(render_instruction(variant, doc, target))
+        for variant in chosen:
+            for target in _SPECS[variant].targets(doc, events, negatives, seed):
+                records.append(_render(variant, doc, events, target))
     return records
+
+
+_record_json = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
 def write_dataset(records: list[InstructionRecord], path: str | Path) -> None:
     """Stream the records to ``path`` as JSON lines, whole or not at all."""
     with open_atomic(path) as fh:
         for record in records:
-            fh.write(json.dumps(record.to_record(), ensure_ascii=False, allow_nan=False) + "\n")
+            fh.write(_record_json(record.to_record()) + "\n")

@@ -16,6 +16,10 @@ from .errors import ReplyParseError, short_repr
 
 _FENCE_RE = re.compile(r"```(?:[a-zA-Z0-9_-]+\n)?(.*?)```", re.DOTALL)
 
+# ``json.dumps(value, ensure_ascii=False)`` without building an encoder per
+# call; the encoder holds only its settings, so threads may share it.
+compact_json = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def extract_fenced_block(raw: str) -> str:
     """Return the body of the first triple-backtick fence in ``raw``.
@@ -35,7 +39,7 @@ def render_fence(body: str) -> str:
 
 def render_answer(key: str, value) -> str:
     """Serialize ``Key = <value>`` inside a fence, value as compact JSON."""
-    return render_fence(f"{key} = {json.dumps(value, ensure_ascii=False)}")
+    return render_fence(f"{key} = {compact_json(value)}")
 
 
 def parse_answer(raw: str, expected_key: str) -> object:
@@ -95,4 +99,4 @@ def render_argument_verdicts(items) -> str:
     payload = [
         {"text": text, "role": role, "is_correct": bool(ok)} for text, role, ok in items
     ]
-    return render_fence(json.dumps(payload, ensure_ascii=False))
+    return render_fence(compact_json(payload))

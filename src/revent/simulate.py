@@ -71,8 +71,18 @@ class OracleProfile:
     incorrect_confidence: tuple[float, float] = (0.05, 0.5)
 
     def __post_init__(self):
-        if not (0.0 <= self.target_precision <= 1.0 and 0.0 <= self.target_recall <= 1.0):
-            raise ConfigurationError("precision and recall targets must be in [0, 1]")
+        for name in ("target_precision", "target_recall"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and 0.0 <= value <= 1.0):
+                raise ConfigurationError(f"{name} must be a number in [0, 1], got {short_repr(value)}")
+        vocabulary = self.hallucination_vocabulary
+        if not (
+            isinstance(vocabulary, (list, tuple))
+            and all(isinstance(word, str) and word for word in vocabulary)
+        ):
+            raise ConfigurationError(
+                f"hallucination_vocabulary must be a list of non-empty strings, got {short_repr(vocabulary)}"
+            )
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigurationError(f"seed must be an integer, got {short_repr(self.seed)}")
         for name in ("correct_confidence", "incorrect_confidence"):

@@ -235,6 +235,22 @@ BAD_CONFIGURATIONS = {
         '{"tagger": {"target_precision": 0.9, "target_recall": 0.6, "seed": NaN}}',
         {"--scenario": "{path}"},
     ),
+    "scenario-precision-bool": (
+        '{"tagger": {"target_precision": true, "target_recall": 0.6}}',
+        {"--scenario": "{path}"},
+    ),
+    "scenario-vocabulary-string": (
+        '{"agents": {"target_precision": 0.5, "target_recall": 0.9, "hallucination_vocabulary": "report"}}',
+        {"--scenario": "{path}"},
+    ),
+    "scenario-vocabulary-numbers": (
+        '{"agents": {"target_precision": 0.5, "target_recall": 0.9, "hallucination_vocabulary": [1, 2]}}',
+        {"--scenario": "{path}"},
+    ),
+    "scenario-vocabulary-empty-word": (
+        '{"tagger": {"target_precision": 0.9, "target_recall": 0.6, "hallucination_vocabulary": ["report", ""]}}',
+        {"--scenario": "{path}"},
+    ),
 }
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import random
+import re
+import string
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,7 @@ from revent.decomp import (
     write_dataset,
 )
 from revent.errors import ContractError
-from revent.model import ArgumentMention, Document, EventMention, Span
+from revent.model import ArgumentMention, Document, EventMention, Span, occurrences
 from revent.simulate import make_synthetic_corpus
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -353,9 +356,153 @@ def test_trigger_detection_only_never_samples_negatives(monkeypatch):
     assert calls == [doc.doc_id for doc in corpus]
 
 
+def _target_of(record, doc):
+    """The target a generated record was rendered around, read off its provenance."""
+    prov = record.provenance
+    if "candidate" in prov:
+        start, end = prov["candidate"]
+        return (Span(doc.text[start:end], start, end), prov["is_trigger"])
+    if "negatives" in prov:
+        return [Span(doc.text[start:end], start, end) for start, end in prov["negatives"]]
+    if "masked_trigger" in prov:
+        return (prov["masked_trigger"], prov["masked_argument"])
+    if "argument_index" in prov:
+        return (prov["trigger_index"], prov["argument_index"])
+    return prov.get("trigger_index")
+
+
+def test_generated_records_equal_render_instruction(worked_corpus):
+    synthetic = make_synthetic_corpus(30, seed=17)
+    # the same passages with their gold out of passage order
+    shuffled = [Document(f"{d.doc_id}-rev", d.text, d.gold_events[::-1]) for d in synthetic]
+    corpus = [*worked_corpus, *synthetic, *shuffled]
+    by_id = {doc.doc_id: doc for doc in corpus}
+    assert len(by_id) == len(corpus)
+    records = generate_dataset(corpus, seed=17)
+    assert {r.variant for r in records} == set(TaskVariant)
+    for record in records:
+        doc = by_id[record.doc_id]
+        assert record == render_instruction(record.variant, doc, _target_of(record, doc))
+
+
 def test_variant_subsets_match_the_full_dataset():
     corpus = make_synthetic_corpus(30, seed=9)
     full = generate_dataset(corpus, seed=9)
     for variant in TaskVariant:
         subset = generate_dataset(corpus, variants={variant}, seed=9)
         assert subset == [r for r in full if r.variant is variant]
+
+
+# --- negative sampling against the reference enumeration -------------------
+
+def _reference_strip_token(token, start):
+    stripped = token.strip(string.punctuation)
+    if not stripped:
+        return None
+    offset = token.find(stripped)
+    return (stripped, start + offset, start + offset + len(stripped))
+
+
+def _reference_sample_negative_ngrams(doc, gold_triggers, k=3, seed=0):
+    """The plain enumeration: every n-gram of the passage, then each filter."""
+    if k > 3:
+        raise ContractError("at most three negatives per document")
+    if k < 1 or not gold_triggers:
+        return []
+
+    raw_tokens = [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", doc.text)]
+    trigger_token_idx: set[int] = set()
+    for ti, (_, tstart, tend) in enumerate(raw_tokens):
+        for trig in gold_triggers:
+            if tstart < trig.end and trig.start < tend:
+                trigger_token_idx.add(ti)
+    if not trigger_token_idx:
+        return []
+
+    stripped = []
+    for idx, (tok, tstart, _) in enumerate(raw_tokens):
+        cleaned = _reference_strip_token(tok, tstart)
+        if cleaned is not None:
+            stripped.append((idx, *cleaned))
+
+    candidates: list[Span] = []
+    for pos, (idx, _, _, _) in enumerate(stripped):
+        for length in (1, 2, 3):
+            window = stripped[pos:pos + length]
+            if len(window) < length:
+                break
+            if [w[0] for w in window] != list(range(idx, idx + length)):
+                break  # tokens must be adjacent in the raw text
+            if length > 1 and any(
+                raw_tokens[w[0]][0] != w[1] for w in window
+            ):
+                break  # multi-token candidates use punctuation-free tokens only
+            start, end = window[0][2], window[-1][3]
+            cand_text = doc.text[start:end]
+            if not all(default_pos_gate(w[1]) for w in window):
+                continue
+            if len(occurrences(doc.text, cand_text)) != 1:
+                continue
+            if any(
+                cand_text in trig.text or trig.text in cand_text
+                or (start < trig.end and trig.start < end)
+                for trig in gold_triggers
+            ):
+                continue
+            # token distance to the nearest trigger token (0 = overlapping,
+            # which the positional check above already excluded)
+            c_lo, c_hi = idx, idx + length - 1
+            gap = min(max(t - c_hi, c_lo - t, 0) for t in trigger_token_idx)
+            if not 0 < gap <= 3:
+                continue
+            candidates.append(Span(cand_text, start, end))
+
+    candidates.sort(key=lambda s: (s.start, s.end))
+    rng = random.Random(f"{seed}:{doc.doc_id}:negatives")
+    picked = candidates if len(candidates) <= k else rng.sample(candidates, k)
+    return sorted(picked, key=lambda s: (s.start, s.end))
+
+
+# Small on purpose, so surfaces repeat and overlap ("ban", "banana", "nana").
+_PASSAGE_WORDS = (
+    "raid", "raided", "talks", "summit", "ban", "banana", "nana", "the", "of",
+    "quickly", "officials", "met", "2024", "east-west", "a", "an", "end",
+    "(raid)", "talks,", '"summit"', "end.", "--", "officials;", "'ban'",
+)
+
+
+def _random_trigger(rng, text, tokens):
+    kind = rng.choice(("token", "substring", "pair", "first", "last"))
+    if kind == "first":
+        start, end = tokens[0]
+    elif kind == "last":
+        start, end = tokens[-1]
+    elif kind == "pair" and len(tokens) > 1:
+        i = rng.randrange(len(tokens) - 1)
+        start, end = tokens[i][0], tokens[i + 1][1]
+    else:
+        start, end = rng.choice(tokens)
+        if kind == "substring" and end - start > 1:
+            end = rng.randrange(start + 1, end)
+    return Span(text[start:end], start, end)
+
+
+def _random_negative_cases(n):
+    rng = random.Random(1729)
+    for case in range(n):
+        text = " ".join(rng.choice(_PASSAGE_WORDS) for _ in range(rng.randint(1, 18)))
+        tokens = [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
+        triggers = [_random_trigger(rng, text, tokens) for _ in range(rng.randint(1, 3))]
+        events = tuple(EventMention(trig, "T") for trig in triggers)
+        yield Document(f"n{case}", text, events), triggers
+
+
+def test_negative_sampling_matches_the_reference_enumeration():
+    compared = 0
+    for doc, triggers in _random_negative_cases(400):
+        for k in (1, 2, 3):
+            for seed in (0, 7):
+                expected = _reference_sample_negative_ngrams(doc, triggers, k=k, seed=seed)
+                assert sample_negative_ngrams(doc, triggers, k=k, seed=seed) == expected, (doc, k, seed)
+                compared += bool(expected)
+    assert compared > 1000  # most cases have a non-empty pool
