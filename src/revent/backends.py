@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol
 
-from .errors import BackendError, ConfigurationError
+from .errors import BackendError, ConfigurationError, short_repr
 from .fencing import (
     render_argument_verdicts,
     render_classification_map,
     render_events_answer,
 )
-from .ingest import read_json_document
+from .ingest import _json_object, read_json_document
 from .model import Document, gold_argument_verdicts, gold_trigger_verdicts
 
 __all__ = [
@@ -83,10 +83,11 @@ class HttpChatBackend:
     """Talks to a chat-completion HTTP endpoint.
 
     Credentials come from the environment (default variable REVENT_API_KEY)
-    and are sent as a bearer token when present. Connection errors, malformed
-    replies and HTTP 408, 429 and 5xx are retried: 3 attempts of up to
-    120 s each, sleeping 0.5 s before the second and 1.0 s before the third,
-    before raising BackendError; any other 4xx raises it at once.
+    and are sent as a bearer token when present. Connection errors, replies
+    that are not a JSON object with a string "content", and HTTP 408, 429
+    and 5xx are retried: 3 attempts of up to 120 s each, sleeping 0.5 s
+    before the second and 1.0 s before the third, before raising
+    BackendError; any other 4xx raises it at once.
     """
 
     def __init__(self, url: str, model: str = "default", api_key_env: str = "REVENT_API_KEY"):
@@ -116,15 +117,17 @@ class HttpChatBackend:
             req = urllib.request.Request(self.url, data=data, headers=headers)
             try:
                 with urllib.request.urlopen(req, timeout=_TIMEOUT_S) as resp:
-                    reply = json.loads(resp.read().decode("utf-8"))
-                return str(reply["content"])
+                    content = _json_object(resp.read().decode("utf-8"), "the reply")["content"]
+                if not isinstance(content, str):
+                    raise ValueError(f"reply content is not a string: {short_repr(content)}")
+                return content
             except urllib.error.HTTPError as exc:
                 if 400 <= exc.code < 500 and exc.code not in _RETRIED_4XX:
                     raise BackendError(
                         f"chat endpoint {self.url} refused the request: HTTP {exc.code} {exc.reason}"
                     ) from exc
                 last_error = exc
-            except (urllib.error.URLError, OSError, json.JSONDecodeError, KeyError) as exc:
+            except (urllib.error.URLError, OSError, ValueError, KeyError) as exc:
                 last_error = exc
         raise BackendError(
             f"chat endpoint {self.url} failed after {_MAX_ATTEMPTS} attempts: {last_error}"

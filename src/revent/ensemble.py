@@ -1,6 +1,6 @@
 """Self-ensemble orchestration: fan out one extraction prompt to n agent
 instances, parse replies, and aggregate the deduplicated union with
-per-event vote bookkeeping.
+per-trigger and per-argument vote bookkeeping.
 
 Agent requests run on up to ``parallelism`` worker threads, or inline on the
 calling thread when only one worker would run. Aggregation is
@@ -66,49 +66,33 @@ def default_agents(n: int, temperature: float = 0.9) -> list[AgentConfig]:
 
 
 class VoteLedger:
-    """Which agents produced which event predictions.
+    """Which agents voted for each trigger, and for each argument of a
+    trigger: the two vote sets ``confidence.smoa_confidence`` reads.
 
-    Keys are whole-event identities (EventKey). Trigger- and argument-level
-    vote sets are the union of agent sets over every key that shares the
-    trigger triple (and, for arguments, contains the argument key); both are
-    indexed by trigger as votes are recorded, so a query costs one lookup.
+    ``record`` files an agent's vote for a whole event (EventKey) under its
+    trigger triple and under each of its argument keys, so a trigger's set
+    is the union over every event that shares the triple, and an argument's
+    over those that also carry the argument. A query costs one lookup.
     """
 
     def __init__(self):
-        self._votes: dict[EventKey, set[int]] = {}
         self._trigger_votes: dict[TriggerId, set[int]] = {}
         self._argument_votes: dict[TriggerId, dict[ArgumentKey, set[int]]] = {}
 
     def record(self, key: EventKey, agent_id: int) -> None:
         if agent_id < 1:
             raise ValueError("agent ids start at 1")
-        self._votes.setdefault(key, set()).add(agent_id)
         tid = key.trigger_id
         self._trigger_votes.setdefault(tid, set()).add(agent_id)
         by_arg = self._argument_votes.setdefault(tid, {})
         for arg_key in key.argument_keys:
             by_arg.setdefault(arg_key, set()).add(agent_id)
 
-    def votes(self, key: EventKey) -> frozenset[int]:
-        try:
-            return frozenset(self._votes[key])
-        except KeyError:
-            raise KeyError(f"event key {key} was never voted for")
-
     def trigger_votes(self, trig: TriggerId) -> frozenset[int]:
         return frozenset(self._trigger_votes.get(trig, ()))
 
     def argument_votes(self, trig: TriggerId, arg_key: ArgumentKey) -> frozenset[int]:
         return frozenset(self._argument_votes.get(trig, {}).get(arg_key, ()))
-
-    def keys(self):
-        return self._votes.keys()
-
-    def __contains__(self, key: EventKey) -> bool:
-        return key in self._votes
-
-    def __len__(self) -> int:
-        return len(self._votes)
 
 
 def _validate_agents(agents: list[AgentConfig]) -> None:
@@ -168,15 +152,14 @@ def fold_votes(
 ) -> tuple[list[EventMention], VoteLedger]:
     """Fold (agent id, events) replies, in the order given, into the
     first-seen union of distinct events and the ledger of their votes."""
-    union: list[EventMention] = []
+    union: dict[EventKey, EventMention] = {}
     ledger = VoteLedger()
     for agent_id, events in replies:
         for event in events:
             key = canonical_key(event)
-            if key not in ledger:
-                union.append(event)
+            union.setdefault(key, event)
             ledger.record(key, agent_id)
-    return union, ledger
+    return list(union.values()), ledger
 
 
 def cleanup_predictions(raw: list[EventMention], doc: Document) -> list[EventMention]:

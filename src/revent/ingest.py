@@ -15,7 +15,8 @@ tagger prediction record
 All three loaders read through one record reader, so every malformed line
 (bad JSON, a non-object, a missing field or a value of the wrong type: an
 offset that is not a JSON integer, a confidence that is not a finite JSON
-number, a "type" or "role" that is not a non-empty string) is a
+number, a corpus "doc_id" or any "type" or "role" that is not a
+non-empty string, a corpus "text" that is not a string) is a
 CorpusFormatError naming its line number, and so is a repeated doc_id in
 a corpus or final-predictions file; a span that does not slice back to
 its surface is a SpanValidationError and an unknown doc_id an
@@ -226,7 +227,9 @@ def load_corpus(path: str | Path) -> list[Document]:
     seen: set[str] = set()
 
     def decode(rec: dict) -> Document:
-        doc_id, text = rec["doc_id"], rec["text"]
+        doc_id, text = _label(rec, "doc_id"), rec["text"]
+        if not isinstance(text, str):
+            raise CorpusFormatError(f"text is not a string: {short_repr(text)}")
         if doc_id in seen:
             raise CorpusFormatError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
@@ -242,8 +245,8 @@ def load_tagger_predictions(
     """Load tagger predictions keyed by doc_id, sorted by trigger start.
 
     Every record's doc_id must exist in ``corpus`` and every span must
-    satisfy document containment; confidences must be JSON numbers (not
-    bools or strings) in [0, 1].
+    satisfy document containment; every trigger and argument carries a
+    confidence, a JSON number (not a bool or a string) in [0, 1].
     """
 
     def confidence(value) -> float:
@@ -262,7 +265,7 @@ def load_tagger_predictions(
             for arec in erec.get("arguments", ()):
                 span = _span_from_record(arec, "argument")
                 key = (span.start, span.end, arec["role"])
-                conf = confidence(arec.get("confidence", 1.0))
+                conf = confidence(arec["confidence"])
                 conf_by_key[key] = max(conf, conf_by_key.get(key, 0.0))
             preds.append(TaggerPrediction(
                 event=event,

@@ -109,16 +109,18 @@ def derive_search_values(
 
 
 def collect_confidence_samples(
-    dev: list[Document], predictions: DevPredictions, level: str
-) -> tuple[tuple[list[float], list[float]], tuple[list[float], list[float]]]:
-    """((tagger correct, tagger incorrect), (smoa correct, smoa incorrect))
-    confidence samples at the requested level ("trigger" or "argument")."""
-    if level not in ("trigger", "argument"):
-        raise ConfigurationError(f"unknown level {level!r}")
-    tagger_c: list[float] = []
-    tagger_i: list[float] = []
-    smoa_c: list[float] = []
-    smoa_i: list[float] = []
+    dev: list[Document], predictions: DevPredictions
+) -> dict[str, tuple[tuple[list[float], list[float]], tuple[list[float], list[float]]]]:
+    """The dev predictions' confidence samples at each level, from one pass:
+    ``{"trigger": ..., "argument": ...}``, each ((tagger correct, tagger
+    incorrect), (smoa correct, smoa incorrect)).
+
+    Every tagger trigger and argument is a sample. Each dev document's
+    ensemble union is cleaned once, and each ensemble trigger, and each
+    argument of a trigger, is one sample however many events carry it.
+    """
+    samples = {level: (([], []), ([], [])) for level in ("trigger", "argument")}
+    (tagger_trig, smoa_trig), (tagger_arg, smoa_arg) = samples.values()
     n = predictions.n_agents
 
     for doc in dev:
@@ -128,37 +130,21 @@ def collect_confidence_samples(
         gold_args = {
             (trigger_id(e), a.key) for e in doc.gold_events for a in e.arguments
         }
-
+        # A pool pair is (correct, incorrect), so a wrong item goes to [True].
         for pred in predictions.tagger.get(doc.doc_id, []):
             tid = trigger_id(pred.event)
-            if level == "trigger":
-                (tagger_c if tid in gold_triggers else tagger_i).append(
-                    pred.trigger_confidence
-                )
-            else:
-                for arg, conf in zip(pred.event.arguments, pred.argument_confidences):
-                    (tagger_c if (tid, arg.key) in gold_args else tagger_i).append(conf)
+            tagger_trig[tid not in gold_triggers].append(pred.trigger_confidence)
+            for arg, conf in zip(pred.event.arguments, pred.argument_confidences):
+                tagger_arg[(tid, arg.key) not in gold_args].append(conf)
 
         events, ledger = predictions.smoa.get(doc.doc_id, ([], VoteLedger()))
-        seen_triggers: set = set()
-        seen_args: set = set()
-        for event in cleanup_predictions(events, doc):
-            tid = trigger_id(event)
-            if level == "trigger":
-                if tid in seen_triggers:
-                    continue
-                seen_triggers.add(tid)
-                conf = smoa_confidence(ledger, n, tid)
-                (smoa_c if tid in gold_triggers else smoa_i).append(conf)
-            else:
-                for arg in event.arguments:
-                    if (tid, arg.key) in seen_args:
-                        continue
-                    seen_args.add((tid, arg.key))
-                    conf = smoa_confidence(ledger, n, tid, arg.key)
-                    (smoa_c if (tid, arg.key) in gold_args else smoa_i).append(conf)
+        cleaned = cleanup_predictions(events, doc)
+        for tid in dict.fromkeys(map(trigger_id, cleaned)):
+            smoa_trig[tid not in gold_triggers].append(smoa_confidence(ledger, n, tid))
+        for tid, key in dict.fromkeys((trigger_id(e), a.key) for e in cleaned for a in e.arguments):
+            smoa_arg[(tid, key) not in gold_args].append(smoa_confidence(ledger, n, tid, key))
 
-    return (tagger_c, tagger_i), (smoa_c, smoa_i)
+    return samples
 
 
 @dataclass
@@ -279,7 +265,7 @@ def tune_thresholds(
     if not dev:
         raise ConfigurationError("threshold tuning needs a non-empty dev set")
     reflector = standin_reflector(reflection_standin)
-    samples = collect_confidence_samples(dev, predictions, "trigger")
+    samples = collect_confidence_samples(dev, predictions)
     # Scoring is keyed by doc_id, so a repeated doc_id counts once, as its
     # last document.
     prepared = [
@@ -299,12 +285,11 @@ def tune_thresholds(
         return getattr(evaluate_threshold_set(documents, thresholds, reflector), subtask).f1
 
     trigger = _tune_level(
-        samples, trigger_cuts, grid_step,
+        samples["trigger"], trigger_cuts, grid_step,
         lambda triple: f1(ThresholdSet(trigger=triple, argument=_DROP_ALL_ARGS), "trigger_cls"),
     )
-    samples = collect_confidence_samples(dev, predictions, "argument")
     argument = _tune_level(
-        samples, argument_cuts, grid_step,
+        samples["argument"], argument_cuts, grid_step,
         lambda triple: f1(ThresholdSet(trigger=trigger, argument=triple), "argument_cls"),
     )
     return ThresholdSet(trigger=trigger, argument=argument)

@@ -105,6 +105,29 @@ def test_http_backend_retry_schedule(monkeypatch):
     assert sleeps == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("body", [
+    pytest.param(b'["x"]', id="list"),
+    pytest.param(b'"x"', id="string"),
+    pytest.param(b'{"content": "\xff"}', id="not-utf-8"),
+    pytest.param(b"1" * 5_000, id="long-integer"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-nesting"),
+    pytest.param(b'{"content": null}', id="null-content"),
+    pytest.param(b'{"content": 5}', id="integer-content"),
+    pytest.param(b'{"text": "x"}', id="no-content"),
+])
+def test_http_backend_retries_replies_without_string_content(monkeypatch, no_backoff, body):
+    calls = []
+
+    def fake_urlopen(req, timeout):
+        calls.append(1)
+        return _FakeResponse(body)
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    with pytest.raises(BackendError, match="3 attempts"):
+        HttpChatBackend("https://llm.example/chat").complete(ChatRequest.user("p"))
+    assert len(calls) == 3
+
+
 def _http_error_urlopen(code, calls):
     def fake_urlopen(req, timeout):
         calls.append(code)

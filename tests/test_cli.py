@@ -189,6 +189,11 @@ def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys):
         argv[0] = "tune-thresholds"
         del argv[argv.index("--thresholds"):argv.index("--thresholds") + 2]
         _assert_configuration_error(argv, out, capsys, "--temperature")
+    argv = _extract_args(tmp_path / "missing", out, **{"--tune": str(tmp_path / "missing.jsonl")})
+    del argv[argv.index("--thresholds"):argv.index("--thresholds") + 2]
+    _assert_configuration_error(argv, out, capsys, "--tune requires --tune-tagger-preds")
+    argv = _extract_args(tmp_path / "missing", out, **{"--thresholds": "builtin:llama-3.1/m2e2"})
+    _assert_configuration_error(argv, out, capsys, "builtin:MODEL/DATASET/TEMP")
     # extract with a thresholds file does not read --grid-step.
     argv = _extract_args(tmp_path / "missing", out, **{"--grid-step": "0"})
     assert main(argv) == 2
@@ -588,6 +593,23 @@ def test_failing_document_stops_the_run(data_dir, tmp_path, monkeypatch, capsys)
     (backend,) = backends
     assert "doc-0002" in backend.requested
     assert max(int(doc_id.split("-")[1]) for doc_id in backend.requested) < 10
+
+
+def test_reflection_backend_error_stops_extract_with_exit_2(data_dir, tmp_path, capsys):
+    # Agent replies only: the first reflection call finds no scripted reply.
+    replay = json.loads((data_dir / "replay.json").read_text(encoding="utf-8"))
+    agents_only = {
+        doc_id: {c: r for c, r in channels.items() if c.startswith("agent:")}
+        for doc_id, channels in replay.items()
+    }
+    fixture = tmp_path / "agents_only.json"
+    fixture.write_text(json.dumps(agents_only), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(_extract_args(data_dir, out, **{"--backend": f"replay:{fixture}"})) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "OrchestrationError"
+    assert error["message"].startswith("reflection:")
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_oracle_extract_scores_perfect_argument_f1(tmp_path):

@@ -17,7 +17,7 @@ from revent.ensemble import (
 )
 from revent.errors import BackendError, ConfigurationError, OrchestrationError
 from revent.fencing import render_events_answer
-from revent.model import Document, EventMention, Span, canonical_key
+from revent.model import Document, EventMention, Span, canonical_key, trigger_id
 
 
 class ScriptedBackend:
@@ -43,6 +43,22 @@ def _event(word, text, etype="T"):
     return EventMention(Span(word, start, start + len(word)), etype)
 
 
+def _assert_votes(ledger, replies):
+    """``ledger`` holds exactly the trigger and argument votes of the
+    (agent id, events) ``replies``, counted here without a ledger."""
+    triggers, arguments = {}, {}
+    for agent_id, events in replies:
+        for event in events:
+            key = canonical_key(event)
+            triggers.setdefault(key.trigger_id, set()).add(agent_id)
+            for arg_key in key.argument_keys:
+                arguments.setdefault((key.trigger_id, arg_key), set()).add(agent_id)
+    for tid, agents in triggers.items():
+        assert ledger.trigger_votes(tid) == agents, tid
+    for (tid, arg_key), agents in arguments.items():
+        assert ledger.argument_votes(tid, arg_key) == agents, (tid, arg_key)
+
+
 def test_union_and_vote_bookkeeping():
     doc = _doc()
     reply_alpha = render_events_answer([_event("alpha", doc.text)])
@@ -52,7 +68,7 @@ def test_union_and_vote_bookkeeping():
         replies[("d", f"agent:{i}")] = [reply_alpha if i <= 6 else reply_empty]
     events, ledger = run_self_moa(doc, "p", default_agents(10), ScriptedBackend(replies))
     assert [e.trigger.text for e in events] == ["alpha"]
-    assert ledger.votes(canonical_key(events[0])) == frozenset(range(1, 7))
+    assert ledger.trigger_votes(trigger_id(events[0])) == frozenset(range(1, 7))
 
 
 def test_single_agent_empty_reply():
@@ -60,7 +76,8 @@ def test_single_agent_empty_reply():
     backend = ScriptedBackend({("d", "agent:1"): ["```\nEvents = []\n```"]})
     events, ledger = run_self_moa(doc, "p", default_agents(1), backend)
     assert events == []
-    assert len(ledger) == 0
+    for word in doc.text.split():
+        assert ledger.trigger_votes(trigger_id(_event(word, doc.text))) == frozenset()
 
 
 def test_figure_walkthrough_vote_counts(nisman_doc, replay_backend):
@@ -69,9 +86,9 @@ def test_figure_walkthrough_vote_counts(nisman_doc, replay_backend):
     )
     by_text = {e.trigger.text: e for e in events}
     assert set(by_text) == {"dead", "shot", "bombing"}
-    assert len(ledger.votes(canonical_key(by_text["shot"]))) == 2
-    assert len(ledger.votes(canonical_key(by_text["dead"]))) == 6
-    assert len(ledger.votes(canonical_key(by_text["bombing"]))) == 10
+    assert len(ledger.trigger_votes(trigger_id(by_text["shot"]))) == 2
+    assert len(ledger.trigger_votes(trigger_id(by_text["dead"]))) == 6
+    assert len(ledger.trigger_votes(trigger_id(by_text["bombing"]))) == 10
 
 
 def test_parse_failure_retried_once_then_empty():
@@ -83,7 +100,7 @@ def test_parse_failure_retried_once_then_empty():
     })
     events, ledger = run_self_moa(doc, "p", default_agents(2), backend)
     assert [e.trigger.text for e in events] == ["alpha"]
-    assert ledger.votes(canonical_key(events[0])) == frozenset({1})
+    assert ledger.trigger_votes(trigger_id(events[0])) == frozenset({1})
     assert backend.calls.count(("d", "agent:1")) == 2
     assert backend.calls.count(("d", "agent:2")) == 2
 
@@ -126,7 +143,7 @@ def test_single_worker_runs_agents_on_the_calling_thread():
 
     events, ledger = run_self_moa(doc, "p", default_agents(3), ThreadRecorder(), parallelism=1)
     assert threads == [threading.get_ident()] * 3
-    assert ledger.votes(canonical_key(events[0])) == frozenset({1, 2, 3})
+    assert ledger.trigger_votes(trigger_id(events[0])) == frozenset({1, 2, 3})
 
 
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0])
@@ -149,13 +166,14 @@ def test_reproducible_across_runs_and_parallelism(nisman_doc, replay_backend):
         run_self_moa(nisman_doc, "p", default_agents(10), replay_backend, parallelism=par)
         for par in (1, 4, 10)
     ]
-    baseline_events = results[0][0]
+    baseline_events, baseline = results[0]
     for events, ledger in results:
         assert events == baseline_events
         for event in events:
-            assert ledger.votes(canonical_key(event)) == results[0][1].votes(
-                canonical_key(event)
-            )
+            tid = trigger_id(event)
+            assert ledger.trigger_votes(tid) == baseline.trigger_votes(tid)
+            for arg in event.arguments:
+                assert ledger.argument_votes(tid, arg.key) == baseline.argument_votes(tid, arg.key)
 
 
 def test_union_equals_per_agent_union_brute_force():
@@ -183,12 +201,7 @@ def test_union_equals_per_agent_union_brute_force():
             )
         )
         assert {canonical_key(e) for e in events} == expected_keys
-        for i, evts in enumerate(per_agent, start=1):
-            for event in evts:
-                assert i in ledger.votes(canonical_key(event))
-        for event in events:
-            votes = ledger.votes(canonical_key(event))
-            assert votes and votes <= set(range(1, n_agents + 1))
+        _assert_votes(ledger, enumerate(per_agent, start=1))
 
 
 def test_cleanup_removes_hallucinated_span():
@@ -248,23 +261,22 @@ def test_ledger_index_equals_brute_scan():
     spans = [Span(w, text.index(w), text.index(w) + len(w)) for w in words]
     for _ in range(200):
         ledger = VoteLedger()
+        recorded = []
         for _ in range(rng.randint(0, 12)):
             args = tuple(
                 ArgumentMention(rng.choice(spans), rng.choice("RS"))
                 for _ in range(rng.randint(0, 3))
             )
             event = EventMention(rng.choice(spans[:3]), rng.choice("AB"), args)
-            ledger.record(canonical_key(event), rng.randint(1, 6))
+            recorded.append((canonical_key(event), rng.randint(1, 6)))
+            ledger.record(*recorded[-1])
         trigger_ids = {(s.start, s.end, t) for s in spans for t in "ABC"}
         arg_keys = {(s.start, s.end, r) for s in spans for r in "RST"}
         for tid in trigger_ids:
-            keys = [k for k in ledger.keys() if k.trigger_id == tid]
-            expected = frozenset().union(*(ledger.votes(k) for k in keys))
-            assert ledger.trigger_votes(tid) == expected
+            keys = [(k, agent) for k, agent in recorded if k.trigger_id == tid]
+            assert ledger.trigger_votes(tid) == {agent for _, agent in keys}
             for arg_key in arg_keys:
-                expected = frozenset().union(
-                    *(ledger.votes(k) for k in keys if arg_key in k.argument_keys)
-                )
+                expected = {agent for k, agent in keys if arg_key in k.argument_keys}
                 assert ledger.argument_votes(tid, arg_key) == expected
 
 
@@ -297,9 +309,12 @@ def test_shared_grounding_is_independent_of_parallelism():
             ]
             (serial, serial_ledger), (pooled, pooled_ledger) = runs
             assert pooled == serial
-            assert set(pooled_ledger.keys()) == set(serial_ledger.keys())
-            for key in serial_ledger.keys():
-                assert pooled_ledger.votes(key) == serial_ledger.votes(key)
+            for event in serial:
+                tid = trigger_id(event)
+                assert pooled_ledger.trigger_votes(tid) == serial_ledger.trigger_votes(tid)
+                for arg in event.arguments:
+                    assert (pooled_ledger.argument_votes(tid, arg.key)
+                            == serial_ledger.argument_votes(tid, arg.key))
     finally:
         sys.setswitchinterval(interval)
 
@@ -349,7 +364,8 @@ def test_non_string_roles_drop_the_reply_at_any_parallelism():
                 )
                 assert [(e.trigger.start, [(a.span.start, a.role) for a in e.arguments])
                         for e in events] == [(0, [(3, "R")])]
-                assert ledger.votes(canonical_key(events[0])) == frozenset({4, 5, 6})
+                assert ledger.trigger_votes((0, 2, "T")) == frozenset({4, 5, 6})
+                assert ledger.argument_votes((0, 2, "T"), (3, 5, "R")) == frozenset({4, 5, 6})
                 assert backend.calls.count(("d", "agent:1")) == 2
     finally:
         sys.setswitchinterval(interval)
@@ -360,6 +376,7 @@ def test_non_string_roles_drop_the_reply_at_any_parallelism():
     pytest.param("{[1]: 2}", id="unhashable-key"),
     pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
     pytest.param("1" * 5_000, id="long-integer"),
+    pytest.param('{"trigger": "alpha", "type": "T"}', id="object-not-a-list"),
 ])
 def test_unparseable_reply_is_retried_then_empty(parallelism, payload):
     doc = _doc()
@@ -370,7 +387,7 @@ def test_unparseable_reply_is_retried_then_empty(parallelism, payload):
     })
     events, ledger = run_self_moa(doc, "p", default_agents(2), backend, parallelism)
     assert [e.trigger.text for e in events] == ["alpha"]
-    assert ledger.votes(canonical_key(events[0])) == frozenset({2})
+    assert ledger.trigger_votes(trigger_id(events[0])) == frozenset({2})
     assert backend.calls.count(("d", "agent:1")) == 2
 
 
@@ -379,6 +396,6 @@ def test_fold_votes_first_seen_union_in_reply_order():
     alpha, beta, gamma = (_event(w, text) for w in ("alpha", "beta", "gamma"))
     union, ledger = fold_votes([(2, [beta, alpha]), (1, [alpha, gamma]), (3, [])])
     assert union == [beta, alpha, gamma]
-    assert ledger.votes(canonical_key(alpha)) == frozenset({1, 2})
-    assert ledger.votes(canonical_key(gamma)) == frozenset({1})
-    assert len(ledger) == 3
+    assert ledger.trigger_votes(trigger_id(alpha)) == frozenset({1, 2})
+    assert ledger.trigger_votes(trigger_id(gamma)) == frozenset({1})
+    assert ledger.trigger_votes(trigger_id(beta)) == frozenset({2})

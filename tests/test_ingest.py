@@ -413,6 +413,14 @@ def _break_record(rec, case):
         event["type"] = ""
     elif case == "integer-role":
         arg["role"] = 5
+    elif case == "missing-confidence":
+        del arg["confidence"]
+    elif case == "list-text":
+        rec["text"] = [rec["text"]]
+    elif case == "integer-doc-id":
+        rec["doc_id"] = 7
+    elif case == "empty-doc-id":
+        rec["doc_id"] = ""
     return rec  # unchanged for "repeated-doc-id": it repeats the good line's doc_id
 
 
@@ -426,7 +434,8 @@ _LOADER_CASES = [
     for loader in _LOADERS
     for case in ["non-object", "long-integer", "deep-nesting", "missing-trigger", "missing-type", "missing-role", "empty-role",
                  "float-offset", "string-offset", "bool-offset", "integer-type", "empty-type", "integer-role"]
-    + (["text-confidence", "text-trigger-confidence"] if loader == "tagger" else [])
+    + (["text-confidence", "text-trigger-confidence", "missing-confidence"] if loader == "tagger" else [])
+    + (["list-text", "integer-doc-id", "empty-doc-id"] if loader == "corpus" else [])
     + (["repeated-doc-id"] if loader == "final" else [])
 ]
 

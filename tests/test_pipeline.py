@@ -123,6 +123,19 @@ def test_keep_all_standin_keeps_ambiguous(nisman_doc, worked_tagger, replay_back
     assert [pe.event.trigger.text for pe in result.final] == ["dead", "bombing"]
 
 
+@pytest.mark.parametrize("copies", [0, 2])
+def test_reflector_must_return_one_result_per_item(nisman_doc, worked_tagger, replay_backend, copies):
+    events, ledger = run_self_moa(nisman_doc, "p", default_agents(10), replay_backend)
+
+    def reflector(doc, items):
+        return keep_all_reflector(doc, items * copies)
+
+    with pytest.raises(ConfigurationError, match=f"reflector returned {copies} results for 1 items"):
+        extract_document(
+            nisman_doc, worked_tagger["nisman"], events, ledger, 10, THRESHOLDS, 0.5, reflector
+        )
+
+
 def test_oracle_standin_matches_scripted_verdicts(
     nisman_doc, gandhi_doc, worked_tagger, replay_backend
 ):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from revent.backends import ChatRequest
-from revent.errors import ContractError, ReplyParseError
+from revent.errors import BackendError, ContractError, OrchestrationError, ReplyParseError
 from revent.fencing import render_argument_verdicts, render_classification_map
 from revent.model import ArgumentMention, Document, EventMention, Span
 from revent.reflection import (
@@ -330,6 +330,44 @@ def test_unparseable_replies_fall_back_to_keep_all(payload):
     assert [e["outcome"].split(":")[0] for e in audit.entries] == ["parse-error"] * 2 + [
         "fallback-keep-all", "parse-error", "parse-error", "fallback-keep-all"
     ]
+
+
+@pytest.mark.parametrize("reply, reason", [
+    pytest.param('```ClassificationMap = ["dead"]```',
+                 "ClassificationMap is not a mapping", id="map-not-a-mapping"),
+    pytest.param('```Events = {"dead": "Trigger"}```',
+                 "expected top-level key 'ClassificationMap'", id="wrong-key"),
+    pytest.param('```\n{"text": "bombing", "role": "Target", "is_correct": true}\n```',
+                 "argument reply is not a list", id="arguments-not-a-list"),
+    pytest.param('```\n[{"text": "bombing", "role": "Target", "is_correct": "yes"}]\n```',
+                 "is_correct is not a boolean", id="non-bool-is-correct"),
+])
+def test_wrong_shaped_reply_is_retried_then_kept_all(reply, reason):
+    doc = _doc()
+    asks_trigger = "ClassificationMap" in reason
+    pending = () if asks_trigger else [ArgumentMention(_span(doc, "bombing"), "Target")]
+    items = [_item(doc, "dead", "Life:Die", ambiguous=asks_trigger, pending=pending)]
+    backend = RecordingBackend(lambda req: reply)
+    audit = AuditLog()
+    results = reflect(items, doc, backend, ReflectionConfig(retry_limit=1), audit)
+    assert _kept_triggers(results) == ["dead"]
+    assert [a.span.text for a in results[0].confirmed_arguments] == [a.span.text for a in pending]
+    assert len(backend.requests) == 2
+    assert [e["outcome"].startswith(f"parse-error: {reason}") for e in audit.entries] == [
+        True, True, False
+    ]
+    assert audit.entries[-1]["outcome"] == "fallback-keep-all"
+    assert audit.entries[-1]["fallback"] is True
+
+
+def test_reflection_backend_error_is_an_orchestration_error():
+    def reply(request):
+        raise BackendError("endpoint down")
+
+    doc = _doc()
+    items = [_item(doc, "dead", "Life:Die", ambiguous=True)]
+    with pytest.raises(OrchestrationError, match="reflection:triggers for doc 'd': endpoint down"):
+        reflect(items, doc, RecordingBackend(reply), ReflectionConfig(), AuditLog())
 
 
 _LONG = "x" * 200_000

@@ -1,7 +1,7 @@
 import pytest
 
 from revent.errors import ConfigurationError
-from revent.model import canonical_key
+from revent.model import canonical_key, trigger_id
 from revent.simulate import (
     OracleProfile,
     default_scenario,
@@ -38,7 +38,10 @@ def test_identity_profile_reproduces_gold():
             canonical_key(e) for e in doc.gold_events
         }
         for event in events:
-            assert ledger.votes(canonical_key(event)) == frozenset(range(1, 11))
+            tid = trigger_id(event)
+            assert ledger.trigger_votes(tid) == frozenset(range(1, 11))
+            for arg in event.arguments:
+                assert ledger.argument_votes(tid, arg.key) == frozenset(range(1, 11))
 
 
 def test_seeded_recall_is_reproducible():
@@ -63,8 +66,12 @@ def test_vote_counts_within_bounds():
     for doc in corpus:
         events, ledger = agents[doc.doc_id]
         for event in events:
-            votes = ledger.votes(canonical_key(event))
+            tid = trigger_id(event)
+            votes = ledger.trigger_votes(tid)
             assert 1 <= len(votes) <= 10
+            for arg in event.arguments:
+                arg_votes = ledger.argument_votes(tid, arg.key)
+                assert arg_votes and arg_votes <= votes
 
 
 def test_injection_approaches_target_precision():

@@ -1,14 +1,15 @@
 import random
+from functools import partial
 
 import pytest
 
 from revent import tuning
 from revent.confidence import Source, ThresholdSet, ThresholdTriple
-from revent.ensemble import VoteLedger
+from revent.ensemble import VoteLedger, cleanup_predictions
 from revent.errors import ConfigurationError
 from revent.ingest import TaggerPrediction
 from revent.metrics import gold_from_corpus, score_predictions
-from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key
+from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key, trigger_id
 from revent.pipeline import (
     drop_all_reflector,
     extract_document,
@@ -99,6 +100,38 @@ def test_empty_dev_set_is_configuration_error():
         tune_thresholds([], DevPredictions(tagger={}, smoa={}, n_agents=10))
 
 
+def _recount_samples(dev, predictions, level):
+    """((tagger correct, incorrect), (smoa correct, incorrect)) confidences
+    at one level, recounted straight from the dev set: every tagger item,
+    and each distinct ensemble trigger (or argument of a trigger) of the
+    cleaned union, at its vote share."""
+    tagger, smoa = ([], []), ([], [])
+    for doc in dev:
+        gold = {trigger_id(e) for e in doc.gold_events}
+        if level == "argument":
+            gold = {(trigger_id(e), a.key) for e in doc.gold_events for a in e.arguments}
+        for pred in predictions.tagger.get(doc.doc_id, []):
+            tid = trigger_id(pred.event)
+            if level == "trigger":
+                tagger[tid not in gold].append(pred.trigger_confidence)
+            else:
+                for arg, conf in zip(pred.event.arguments, pred.argument_confidences):
+                    tagger[(tid, arg.key) not in gold].append(conf)
+        events, ledger = predictions.smoa.get(doc.doc_id, ([], VoteLedger()))
+        seen = set()
+        for event in cleanup_predictions(events, doc):
+            tid = trigger_id(event)
+            if level == "trigger":
+                items = [(tid, ledger.trigger_votes(tid))]
+            else:
+                items = [((tid, a.key), ledger.argument_votes(tid, a.key)) for a in event.arguments]
+            for item, votes in items:
+                if item not in seen:
+                    seen.add(item)
+                    smoa[item not in gold].append(len(votes) / predictions.n_agents)
+    return tagger, smoa
+
+
 def _brute_force_tune(
     dev, predictions, grid_step, overlap_threshold=0.5, reflector=keep_all_reflector
 ):
@@ -127,7 +160,7 @@ def _brute_force_tune(
         metrics = score_predictions(preds, gold_from_corpus(dev))
         return getattr(metrics, objective).f1
 
-    (tc, ti), (mc, mi) = collect_confidence_samples(dev, predictions, "trigger")
+    (tc, ti), (mc, mi) = _recount_samples(dev, predictions, "trigger")
     best = None
     for lo in values(mc, mi):
         for s in values(tc, ti):
@@ -140,7 +173,7 @@ def _brute_force_tune(
                     best = (f1, triple)
     trigger_triple = best[1]
 
-    (tc, ti), (mc, mi) = collect_confidence_samples(dev, predictions, "argument")
+    (tc, ti), (mc, mi) = _recount_samples(dev, predictions, "argument")
     best = None
     for lo in values(mc, mi):
         for s in values(tc, ti):
@@ -336,3 +369,34 @@ def test_tuner_work_is_bounded_by_the_data(monkeypatch, grid_step):
         smoa = len({i.confidence for i in items if i.source is Source.SMOA})
         points = sum((t.argument == DROP_ALL) == (level == "trigger") for t in visited)
         assert 0 < points <= (tagger + 1) * (smoa + 1) ** 2
+
+
+# The seeded dev sets of this file, by name.
+DEV_SETS = {
+    "dev-6": partial(_dev_fixture, 6),
+    "argument": _argument_dev_set,
+    **{f"dev-3-seed-{s}": partial(_dev_fixture, 3, corpus_seed=s) for s in (1, 2, 3, 4)},
+    **{f"argument-seed-{s}": partial(_seeded_argument_dev_set, s) for s in (1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", DEV_SETS)
+def test_confidence_samples_equal_a_per_level_recount(name):
+    dev, predictions = DEV_SETS[name]()
+    assert collect_confidence_samples(dev, predictions) == {
+        level: _recount_samples(dev, predictions, level) for level in ("trigger", "argument")
+    }
+
+
+def test_tuner_collects_confidence_samples_once(monkeypatch):
+    calls = []
+    collect = tuning.collect_confidence_samples
+
+    def counted(dev, predictions):
+        calls.append(dev)
+        return collect(dev, predictions)
+
+    monkeypatch.setattr(tuning, "collect_confidence_samples", counted)
+    dev, predictions = _argument_dev_set()
+    tune_thresholds(dev, predictions, grid_step=0.1)
+    assert calls == [dev]
