@@ -142,8 +142,13 @@ def _report(value, out: Path | None = None) -> None:
     sys.stdout.write(json_report(value))
 
 
-def _json_line(record) -> str:
-    return json.dumps(record, ensure_ascii=False, sort_keys=True, allow_nan=False)
+def _json_lines(records) -> str:
+    """One key-sorted JSON line per record, each ending in a newline; no
+    records is the empty string."""
+    return "".join(
+        json.dumps(record, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n"
+        for record in records
+    )
 
 
 def run_pipeline(args) -> dict:
@@ -167,16 +172,12 @@ def run_pipeline(args) -> dict:
         return result, audit.entries
 
     results = _run_agents(corpus, args, backend, extract)
+    write_text_atomic(args.out / "predictions.jsonl", _json_lines(
+        {"doc_id": doc.doc_id, "events": [pe.to_record() for pe in result.final]}
+        for doc, (result, _) in zip(corpus, results)
+    ))
     write_text_atomic(
-        args.out / "predictions.jsonl",
-        "\n".join(
-            _json_line({"doc_id": doc.doc_id, "events": [pe.to_record() for pe in result.final]})
-            for doc, (result, _) in zip(corpus, results)
-        ) + "\n",
-    )
-    write_text_atomic(
-        args.out / "audit.jsonl",
-        "".join(_json_line(entry) + "\n" for _, entries in results for entry in entries),
+        args.out / "audit.jsonl", _json_lines(entry for _, entries in results for entry in entries)
     )
     save_threshold_set(thresholds, args.out / "thresholds.json")
     summary: dict = {

@@ -39,8 +39,9 @@ text here, by a per-document ``Grounding``:
 - a surface that does not occur at all drops its event (for triggers) or
   just itself (for arguments).
 Every item's shape is checked whether or not its trigger occurs, so a
-malformed reply is malformed against every document; an event type and an
-argument role must be non-empty strings. Grounding an item is a pure
+malformed reply is malformed against every document; a trigger and an
+argument text must be strings, an event type and an argument role non-empty
+strings. Grounding an item is a pure
 function of (document, trigger surface, k, type, argument set), so one
 ``Grounding`` indexes each surface's ``model.occurrences`` once and
 memoises each grounded event for every reply about that document.
@@ -376,9 +377,9 @@ def parse_agent_output(
     Events whose trigger surface does not occur anywhere in the text are
     dropped (span validation); so are individual non-occurring arguments.
     Raises ReplyParseError when there is no fence, the payload is not the
-    expected shape, or an event type or argument role is not a non-empty
-    string, whether or not the item's trigger occurs - the caller decides
-    the retry policy.
+    expected shape, a trigger or argument text is not a string, or an event
+    type or argument role is not a non-empty string, whether or not the
+    item's trigger occurs - the caller decides the retry policy.
 
     ``grounding`` shares one document's occurrence index and event memo
     across replies; by default each call builds a fresh one.
@@ -405,17 +406,21 @@ def parse_agent_output(
         if not isinstance(arguments, (list, tuple)):
             raise ReplyParseError(f"arguments is not a list: {short_repr(item)}")
         trigger = item["trigger"]
-        n = len(grounding.spans(trigger)) if isinstance(trigger, str) else 0
+        if not isinstance(trigger, str):
+            raise ReplyParseError(f"trigger is not a string: {short_repr(item)}")
+        n = len(grounding.spans(trigger))
         args = []
         for arec in arguments:
             if not isinstance(arec, dict) or "text" not in arec or "role" not in arec:
                 raise ReplyParseError(f"malformed argument item: {short_repr(arec)}")
             text, role = arec["text"], arec["role"]
+            if not isinstance(text, str):
+                raise ReplyParseError(f"argument text is not a string: {short_repr(arec)}")
             if not isinstance(role, str) or not role:
                 raise ReplyParseError(
                     f"argument role is not a non-empty string: {short_repr(arec)}"
                 )
-            if n and isinstance(text, str) and grounding.spans(text):
+            if n and grounding.spans(text):
                 args.append((text, role))
         if not n:
             continue

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable
 
 from .errors import IntegrationError
-from .model import ArgumentMention, EventMention, Span, TriggerId
+from .model import ArgumentKey, ArgumentMention, EventMention, Span, TriggerId, trigger_id
 
 __all__ = ["Provenance", "ProvenancedEvent", "finalize_events"]
 
@@ -49,28 +49,9 @@ class ProvenancedEvent:
                 f"{len(self.event.arguments)} arguments"
             )
 
-    @classmethod
-    def build(
-        cls,
-        trigger: Span,
-        event_type: str,
-        trigger_provenance: Provenance,
-        arguments: list[tuple[ArgumentMention, Provenance]] = (),
-    ) -> "ProvenancedEvent":
-        """Construct from unordered (argument, provenance) pairs."""
-        unique: dict[tuple, tuple[ArgumentMention, Provenance]] = {}
-        for arg, prov in arguments:
-            unique.setdefault(arg.key, (arg, prov))
-        ordered = sorted(unique.values(), key=lambda pair: pair[0].key)
-        return cls(
-            event=EventMention(trigger, event_type, tuple(a for a, _ in ordered)),
-            trigger_provenance=trigger_provenance,
-            argument_provenances=tuple(p for _, p in ordered),
-        )
-
     @property
     def trigger_id(self) -> TriggerId:
-        return (self.event.trigger.start, self.event.trigger.end, self.event.event_type)
+        return trigger_id(self.event)
 
     def argument_pairs(self) -> list[tuple[ArgumentMention, Provenance]]:
         return list(zip(self.event.arguments, self.argument_provenances))
@@ -101,12 +82,17 @@ def finalize_events(
 ) -> list[ProvenancedEvent]:
     """Merge kept (trigger, event_type, trigger provenance, argument pairs)
     entries, given in path-precedence order, into the final position-sorted
-    set, building each final event once."""
-    merged: dict[TriggerId, tuple[Span, Provenance, list]] = {}
+    set, building each final event once (its arguments sorted by EventMention)."""
+    merged: dict[TriggerId, tuple[Span, Provenance, dict[ArgumentKey, tuple]]] = {}
     for trigger, event_type, provenance, arguments in kept:
         tid = (trigger.start, trigger.end, event_type)
-        merged.setdefault(tid, (trigger, provenance, []))[2].extend(arguments)
-    return [
-        ProvenancedEvent.build(trigger, tid[2], provenance, arguments)
-        for tid, (trigger, provenance, arguments) in sorted(merged.items())
-    ]
+        unique = merged.setdefault(tid, (trigger, provenance, {}))[2]
+        for arg, prov in arguments:
+            unique.setdefault(arg.key, (arg, prov))
+    final = []
+    for tid, (trigger, provenance, unique) in sorted(merged.items()):
+        event = EventMention(trigger, tid[2], tuple(arg for arg, _ in unique.values()))
+        final.append(ProvenancedEvent(
+            event, provenance, tuple(unique[arg.key][1] for arg in event.arguments)
+        ))
+    return final

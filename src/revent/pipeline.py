@@ -51,6 +51,7 @@ from .integration import Provenance, ProvenancedEvent, finalize_events
 from .model import (
     ArgumentMention,
     Document,
+    EventKey,
     EventMention,
     Span,
     canonical_key,
@@ -185,13 +186,13 @@ class DocumentResult:
         return [pe.event for pe in self.final]
 
 
-def _dedupe_tagger(preds: list[TaggerPrediction]) -> list[TaggerPrediction]:
-    best: dict = {}
+def _dedupe_tagger(preds: list[TaggerPrediction]) -> dict[EventKey, TaggerPrediction]:
+    best: dict[EventKey, TaggerPrediction] = {}
     for pred in preds:
         key = canonical_key(pred.event)
         if key not in best or pred.trigger_confidence > best[key].trigger_confidence:
             best[key] = pred
-    return list(best.values())
+    return best
 
 
 def prepare(
@@ -208,11 +209,9 @@ def prepare(
     with its vote ledger over ``n_agents`` agents; ``tagger_predictions``
     carry the tagger confidences.
     """
-    preds = _dedupe_tagger(tagger_predictions)
-    pred_by_key = {canonical_key(p.event): p for p in preds}
-    report = match_triggers(
-        cleanup_predictions(smoa_events, doc), [p.event for p in preds], overlap_threshold
-    )
+    pred_by_key = _dedupe_tagger(tagger_predictions)
+    tagger_events = [p.event for p in pred_by_key.values()]
+    report = match_triggers(cleanup_predictions(smoa_events, doc), tagger_events, overlap_threshold)
 
     def score_arguments(event: EventMention, source: Source, args) -> tuple[ScoredArgument, ...]:
         if source is Source.TAGGER:

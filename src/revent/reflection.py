@@ -26,7 +26,7 @@ from typing import Callable
 
 from .backends import ChatBackend, ChatRequest
 from .errors import BackendError, ContractError, OrchestrationError, ReplyParseError, short_repr
-from .fencing import extract_fenced_block, parse_answer
+from .fencing import compact_json, extract_fenced_block, parse_answer
 from .model import ArgumentKey, ArgumentMention, Document, EventMention, TriggerId, trigger_id
 
 __all__ = [
@@ -130,7 +130,7 @@ def build_trigger_prompt(doc: Document, candidates: list[str]) -> str:
     """Render the batched trigger-verification prompt for one document."""
     if not candidates:
         raise ContractError("trigger reflection needs at least one candidate")
-    phrases = json.dumps(candidates, ensure_ascii=False)
+    phrases = compact_json(candidates)
     return (
         _TRIGGER_TEMPLATE
         .replace("<CANDIDATE_TRIGGERS_TO_VERIFY>", phrases)
@@ -146,10 +146,7 @@ def build_argument_prompt(
     if not candidates:
         raise ContractError("argument reflection needs at least one candidate")
     doc.check_event(trigger)
-    rendered = json.dumps(
-        [{"text": a.span.text, "role": a.role} for a in candidates],
-        ensure_ascii=False,
-    )
+    rendered = compact_json([{"text": a.span.text, "role": a.role} for a in candidates])
     return (
         _ARGUMENT_TEMPLATE
         .replace("<FULL_PASSAGE_TEXT>", doc.text)
@@ -321,7 +318,7 @@ def reflect(
             metadata={
                 "doc_id": doc.doc_id,
                 "channel": channel,
-                "candidates": json.dumps(candidates, ensure_ascii=False),
+                "candidates": compact_json(candidates),
                 **metadata,
             },
         )

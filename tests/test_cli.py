@@ -102,6 +102,19 @@ def test_extract_twice_is_byte_identical(data_dir, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_extract_on_empty_corpus_writes_empty_jsonl_files(data_dir, tmp_path):
+    (tmp_path / "corpus.jsonl").write_text("", encoding="utf-8")
+    (tmp_path / "tagger.jsonl").write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = _extract_args(
+        data_dir, out, **{"--corpus": str(tmp_path / "corpus.jsonl"),
+                          "--tagger-preds": str(tmp_path / "tagger.jsonl")},
+    )
+    assert main(argv) == 0
+    assert (out / "predictions.jsonl").read_bytes() == b""
+    assert (out / "audit.jsonl").read_bytes() == b""
+
+
 def test_thresholds_file_written_like_other_artifacts(data_dir, tmp_path):
     assert main(_extract_args(data_dir, tmp_path)) == 0
     mode = (tmp_path / "predictions.jsonl").stat().st_mode

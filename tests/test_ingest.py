@@ -493,6 +493,11 @@ def test_unparseable_payload_is_a_reply_parse_error(payload):
     {"trigger": "aa", "type": 5},
     {"trigger": "aa", "type": ""},
     {"trigger": "aa", "type": {"k": 1}},
+    {"trigger": ["aa"], "type": "T"},
+    {"trigger": 5, "type": "T"},
+    {"trigger": None, "type": "T"},
+    {"trigger": "aa", "type": "T", "arguments": [{"text": 5, "role": "R"}]},
+    {"trigger": "aa", "type": "T", "arguments": [{"text": ["bb"], "role": "R"}]},
 ])
 def test_item_shape_is_checked_against_every_document(bad):
     for text in ("aa bb", "zz bb", ""):

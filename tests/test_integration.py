@@ -104,9 +104,16 @@ def test_no_invention_and_ordering_random():
             for trig, etype, _, args in kept
             for a, _ in args
         }
+        first_seen = {}
+        for trig, etype, _, args in kept:
+            pairs = first_seen.setdefault((trig.start, trig.end, etype), {})
+            for a, p in args:
+                pairs.setdefault(a.key, (a, p))
         for pe in final:
             for arg, _ in pe.argument_pairs():
                 assert (arg.key, pe.trigger_id) in input_args
+            expected = first_seen[pe.trigger_id]
+            assert pe.argument_pairs() == [expected[k] for k in sorted(expected)]
         assert len({pe.trigger_id for pe in final}) == len(final)
 
 

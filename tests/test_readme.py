@@ -1,0 +1,20 @@
+import ast
+import json
+import re
+import shutil
+from pathlib import Path
+
+README = Path(__file__).parent.parent / "README.md"
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def test_library_use_example_runs_as_written(data_dir, tmp_path, monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    for name in ("corpus.jsonl", "tagger.jsonl", "replay.json"):
+        shutil.copy(data_dir / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(README), "exec"), {})
+    printed = ast.literal_eval(capsys.readouterr().out)
+    first = (GOLDEN / "predictions.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    assert printed == json.loads(first)["events"]
