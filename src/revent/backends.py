@@ -13,13 +13,11 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Callable, Mapping, Protocol
 
-from .errors import BackendError, ConfigurationError, short_repr
+from .errors import BackendError, ConfigurationError, OrchestrationError, ReplyParseError, short_repr
 from .fencing import (
     render_argument_verdicts,
     render_classification_map,
@@ -35,6 +33,7 @@ __all__ = [
     "ReplayBackend",
     "OracleBackend",
     "make_backend",
+    "ask",
 ]
 
 _ROLES = frozenset({"system", "user", "assistant"})
@@ -96,6 +95,9 @@ class HttpChatBackend:
         self.api_key_env = api_key_env
 
     def complete(self, request: ChatRequest) -> str:
+        import urllib.error
+        import urllib.request
+
         body: dict = {
             "model": self.model,
             "messages": [{"role": r, "content": c} for r, c in request.messages],
@@ -219,3 +221,26 @@ def make_backend(descriptor: str, corpus: list[Document] | None = None) -> ChatB
         f"unrecognized backend descriptor {descriptor!r} "
         "(expected a http(s) URL, replay:PATH, or oracle)"
     )
+
+
+def ask(backend: ChatBackend, prompt: str, parse: Callable, retries: int, give_up: Callable,
+        label: str, note: Callable = lambda attempt, reply, error: None, **request):
+    """Ask up to ``1 + retries`` times with ``ChatRequest.user(prompt, **request)``;
+    return ``parse`` of the first reply that parses, else ``give_up(last reply)``.
+    ``note(attempt, reply, error)`` sees each reply and its ReplyParseError or None.
+    A BackendError raises OrchestrationError ``"{label}: {error}"``."""
+    chat = ChatRequest.user(prompt, **request)
+    reply = ""
+    for attempt in range(1 + retries):
+        try:
+            reply = backend.complete(chat)
+        except BackendError as exc:
+            raise OrchestrationError(f"{label}: {exc}") from exc
+        try:
+            value = parse(reply)
+        except ReplyParseError as exc:
+            note(attempt, reply, exc)
+            continue
+        note(attempt, reply, None)
+        return value
+    return give_up(reply)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .ensemble import VoteLedger
@@ -182,6 +181,8 @@ def bundled_thresholds(model: str, dataset: str, temperature: float | str) -> Th
     Models: phi-3, llama-3.1. Datasets: casie, m2e2, mlee. Temperatures:
     0.1, 0.6, 0.9. Case-insensitive.
     """
+    from importlib import resources
+
     table = json.loads(
         resources.files("revent.data").joinpath("thresholds.json").read_text("utf-8")
     )

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .backends import ChatBackend, ChatRequest
-from .errors import BackendError, ConfigurationError, OrchestrationError, ReplyParseError
+from .backends import ChatBackend, ask
+from .errors import ConfigurationError
 from .ingest import Grounding, parse_agent_output
 from .model import ArgumentKey, Document, EventKey, EventMention, TriggerId, canonical_key
 
@@ -122,26 +121,20 @@ def run_self_moa(
     grounding = Grounding(doc)
 
     def one_agent(agent: AgentConfig) -> list[EventMention]:
-        request = ChatRequest.user(
-            prompt,
-            temperature=agent.temperature,
-            max_output_tokens=_MAX_OUTPUT_TOKENS,
+        return ask(
+            backend, prompt, lambda reply: parse_agent_output(reply, doc, grounding),
+            1, lambda reply: [], f"agent {agent.agent_id}",
+            temperature=agent.temperature, max_output_tokens=_MAX_OUTPUT_TOKENS,
             metadata={"doc_id": doc.doc_id, "channel": f"agent:{agent.agent_id}"},
         )
-        for attempt in (0, 1):
-            try:
-                return parse_agent_output(backend.complete(request), doc, grounding)
-            except ReplyParseError:
-                if attempt:
-                    return []
-            except BackendError as exc:
-                raise OrchestrationError(f"agent {agent.agent_id}: {exc}") from exc
 
     ordered = sorted(agents, key=lambda a: a.agent_id)
     workers = max(1, min(parallelism, len(ordered)))
     if workers == 1:
         replies = [one_agent(a) for a in ordered]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             replies = list(pool.map(one_agent, ordered))
     return fold_votes(zip((a.agent_id for a in ordered), replies))

@@ -14,7 +14,8 @@ import re
 
 from .errors import ReplyParseError, short_repr
 
-_FENCE_RE = re.compile(r"```(?:[a-zA-Z0-9_-]+\n)?(.*?)```", re.DOTALL)
+# The optional language tag after an opening fence.
+_TAG_RE = re.compile(r"[a-zA-Z0-9_-]+\n")
 
 # ``json.dumps(value, ensure_ascii=False)`` without building an encoder per
 # call; the encoder holds only its settings, so threads may share it.
@@ -24,13 +25,16 @@ compact_json = json.JSONEncoder(ensure_ascii=False).encode
 def extract_fenced_block(raw: str) -> str:
     """Return the body of the first triple-backtick fence in ``raw``.
 
-    Surrounding prose is ignored. Raises ReplyParseError when no fence is
+    Surrounding prose is ignored, and so is a language tag line right
+    after the opening fence. Raises ReplyParseError when no fence is
     present.
     """
-    match = _FENCE_RE.search(raw)
-    if match is None:
+    start = raw.find("```")
+    end = -1 if start < 0 else raw.find("```", start + 3)
+    if end < 0:
         raise ReplyParseError("no triple-backtick fence found in reply")
-    return match.group(1).strip()
+    tag = _TAG_RE.match(raw, start + 3)
+    return raw[tag.end() if tag else start + 3:end].strip()
 
 
 def render_fence(body: str) -> str:

@@ -52,7 +52,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import secrets
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -165,21 +164,28 @@ def _read_records(path: str | Path, decode, corpus: list[Document] | None = None
     Without ``corpus`` each value is ``decode(record)``. With it, each
     record must name one of its documents by "doc_id" (else
     UnknownDocumentError), and each value is ``(doc, decode(record, doc))``.
-    Malformed JSON, a line that is not a JSON object, or a KeyError,
-    TypeError, ValueError or AttributeError raised while decoding becomes
-    CorpusFormatError with the line number, and so does a CorpusFormatError
-    that ``decode`` raises. Other ReventErrors, such as SpanValidationError,
-    pass through unchanged.
+    A line that is not UTF-8, malformed JSON, a line that is not a JSON
+    object, or a KeyError, TypeError, ValueError or AttributeError raised
+    while decoding becomes CorpusFormatError with the line number, and so
+    does a CorpusFormatError that ``decode`` raises. Other ReventErrors, such
+    as SpanValidationError, pass through unchanged.
     """
     by_id = None if corpus is None else {doc.doc_id: doc for doc in corpus}
     values = []
-    with open(path, encoding="utf-8") as fh:
+    # Strict decoding fails a whole 8 KB chunk, often before the bad line is
+    # reached; surrogateescape turns each bad byte into U+DC00 plus the byte,
+    # which only its own line carries.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8")
                 rec = _json_object(line, "record")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise CorpusFormatError(f"not UTF-8: byte 0x{byte:02X}", line=lineno) from None
             except ValueError as exc:
                 raise CorpusFormatError(str(exc), line=lineno) from exc
             try:
@@ -449,7 +455,7 @@ def open_atomic(path: str | Path):
     ``path`` is left as it was. The file's mode is 0666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}"
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -20,12 +20,11 @@ entries; the CLI writes them out as audit.jsonl.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
-from .backends import ChatBackend, ChatRequest
-from .errors import BackendError, ContractError, OrchestrationError, ReplyParseError, short_repr
+from .backends import ChatBackend, ask
+from .errors import ContractError, ReplyParseError, short_repr
 from .fencing import compact_json, extract_fenced_block, parse_answer
 from .model import ArgumentKey, ArgumentMention, Document, EventMention, TriggerId, trigger_id
 
@@ -43,8 +42,6 @@ __all__ = [
     "resolve",
     "reflect",
 ]
-
-logger = logging.getLogger(__name__)
 
 TRIGGER_LABEL = "Trigger"
 NON_TRIGGER_LABEL = "Non-Trigger"
@@ -307,64 +304,49 @@ def reflect(
     an event absent from its input. Every exchange is recorded in ``audit``.
     """
 
-    def ask(phase, channel, prompt, candidates, parse, **metadata) -> list[bool]:
+    def verify(phase, prompt, candidates, parse, **metadata) -> list[bool]:
         """``parse(reply)``: one flag per candidate, or all True once the
         reply is still unparseable after ``config.retry_limit`` retries."""
-        request = ChatRequest.user(
-            prompt,
-            temperature=config.temperature,
-            max_output_tokens=config.max_output_tokens,
-            length_penalty=config.length_penalty,
-            metadata={
-                "doc_id": doc.doc_id,
-                "channel": channel,
-                "candidates": compact_json(candidates),
-                **metadata,
-            },
-        )
 
-        def note(attempt, reply, outcome, fallback=False):
+        def note(attempt, reply, error, outcome="ok", fallback=False):
             audit.record(
-                phase=phase, doc_id=doc.doc_id, attempt=attempt, prompt=prompt,
-                reply=reply, outcome=outcome, fallback=fallback,
+                phase=phase, doc_id=doc.doc_id, attempt=attempt, prompt=prompt, reply=reply,
+                outcome=outcome if error is None else f"parse-error: {error}", fallback=fallback,
             )
 
-        raw = ""
-        for attempt in range(1 + config.retry_limit):
-            try:
-                raw = backend.complete(request)
-            except BackendError as exc:
-                raise OrchestrationError(f"{phase} for doc {doc.doc_id!r}: {exc}") from exc
-            try:
-                flags = parse(raw)
-            except ReplyParseError as exc:
-                note(attempt, raw, f"parse-error: {exc}")
-                continue
-            note(attempt, raw, "ok")
-            return flags
-        logger.warning(
-            "%s for doc %s: unparseable after retries, keeping all candidates", phase, doc.doc_id
+        def keep_all(reply):
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "%s for doc %s: unparseable after retries, keeping all candidates", phase, doc.doc_id
+            )
+            note(config.retry_limit, reply, None, "fallback-keep-all", fallback=True)
+            return [True] * len(candidates)
+
+        return ask(
+            backend, prompt, parse, config.retry_limit, keep_all, f"{phase} for doc {doc.doc_id!r}",
+            note, temperature=config.temperature, max_output_tokens=config.max_output_tokens,
+            length_penalty=config.length_penalty,
+            metadata=dict(metadata, doc_id=doc.doc_id, candidates=compact_json(candidates)),
         )
-        note(config.retry_limit, raw, "fallback-keep-all", fallback=True)
-        return [True] * len(candidates)
 
     def judge_triggers(phrases: list[str]) -> list[bool]:
-        return ask(
-            "reflection:triggers", "reflection:triggers",
-            build_trigger_prompt(doc, phrases), phrases,
+        return verify(
+            "reflection:triggers", build_trigger_prompt(doc, phrases), phrases,
             lambda raw: [
                 verdict == TRIGGER_LABEL
                 for _, verdict in parse_trigger_response(raw, phrases).verdicts
             ],
+            channel="reflection:triggers",
         )
 
     def judge_arguments(event: EventMention, args: list[ArgumentMention]) -> list[bool]:
         candidates = [(a.span.text, a.role) for a in args]
         start, end, event_type = trigger_id(event)
-        return ask(
-            "reflection:arguments", f"reflection:arguments:{start}-{end}-{event_type}",
-            build_argument_prompt(doc, event, args), candidates,
+        return verify(
+            "reflection:arguments", build_argument_prompt(doc, event, args), candidates,
             lambda raw: [ok for _, _, ok in parse_argument_response(raw, candidates).entries],
+            channel=f"reflection:arguments:{start}-{end}-{event_type}",
             trigger_text=event.trigger.text, trigger_type=event.event_type,
         )
 

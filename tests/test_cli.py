@@ -369,6 +369,26 @@ def test_evaluate_malformed_predictions_exits_2_with_json_error(data_dir, tmp_pa
     assert not (tmp_path / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "evaluate", "gen-decomp"])
+def test_corpus_that_is_not_utf8_exits_2_with_json_error(data_dir, tmp_path, capsys, command):
+    lines = (data_dir / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    corpus = tmp_path / "corpus.jsonl"
+    lines[1] = lines[1].replace(b"Gandhi", b"Gandh\xe9", 1)
+    corpus.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    argv = {
+        "extract": _extract_args(data_dir, out, **{"--corpus": str(corpus)}),
+        "evaluate": ["evaluate", "--corpus", str(corpus),
+                     "--predictions", str(GOLDEN / "predictions.jsonl"), "--out", str(out)],
+        "gen-decomp": ["gen-decomp", "--corpus", str(corpus), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "CorpusFormatError"
+    assert error["message"] == "line 2: not UTF-8: byte 0xE9"
+    assert not out.exists()
+
+
 def test_gen_decomp_subcommand(data_dir, tmp_path, capsys):
     out = tmp_path / "decomp.jsonl"
     code = main([

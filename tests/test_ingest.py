@@ -509,3 +509,17 @@ def test_item_shape_is_checked_against_every_document(bad):
 def test_json_report_refuses_non_finite_numbers(value):
     with pytest.raises(ValueError):
         json_report({"x": value})
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_bytes_that_are_not_utf8_are_a_corpus_format_error_naming_their_line(tmp_path, loader):
+    good = _loader_record(loader)
+    bad = json.dumps(_loader_record(loader)).encode("utf-8").replace(b"Meet", b"M\xe9et")
+    path = tmp_path / "records.jsonl"
+    # Line 1 is long, so a reader that decodes in chunks meets the bad byte
+    # while it still hands out line 1.
+    good["pad"] = "x" * 20_000
+    path.write_bytes(json.dumps(good).encode("utf-8") + b"\n" + bad + b"\n")
+    with pytest.raises(CorpusFormatError, match="not UTF-8: byte 0xE9") as info:
+        _LOADERS[loader](path)
+    assert info.value.line == 2
