@@ -159,26 +159,12 @@ def cleanup_predictions(raw: list[EventMention], doc: Document) -> list[EventMen
     """Span-validate and canonically order an aggregated prediction set.
 
     Drops events whose trigger span does not slice back to its surface
-    string, deduplicates on whole-event identity, and sorts by trigger
-    position then event type. Idempotent; output order is a pure function
-    of the event set.
+    string, keeps the first event per ``canonical_key``, and returns the
+    kept events in ``EventKey`` order. Idempotent; output order is a pure
+    function of the event set.
     """
-    seen: set[EventKey] = set()
-    valid: list[EventMention] = []
+    kept: dict[EventKey, EventMention] = {}
     for event in raw:
-        if not doc.contains(event.trigger):
-            continue
-        key = canonical_key(event)
-        if key in seen:
-            continue
-        seen.add(key)
-        valid.append(event)
-    valid.sort(
-        key=lambda e: (
-            e.trigger.start,
-            e.trigger.end,
-            e.event_type,
-            canonical_key(e).argument_keys,
-        )
-    )
-    return valid
+        if doc.contains(event.trigger):
+            kept.setdefault(canonical_key(event), event)
+    return list(map(kept.get, sorted(kept)))

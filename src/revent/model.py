@@ -12,6 +12,7 @@ lookup behind the oracle reflector and the oracle backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SpanValidationError
 
@@ -75,9 +76,9 @@ class ArgumentMention:
 class EventMention:
     """A trigger span, its event type, and the associated arguments.
 
-    Arguments are normalized at construction: sorted by (start, end, role)
-    and deduplicated on that key, so equal argument sets compare equal
-    regardless of input order.
+    Arguments are normalized at construction: the first argument per
+    ``ArgumentMention.key`` is kept and the kept ones are ordered by key, so
+    equal argument sets compare equal regardless of input order.
     """
 
     trigger: Span
@@ -85,22 +86,19 @@ class EventMention:
     arguments: tuple[ArgumentMention, ...] = ()
 
     def __post_init__(self):
-        seen: set[ArgumentKey] = set()
-        normalized = []
-        for arg in sorted(self.arguments, key=lambda a: a.key):
-            if arg.key in seen:
-                continue
-            seen.add(arg.key)
-            normalized.append(arg)
-        object.__setattr__(self, "arguments", tuple(normalized))
+        first: dict[ArgumentKey, ArgumentMention] = {}
+        for arg in self.arguments:
+            first.setdefault(arg.key, arg)
+        object.__setattr__(self, "arguments", tuple(map(first.get, sorted(first))))
 
 
-@dataclass(frozen=True, slots=True)
-class EventKey:
-    """Canonical identity of an event prediction.
+class EventKey(NamedTuple):
+    """Canonical identity of an event prediction, and its canonical order.
 
     Two EventMentions with equal keys are the same prediction: same trigger
     span, same event type, same argument set (span + role, order-free).
+    Keys order by trigger start, trigger end, event type, then argument
+    keys; being a tuple, a key hashes, compares and sorts in C.
     """
 
     trigger_start: int
@@ -110,7 +108,7 @@ class EventKey:
 
     @property
     def trigger_id(self) -> TriggerId:
-        return (self.trigger_start, self.trigger_end, self.event_type)
+        return self[:3]
 
 
 @dataclass(frozen=True)
@@ -182,10 +180,10 @@ def canonical_key(event: EventMention) -> EventKey:
     key = event.__dict__.get("_key")
     if key is None:
         key = event.__dict__["_key"] = EventKey(
-            trigger_start=event.trigger.start,
-            trigger_end=event.trigger.end,
-            event_type=event.event_type,
-            argument_keys=tuple(arg.key for arg in event.arguments),
+            event.trigger.start,
+            event.trigger.end,
+            event.event_type,
+            tuple(arg.key for arg in event.arguments),
         )
     return key
 

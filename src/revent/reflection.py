@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .backends import ChatBackend, ask
-from .errors import ContractError, ReplyParseError, short_repr
+from .ensemble import temperature_in_range
+from .errors import ConfigurationError, ContractError, ReplyParseError, short_repr
 from .fencing import compact_json, extract_fenced_block, parse_answer
+from .ingest import is_finite_number
 from .model import ArgumentKey, ArgumentMention, Document, EventMention, TriggerId, trigger_id
 
 __all__ = [
@@ -98,6 +100,18 @@ class ReflectionConfig:
     max_output_tokens: int = 4096
     length_penalty: float = 1.05
     retry_limit: int = 1
+
+    def __post_init__(self):
+        for name, least in (("retry_limit", 0), ("max_output_tokens", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigurationError(f"{name} must be an integer >= {least}, got {short_repr(value)}")
+        if not (is_finite_number(self.temperature) and temperature_in_range(self.temperature)):
+            raise ConfigurationError(
+                f"temperature must be non-negative and finite, got {short_repr(self.temperature)}"
+            )
+        if not is_finite_number(self.length_penalty):
+            raise ConfigurationError(f"length_penalty must be a finite number, got {short_repr(self.length_penalty)}")
 
 
 @dataclass(frozen=True)

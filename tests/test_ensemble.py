@@ -17,7 +17,7 @@ from revent.ensemble import (
 )
 from revent.errors import BackendError, ConfigurationError, OrchestrationError
 from revent.fencing import render_events_answer
-from revent.model import Document, EventMention, Span, canonical_key, trigger_id
+from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key, trigger_id
 
 
 class ScriptedBackend:
@@ -229,6 +229,64 @@ def test_cleanup_same_span_different_types_ordered_by_type():
     e_b = _event("alpha", doc.text, "B")
     e_a = _event("alpha", doc.text, "A")
     assert cleanup_predictions([e_b, e_a], doc) == [e_a, e_b]
+
+
+def _reference_cleanup(raw, doc):
+    """Brute-force cleanup: keep the first event per (trigger start, end,
+    type, sorted argument keys) whose trigger slices back to its text, then
+    sort by that tuple."""
+
+    def key(event):
+        args = sorted((a.span.start, a.span.end, a.role) for a in event.arguments)
+        return (event.trigger.start, event.trigger.end, event.event_type, tuple(args))
+
+    kept = []
+    for event in raw:
+        trigger = event.trigger
+        if doc.text[trigger.start:trigger.end] != trigger.text:
+            continue
+        if all(key(event) != key(other) for other in kept):
+            kept.append(event)
+    return sorted(kept, key=key)
+
+
+def test_cleanup_equals_brute_force_reference_on_random_unions():
+    # Unions with repeated keys held as distinct objects (argument order
+    # shuffled, argument surfaces that differ only in text), one trigger
+    # span and type under several argument sets, and triggers that do not
+    # slice back to their text.
+    rng = random.Random(7)
+    doc = Document("d", "alpha beta gamma delta alpha beta")
+    words = ["alpha", "beta", "gamma", "delta"]
+
+    def span(word, shift=0):
+        start = doc.text.index(word) + shift
+        return Span(word, start, start + len(word))
+
+    def argument():
+        word = rng.choice(words)
+        surface = span(word)
+        if rng.random() < 0.2:  # same offsets and role, different text
+            surface = Span(word[::-1], surface.start, surface.end)
+        return ArgumentMention(surface, rng.choice("XY"))
+
+    for _ in range(300):
+        pool = []
+        for _ in range(rng.randint(0, 8)):
+            word = rng.choice(words)
+            trigger = span(word, shift=rng.choice([0, 0, 0, 1]))  # shifted: no slice-back
+            pool.append((trigger, rng.choice("AB"), [argument() for _ in range(rng.randint(0, 3))]))
+        raw = []
+        for _ in range(rng.randint(0, 14)):
+            trigger, etype, args = rng.choice(pool) if pool else (span("beta"), "A", [])
+            args = args + [argument()] if rng.random() < 0.3 else args[:]
+            rng.shuffle(args)
+            raw.append(EventMention(trigger, etype, tuple(args)))
+        rng.shuffle(raw)
+        got = cleanup_predictions(raw, doc)
+        expected = _reference_cleanup(raw, doc)
+        assert len(got) == len(expected)
+        assert all(g is e for g, e in zip(got, expected))
 
 
 def test_ledger_trigger_and_argument_votes():

@@ -265,3 +265,32 @@ def test_decide_on_a_reused_prepared_document_equals_extract():
         reflected += bool(got.trigger_partition.reflect)
     assert prepared == snapshot
     assert reflected  # some runs took the reflection path
+
+
+def test_agent_union_order_and_repeats_do_not_change_the_final_events():
+    corpus = make_synthetic_corpus(12, seed=6)
+    tagger = synthesize_tagger_predictions(
+        corpus, OracleProfile(target_precision=0.8, target_recall=0.7, seed=8)
+    )
+    smoa = synthesize_agent_predictions(
+        corpus, OracleProfile(target_precision=0.6, target_recall=0.9, seed=9), 10
+    )
+    rng = random.Random(13)
+    for doc in corpus:
+        union, ledger = smoa[doc.doc_id]
+        # Repeats are the same object or an equal event built anew, with
+        # its arguments in another order.
+        noisy = union + [
+            rng.choice([event, EventMention(event.trigger, event.event_type, event.arguments[::-1])])
+            for event in rng.sample(union, len(union) // 2)
+        ]
+        rng.shuffle(noisy)
+        for thresholds in _threshold_sets(rng, 8):
+            for reflector in (keep_all_reflector, drop_all_reflector, oracle_reflector):
+                ordered = extract_document(
+                    doc, tagger[doc.doc_id], union, ledger, 10, thresholds, 0.5, reflector
+                )
+                shuffled = extract_document(
+                    doc, tagger[doc.doc_id], noisy, ledger, 10, thresholds, 0.5, reflector
+                )
+                assert shuffled.final == ordered.final

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from revent.backends import ChatRequest
-from revent.errors import BackendError, ContractError, OrchestrationError, ReplyParseError
+from revent.errors import BackendError, ConfigurationError, ContractError, OrchestrationError, ReplyParseError
 from revent.fencing import render_argument_verdicts, render_classification_map
 from revent.model import ArgumentMention, Document, EventMention, Span
 from revent.reflection import (
@@ -45,6 +45,35 @@ def test_reflection_config_defaults():
     assert config.max_output_tokens == 4096
     assert config.length_penalty == 1.05
     assert config.retry_limit == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("retry_limit", -1),
+    ("retry_limit", True),
+    ("retry_limit", "1"),
+    ("retry_limit", 1.0),
+    ("max_output_tokens", 0),
+    ("max_output_tokens", -1),
+    ("max_output_tokens", True),
+    ("max_output_tokens", "1"),
+    ("temperature", float("nan")),
+    ("temperature", float("inf")),
+    ("temperature", -1.0),
+    ("temperature", True),
+    ("temperature", "1"),
+    ("length_penalty", float("nan")),
+    ("length_penalty", float("inf")),
+    ("length_penalty", "1"),
+])
+def test_reflection_config_rejects_bad_fields(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        ReflectionConfig(**{field: value})
+
+
+def test_reflection_config_accepts_edge_values():
+    assert ReflectionConfig(retry_limit=2).retry_limit == 2
+    config = ReflectionConfig(retry_limit=0, max_output_tokens=1, temperature=0, length_penalty=-0.5)
+    assert (config.retry_limit, config.max_output_tokens, config.temperature) == (0, 1, 0)
 
 
 def test_trigger_prompt_contains_template_parts():
