@@ -82,11 +82,12 @@ class HttpChatBackend:
     """Talks to a chat-completion HTTP endpoint.
 
     Credentials come from the environment (default variable REVENT_API_KEY)
-    and are sent as a bearer token when present. Connection errors, replies
-    that are not a JSON object with a string "content", and HTTP 408, 429
-    and 5xx are retried: 3 attempts of up to 120 s each, sleeping 0.5 s
-    before the second and 1.0 s before the third, before raising
-    BackendError; any other 4xx raises it at once.
+    and are sent as a bearer token when present. Connection errors, malformed
+    HTTP (a bad status line, a truncated body), replies that are not a JSON
+    object with a string "content", and HTTP 408, 429 and 5xx are retried:
+    3 attempts of up to 120 s each, sleeping 0.5 s before the second and
+    1.0 s before the third, before raising BackendError; any other 4xx
+    raises it at once.
     """
 
     def __init__(self, url: str, model: str = "default", api_key_env: str = "REVENT_API_KEY"):
@@ -95,6 +96,7 @@ class HttpChatBackend:
         self.api_key_env = api_key_env
 
     def complete(self, request: ChatRequest) -> str:
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -129,7 +131,7 @@ class HttpChatBackend:
                         f"chat endpoint {self.url} refused the request: HTTP {exc.code} {exc.reason}"
                     ) from exc
                 last_error = exc
-            except (urllib.error.URLError, OSError, ValueError, KeyError) as exc:
+            except (http.client.HTTPException, urllib.error.URLError, OSError, ValueError, KeyError) as exc:
                 last_error = exc
         raise BackendError(
             f"chat endpoint {self.url} failed after {_MAX_ATTEMPTS} attempts: {last_error}"

@@ -136,10 +136,8 @@ def _render_prompt(spec: _Spec, doc: Document, events: list[EventMention], targe
 
 
 def _ordered_gold(doc: Document) -> list[EventMention]:
-    if doc.gold_events is None:
-        raise ContractError(f"doc {doc.doc_id!r} has no gold events to render")
     return sorted(
-        doc.gold_events,
+        doc.require_gold(),
         key=lambda e: (e.trigger.start, e.trigger.end, e.event_type),
     )
 

@@ -46,9 +46,5 @@ class ConfigurationError(ReventError):
     """Invalid or incomplete run configuration."""
 
 
-class IntegrationError(ReventError):
-    """Internal consistency violation while merging prediction sets."""
-
-
 class ContractError(ReventError):
     """An operation was invoked with a target that violates its contract."""

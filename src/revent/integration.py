@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import IntegrationError
 from .model import ArgumentKey, ArgumentMention, EventMention, Span, TriggerId, trigger_id
 
 __all__ = ["Provenance", "ProvenancedEvent", "finalize_events"]
@@ -41,13 +40,6 @@ class ProvenancedEvent:
     event: EventMention
     trigger_provenance: Provenance
     argument_provenances: tuple[Provenance, ...] = ()
-
-    def __post_init__(self):
-        if len(self.argument_provenances) != len(self.event.arguments):
-            raise IntegrationError(
-                f"{len(self.argument_provenances)} argument provenances for "
-                f"{len(self.event.arguments)} arguments"
-            )
 
     @property
     def trigger_id(self) -> TriggerId:

@@ -92,12 +92,7 @@ class Metrics:
 
 def gold_from_corpus(corpus: list[Document]) -> dict[str, list[EventMention]]:
     """Per-doc gold map from an annotated corpus; unannotated docs error."""
-    gold: dict[str, list[EventMention]] = {}
-    for doc in corpus:
-        if doc.gold_events is None:
-            raise ConfigurationError(f"doc {doc.doc_id!r} has no gold events")
-        gold[doc.doc_id] = list(doc.gold_events)
-    return gold
+    return {doc.doc_id: list(doc.require_gold()) for doc in corpus}
 
 
 def _counts(pred: set, gold: set) -> tuple[int, int, int]:

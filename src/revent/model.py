@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import SpanValidationError
+from .errors import ConfigurationError, SpanValidationError
 
 __all__ = [
     "Span",
@@ -124,6 +124,12 @@ class Document:
             object.__setattr__(self, "gold_events", tuple(self.gold_events))
             for event in self.gold_events:
                 self.check_event(event)
+
+    def require_gold(self) -> tuple[EventMention, ...]:
+        """The gold events; a document without them is a ConfigurationError."""
+        if self.gold_events is None:
+            raise ConfigurationError(f"doc {self.doc_id!r} has no gold events")
+        return self.gold_events
 
     def check_event(self, event: EventMention) -> None:
         """Raise unless the trigger and every argument span slice back to

@@ -103,9 +103,7 @@ def drop_all_reflector(doc: Document, items: list[ReflectionItem]) -> list[Refle
 def oracle_reflector(doc: Document, items: list[ReflectionItem]) -> list[ReflectionResult]:
     """Stand-in that answers from gold: surface-level trigger and
     (text, role) argument lookup. Upper-bounds reflection quality."""
-    gold = doc.gold_events
-    if gold is None:
-        raise ConfigurationError(f"oracle reflection needs gold events on {doc.doc_id!r}")
+    gold = doc.require_gold()
     return resolve(
         items,
         lambda phrases: gold_trigger_verdicts(gold, phrases),

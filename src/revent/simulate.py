@@ -169,10 +169,8 @@ def _sample_events(
     kept: dict[str, list[EventMention]] = {}
     total_kept = 0
     for doc in corpus:
-        if doc.gold_events is None:
-            raise ConfigurationError(f"doc {doc.doc_id!r} has no gold events")
         kept[doc.doc_id] = [
-            e for e in doc.gold_events if rng.random() < profile.target_recall
+            e for e in doc.require_gold() if rng.random() < profile.target_recall
         ]
         total_kept += len(kept[doc.doc_id])
 

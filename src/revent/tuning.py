@@ -124,12 +124,9 @@ def collect_confidence_samples(
     n = predictions.n_agents
 
     for doc in dev:
-        if doc.gold_events is None:
-            raise ConfigurationError(f"dev doc {doc.doc_id!r} has no gold events")
-        gold_triggers = {trigger_id(e) for e in doc.gold_events}
-        gold_args = {
-            (trigger_id(e), a.key) for e in doc.gold_events for a in e.arguments
-        }
+        gold = doc.require_gold()
+        gold_triggers = {trigger_id(e) for e in gold}
+        gold_args = {(trigger_id(e), a.key) for e in gold for a in e.arguments}
         # A pool pair is (correct, incorrect), so a wrong item goes to [True].
         for pred in predictions.tagger.get(doc.doc_id, []):
             tid = trigger_id(pred.event)

@@ -1,3 +1,4 @@
+import http.client
 import io
 import json
 import urllib.error
@@ -22,6 +23,11 @@ def test_chat_request_needs_user_message():
     with pytest.raises(ValueError):
         ChatRequest(messages=(("robot", "hi"),))
     ChatRequest.user("hello")
+
+
+def test_chat_request_rejects_unknown_role_beside_a_user_message():
+    with pytest.raises(ValueError, match="robot"):
+        ChatRequest(messages=(("user", "hi"), ("robot", "hi")))
 
 
 class _FakeResponse(io.BytesIO):
@@ -128,6 +134,32 @@ def test_http_backend_retries_replies_without_string_content(monkeypatch, no_bac
     assert len(calls) == 3
 
 
+class _TruncatedResponse(_FakeResponse):
+    def read(self, *args):
+        raise http.client.IncompleteRead(b'{"cont', 10)
+
+
+def _bad_status_line(req, timeout):
+    raise http.client.BadStatusLine("HTTQ/9 ???")
+
+
+@pytest.mark.parametrize("urlopen", [
+    pytest.param(_bad_status_line, id="bad-status-line"),
+    pytest.param(lambda req, timeout: _TruncatedResponse(), id="incomplete-read"),
+])
+def test_http_backend_retries_malformed_http(monkeypatch, no_backoff, urlopen):
+    calls = []
+
+    def fake_urlopen(req, timeout):
+        calls.append(1)
+        return urlopen(req, timeout)
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    with pytest.raises(BackendError, match="3 attempts"):
+        HttpChatBackend("https://llm.example/chat").complete(ChatRequest.user("p"))
+    assert len(calls) == 3
+
+
 def _http_error_urlopen(code, calls):
     def fake_urlopen(req, timeout):
         calls.append(code)
@@ -225,6 +257,16 @@ def test_oracle_backend_argument_verdicts():
 
     verdict = parse_argument_response(reply, [("officials", "Agent"), ("camp", "Place")])
     assert verdict.entries == (("officials", "Agent", True), ("camp", "Place", False))
+
+
+@pytest.mark.parametrize("metadata, match", [
+    pytest.param({"doc_id": "nowhere", "channel": "agent:1"}, "no gold events", id="unknown-doc"),
+    pytest.param({"doc_id": "g", "channel": "carrier:pigeon"}, "cannot answer channel", id="unknown-channel"),
+])
+def test_oracle_backend_rejects_what_it_cannot_answer(metadata, match):
+    backend = OracleBackend([_gold_doc()])
+    with pytest.raises(BackendError, match=match):
+        backend.complete(ChatRequest.user("p", metadata=metadata))
 
 
 def test_make_backend_descriptors(tmp_path):

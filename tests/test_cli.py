@@ -232,6 +232,15 @@ BAD_CONFIGURATIONS = {
     "replay-not-json": ("{oops", {"--backend": "replay:{path}"}),
     "replay-not-an-object": ("[1, 2]", {"--backend": "replay:{path}"}),
     "replay-reply-not-a-string": ('{"gandhi": {"agent:1": 5}}', {"--backend": "replay:{path}"}),
+    "thresholds-missing-level": (
+        '{"trigger": {"theta_s": 0.5, "theta_smoa_hi": 0.5, "theta_smoa_lo": 0.1}}',
+        {"--thresholds": "{path}"},
+    ),
+    "thresholds-negative": (
+        '{"trigger": {"theta_s": -0.5, "theta_smoa_hi": 0.5, "theta_smoa_lo": 0.1}, '
+        '"argument": {"theta_s": 0.5, "theta_smoa_hi": 0.5, "theta_smoa_lo": 0.1}}',
+        {"--thresholds": "{path}"},
+    ),
     "scenario-not-json": ("{oops", {"--scenario": "{path}"}),
     "scenario-not-an-object": ("[1, 2]", {"--scenario": "{path}"}),
     "scenario-wrong-type": ('{"n_docs": "x"}', {"--scenario": "{path}"}),
@@ -389,6 +398,30 @@ def test_corpus_that_is_not_utf8_exits_2_with_json_error(data_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-decomp", "evaluate", "tune-thresholds"])
+def test_document_without_gold_exits_2_naming_it(data_dir, tmp_path, capsys, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        (data_dir / "corpus.jsonl").read_text(encoding="utf-8")
+        + json.dumps({"doc_id": "bare", "text": "nothing happened"}) + "\n",
+        encoding="utf-8",
+    )
+    replay = json.loads((data_dir / "replay.json").read_text(encoding="utf-8"))
+    replay["bare"] = {f"agent:{i}": render_events_answer([]) for i in range(1, 11)}
+    fixture = tmp_path / "replay.json"
+    fixture.write_text(json.dumps(replay), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "gen-decomp": ["gen-decomp", "--corpus", str(corpus), "--out", str(out)],
+        "evaluate": ["evaluate", "--corpus", str(corpus),
+                     "--predictions", str(GOLDEN / "predictions.jsonl"), "--out", str(out)],
+        "tune-thresholds": ["tune-thresholds", "--corpus", str(corpus),
+                            "--tagger-preds", str(data_dir / "tagger.jsonl"),
+                            "--backend", f"replay:{fixture}", "--out", str(out)],
+    }[command]
+    _assert_configuration_error(argv, out, capsys, "doc 'bare' has no gold events")
+
+
 def test_gen_decomp_subcommand(data_dir, tmp_path, capsys):
     out = tmp_path / "decomp.jsonl"
     code = main([
@@ -423,6 +456,16 @@ def test_simulate_subcommand(tmp_path, capsys):
     f1 = report["trigger_cls_f1"]
     assert f1["pipeline"] > f1["tagger"]
     assert f1["pipeline"] > f1["smoa"]
+
+
+def test_simulate_reads_a_scenario_file(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"n_docs": 5}', encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report == json.loads(capsys.readouterr().out)
+    assert report["scenario"]["n_docs"] == 5
 
 
 def test_oracle_backend_end_to_end(data_dir, tmp_path):

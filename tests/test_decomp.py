@@ -286,6 +286,17 @@ def test_negative_pool_smaller_than_k():
     assert negatives == [Span("talks", 0, 5), Span("end", 13, 16)]
 
 
+def test_document_without_events_gets_one_empty_record_per_whole_document_variant():
+    records = generate_dataset([Document("empty", "nothing to see here", ())])
+    assert sorted(r.variant.value for r in records) == sorted(v.value for v in WHOLE_DOCUMENT_VARIANTS)
+    assert all(parse_record_answer(r) == [] for r in records)
+
+
+def test_whitespace_trigger_touches_no_token_and_has_no_negatives():
+    doc = Document("w", "alpha beta gamma", ())
+    assert sample_negative_ngrams(doc, [Span(" ", 5, 6)], k=3, seed=0) == []
+
+
 def test_k_above_three_rejected():
     doc = Document("d", "a b c", ())
     with pytest.raises(ContractError):

@@ -152,6 +152,14 @@ def test_agent_temperature_must_be_non_negative_and_finite(temperature):
         AgentConfig(1, temperature)
 
 
+def test_agent_ids_start_at_one():
+    with pytest.raises(ConfigurationError, match="start at 1"):
+        AgentConfig(0)
+    key = canonical_key(_event("beta", _doc().text))
+    with pytest.raises(ValueError, match="start at 1"):
+        VoteLedger().record(key, 0)
+
+
 def test_agent_ids_must_be_contiguous():
     with pytest.raises(ConfigurationError):
         run_self_moa(_doc(), "p", [AgentConfig(2)], ScriptedBackend({}))

@@ -12,13 +12,14 @@ from revent.errors import (
 from revent.fencing import parse_answer, render_events_answer
 from revent.ingest import (
     Grounding,
+    TaggerPrediction,
     json_report,
     load_corpus,
     load_final_predictions,
     load_tagger_predictions,
     parse_agent_output,
 )
-from revent.model import Document
+from revent.model import ArgumentMention, Document, EventMention, Span
 from revent.simulate import make_synthetic_corpus
 
 
@@ -110,6 +111,17 @@ def test_load_tagger_predictions_confidence_out_of_range(tmp_path, worked_corpus
     ])
     with pytest.raises(CorpusFormatError, match="1.5"):
         load_tagger_predictions(path, worked_corpus)
+
+
+def test_tagger_prediction_pairs_each_argument_with_one_confidence():
+    kim = ArgumentMention(Span("Kim", 0, 3), "A")
+    event = EventMention(Span("met", 4, 7), "Meet", (kim,))
+    with pytest.raises(CorpusFormatError, match="2 argument confidences for 1 arguments"):
+        TaggerPrediction(event, 0.9, (0.8, 0.7))
+    pred = TaggerPrediction(event, 0.9, (0.8,))
+    assert pred.argument_confidence(kim) == 0.8
+    with pytest.raises(KeyError):
+        pred.argument_confidence(ArgumentMention(Span("Lee", 8, 11), "A"))
 
 
 @pytest.mark.parametrize("value", [
@@ -421,6 +433,10 @@ def _break_record(rec, case):
         rec["doc_id"] = 7
     elif case == "empty-doc-id":
         rec["doc_id"] = ""
+    elif case == "events-not-a-list":
+        rec["events"] = 5
+    elif case == "reversed-span":
+        event["trigger"]["start"], event["trigger"]["end"] = 7, 4
     return rec  # unchanged for "repeated-doc-id": it repeats the good line's doc_id
 
 
@@ -433,7 +449,8 @@ _LOADER_CASES = [
     (loader, case)
     for loader in _LOADERS
     for case in ["non-object", "long-integer", "deep-nesting", "missing-trigger", "missing-type", "missing-role", "empty-role",
-                 "float-offset", "string-offset", "bool-offset", "integer-type", "empty-type", "integer-role"]
+                 "float-offset", "string-offset", "bool-offset", "integer-type", "empty-type", "integer-role",
+                 "events-not-a-list", "reversed-span"]
     + (["text-confidence", "text-trigger-confidence", "missing-confidence"] if loader == "tagger" else [])
     + (["list-text", "integer-doc-id", "empty-doc-id"] if loader == "corpus" else [])
     + (["repeated-doc-id"] if loader == "final" else [])

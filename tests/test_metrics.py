@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from revent.errors import UnknownDocumentError
+from revent.errors import ConfigurationError, UnknownDocumentError
 from revent.metrics import score_predictions
 from revent.model import ArgumentMention, EventMention, Span
 
@@ -53,6 +53,11 @@ def test_empty_predictions_degenerate_zero():
 def test_unknown_doc_id_is_reference_error():
     with pytest.raises(UnknownDocumentError):
         score_predictions({"nope": []}, {"d": []})
+
+
+def test_unknown_gating_mode_is_configuration_error():
+    with pytest.raises(ConfigurationError, match="gating"):
+        score_predictions({}, {}, gating="x")
 
 
 def test_duplicates_collapse():

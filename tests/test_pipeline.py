@@ -1,5 +1,6 @@
 import copy
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -294,3 +295,58 @@ def test_agent_union_order_and_repeats_do_not_change_the_final_events():
                     doc, tagger[doc.doc_id], noisy, ledger, 10, thresholds, 0.5, reflector
                 )
                 assert shuffled.final == ordered.final
+
+
+def _synthetic_run(seed):
+    """A 12-doc synthetic corpus and an ``extract_document`` closure over its
+    seeded tagger and ten-agent predictions."""
+    corpus = make_synthetic_corpus(12, seed=seed)
+    tagger = synthesize_tagger_predictions(
+        corpus, OracleProfile(target_precision=0.8, target_recall=0.7, seed=seed + 1)
+    )
+    smoa = synthesize_agent_predictions(
+        corpus, OracleProfile(target_precision=0.6, target_recall=0.9, seed=seed + 2), 10
+    )
+
+    def run(doc, thresholds, reflector):
+        result = extract_document(
+            doc, tagger[doc.doc_id], *smoa[doc.doc_id], 10, thresholds, 0.5, reflector
+        )
+        triggers = {event.trigger_id for event in result.final}
+        arguments = {(event.trigger_id, arg.key) for event in result.final for arg in event.event.arguments}
+        return triggers, arguments
+
+    return corpus, run
+
+
+def test_drop_all_keeps_a_subset_of_what_keep_all_keeps():
+    rng = random.Random(21)
+    strict = 0
+    for seed in (5, 6):
+        corpus, run = _synthetic_run(seed)
+        for doc in corpus:
+            for thresholds in _threshold_sets(rng, 8):
+                dropped = run(doc, thresholds, drop_all_reflector)
+                kept = run(doc, thresholds, keep_all_reflector)
+                assert dropped[0] <= kept[0] and dropped[1] <= kept[1]
+                strict += dropped != kept
+    assert strict  # some runs handed the reflector something to drop
+
+
+def test_raising_theta_s_never_adds_a_trigger_under_drop_all():
+    rng = random.Random(22)
+    shrank = 0
+    for seed in (5, 6):
+        corpus, run = _synthetic_run(seed)
+        for doc in corpus:
+            for thresholds in _threshold_sets(rng, 8):
+                trigger = thresholds.trigger
+                raised = ThresholdSet(
+                    replace(trigger, theta_s=trigger.theta_s + rng.choice([0.05, 0.2, 0.5])),
+                    thresholds.argument,
+                )
+                before = run(doc, thresholds, drop_all_reflector)[0]
+                after = run(doc, raised, drop_all_reflector)[0]
+                assert after <= before
+                shrank += after != before
+    assert shrank  # some raises dropped a tagger-only trigger

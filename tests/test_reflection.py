@@ -116,6 +116,12 @@ def test_argument_prompt_lists_candidates_in_order():
     assert prompt.endswith("Q: For each candidate above, set `is_correct` to `true` or `false`.")
 
 
+def test_argument_prompt_requires_candidates():
+    doc = _doc()
+    with pytest.raises(ContractError):
+        build_argument_prompt(doc, EventMention(_span(doc, "shot"), "T"), [])
+
+
 def test_argument_prompt_requires_grounded_trigger():
     doc = _doc()
     bad_trigger = EventMention(Span("zzz", 0, 3), "T")
@@ -130,6 +136,13 @@ def test_parse_trigger_response_walkthrough():
     verdict = parse_trigger_response(raw, ["dead", "shot"])
     assert verdict.is_trigger("dead") is True
     assert verdict.is_trigger("shot") is False
+
+
+def test_verdict_of_a_phrase_not_queried_is_a_key_error():
+    raw = '```ClassificationMap = {"dead": "Trigger"}```'
+    verdict = parse_trigger_response(raw, ["dead"])
+    with pytest.raises(KeyError, match="shot"):
+        verdict.is_trigger("shot")
 
 
 def test_parse_trigger_response_template_example():

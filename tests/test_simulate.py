@@ -98,6 +98,13 @@ def test_empty_vocabulary_with_low_precision_rejected():
                       hallucination_vocabulary=(), seed=0)
 
 
+def test_agent_predictions_need_an_agent():
+    corpus = make_synthetic_corpus(2, seed=10)
+    profile = OracleProfile(target_precision=0.7, target_recall=1.0, seed=11)
+    with pytest.raises(ConfigurationError, match="agent count"):
+        synthesize_agent_predictions(corpus, profile, 0)
+
+
 def test_distractor_confidences_are_low():
     corpus = make_synthetic_corpus(30, seed=10)
     profile = OracleProfile(target_precision=0.7, target_recall=1.0, seed=11)

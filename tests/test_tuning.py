@@ -100,6 +100,12 @@ def test_empty_dev_set_is_configuration_error():
         tune_thresholds([], DevPredictions(tagger={}, smoa={}, n_agents=10))
 
 
+def test_unknown_reflection_standin_is_configuration_error():
+    dev, predictions = _dev_fixture(1)
+    with pytest.raises(ConfigurationError, match="stand-in"):
+        tune_thresholds(dev, predictions, reflection_standin="x")
+
+
 def _recount_samples(dev, predictions, level):
     """((tagger correct, incorrect), (smoa correct, incorrect)) confidences
     at one level, recounted straight from the dev set: every tagger item,
