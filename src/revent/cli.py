@@ -114,6 +114,8 @@ def _run_agents(corpus, args, backend, then) -> list:
 def _tune_on(corpus_path, tagger_path, args, **tune_options) -> ThresholdSet:
     """Load a dev split, run the agents on it, and tune thresholds on it."""
     corpus = load_corpus(corpus_path)
+    for doc in corpus:
+        doc.require_gold()  # before any backend call
     tagger_preds = load_tagger_predictions(tagger_path, corpus)
     backend = make_backend(args.backend, corpus=corpus)
     replies = _run_agents(corpus, args, backend, lambda doc, *reply: reply)

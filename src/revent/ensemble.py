@@ -115,7 +115,7 @@ def run_self_moa(
     folding agents in id order) and the vote ledger. A reply that fails to
     parse is retried once; on the second failure that agent contributes the
     empty set. A transport failure raises OrchestrationError naming the
-    agent - never a partial silent result.
+    agent and the document - never a partial silent result.
     """
     _validate_agents(agents)
     grounding = Grounding(doc)
@@ -123,7 +123,7 @@ def run_self_moa(
     def one_agent(agent: AgentConfig) -> list[EventMention]:
         return ask(
             backend, prompt, lambda reply: parse_agent_output(reply, doc, grounding),
-            1, lambda reply: [], f"agent {agent.agent_id}",
+            1, lambda reply: [], f"agent {agent.agent_id} for doc {doc.doc_id!r}",
             temperature=agent.temperature, max_output_tokens=_MAX_OUTPUT_TOKENS,
             metadata={"doc_id": doc.doc_id, "channel": f"agent:{agent.agent_id}"},
         )

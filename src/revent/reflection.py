@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from string import Template
 from typing import Callable
 
 from .backends import ChatBackend, ask
@@ -48,9 +49,9 @@ __all__ = [
 TRIGGER_LABEL = "Trigger"
 NON_TRIGGER_LABEL = "Non-Trigger"
 
-_TRIGGER_TEMPLATE = """You previously identified the following candidate triggers:
+_TRIGGER_TEMPLATE = Template("""You previously identified the following candidate triggers:
 
-<CANDIDATE_TRIGGERS_TO_VERIFY>
+$candidates
 
 Your task is to decide for each whether it truly signals an event trigger.
 
@@ -66,14 +67,14 @@ Example:
 ```ClassificationMap = {"therapy": "Trigger", "increase dose": "Non-Trigger"}```
 
 Passage:
-<FULL_PASSAGE_TEXT>
+$passage
 
 Candidates:
-<TRIGGER_CANDIDATE_LIST>
+$candidates
 
-Q: For each candidate above, decide whether it is a 'Trigger' or 'Non-Trigger'."""
+Q: For each candidate above, decide whether it is a 'Trigger' or 'Non-Trigger'.""")
 
-_ARGUMENT_TEMPLATE = """You are an argument validator.
+_ARGUMENT_TEMPLATE = Template("""You are an argument validator.
 Given a single trigger and its candidate arguments, decide which arguments are valid.
 
 Generation Rules:
@@ -83,15 +84,15 @@ Generation Rules:
 4. Wrap the entire response in triple backticks (```).
 
 Passage:
-"<FULL_PASSAGE_TEXT>"
+"$passage"
 
 Trigger:
-"<TRIGGER_TEXT>" (type: "<EVENT_TYPE>")
+"$trigger" (type: "$event_type")
 
 Candidate Arguments to verify:
-<CANDIDATE_ARGUMENTS_TO_VERIFY>
+$candidates
 
-Q: For each candidate above, set `is_correct` to `true` or `false`."""
+Q: For each candidate above, set `is_correct` to `true` or `false`.""")
 
 
 @dataclass(frozen=True)
@@ -141,13 +142,7 @@ def build_trigger_prompt(doc: Document, candidates: list[str]) -> str:
     """Render the batched trigger-verification prompt for one document."""
     if not candidates:
         raise ContractError("trigger reflection needs at least one candidate")
-    phrases = compact_json(candidates)
-    return (
-        _TRIGGER_TEMPLATE
-        .replace("<CANDIDATE_TRIGGERS_TO_VERIFY>", phrases)
-        .replace("<FULL_PASSAGE_TEXT>", doc.text)
-        .replace("<TRIGGER_CANDIDATE_LIST>", phrases)
-    )
+    return _TRIGGER_TEMPLATE.substitute(candidates=compact_json(candidates), passage=doc.text)
 
 
 def build_argument_prompt(
@@ -157,13 +152,9 @@ def build_argument_prompt(
     if not candidates:
         raise ContractError("argument reflection needs at least one candidate")
     doc.check_event(trigger)
-    rendered = compact_json([{"text": a.span.text, "role": a.role} for a in candidates])
-    return (
-        _ARGUMENT_TEMPLATE
-        .replace("<FULL_PASSAGE_TEXT>", doc.text)
-        .replace("<TRIGGER_TEXT>", trigger.trigger.text)
-        .replace("<EVENT_TYPE>", trigger.event_type)
-        .replace("<CANDIDATE_ARGUMENTS_TO_VERIFY>", rendered)
+    return _ARGUMENT_TEMPLATE.substitute(
+        candidates=compact_json([{"text": a.span.text, "role": a.role} for a in candidates]),
+        passage=doc.text, trigger=trigger.trigger.text, event_type=trigger.event_type,
     )
 
 

@@ -267,12 +267,16 @@ def default_scenario() -> dict:
 
 def load_scenario(path: str | Path) -> dict:
     """The default scenario with the top-level keys a JSON object file sets
-    replaced; each value must have its default's type (any number for a
-    float), the counts must be at least 1, the overlap threshold in (0, 1],
-    and the profiles and thresholds must build, else ConfigurationError."""
+    replaced; every key must be one of the default's, each value must have
+    its default's type (any number for a float), the counts must be at
+    least 1, the overlap threshold in (0, 1], and the profiles and
+    thresholds must build, else ConfigurationError."""
 
     def decode(data: dict) -> dict:
         scenario = {**default_scenario(), **data}
+        unknown = set(data) - set(default_scenario())
+        if unknown:
+            raise ConfigurationError(f"unknown keys: {sorted(unknown)}")
         for key, default in default_scenario().items():
             value = scenario[key]
             kinds = (int, float) if isinstance(default, float) else type(default)

@@ -242,6 +242,7 @@ BAD_CONFIGURATIONS = {
         {"--thresholds": "{path}"},
     ),
     "scenario-not-json": ("{oops", {"--scenario": "{path}"}),
+    "scenario-unknown-key": ('{"n_doc": 5}', {"--scenario": "{path}"}),
     "scenario-not-an-object": ("[1, 2]", {"--scenario": "{path}"}),
     "scenario-wrong-type": ('{"n_docs": "x"}', {"--scenario": "{path}"}),
     "scenario-missing-key": ('{"thresholds": {"trigger": {}}}', {"--scenario": "{path}"}),
@@ -420,6 +421,48 @@ def test_document_without_gold_exits_2_naming_it(data_dir, tmp_path, capsys, com
                             "--backend", f"replay:{fixture}", "--out", str(out)],
     }[command]
     _assert_configuration_error(argv, out, capsys, "doc 'bare' has no gold events")
+
+
+class _CallLog:
+    """Passes every request on to ``inner`` and keeps it."""
+
+    def __init__(self, inner):
+        self.inner, self.requests = inner, []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return self.inner.complete(request)
+
+
+@pytest.mark.parametrize("command", ["tune-thresholds", "extract --tune"])
+def test_dev_document_without_gold_fails_before_any_backend_call(
+    data_dir, tmp_path, monkeypatch, capsys, command
+):
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text(
+        (data_dir / "corpus.jsonl").read_text(encoding="utf-8")
+        + json.dumps({"doc_id": "bare", "text": "nothing happened"}) + "\n",
+        encoding="utf-8",
+    )
+    backends = []
+
+    def logged(inner, corpus):
+        backends.append(_CallLog(inner))
+        return backends[-1]
+
+    _wrap_backend(monkeypatch, logged)
+    out = tmp_path / "out"
+    if command == "tune-thresholds":
+        argv = ["tune-thresholds", "--corpus", str(dev),
+                "--tagger-preds", str(data_dir / "tagger.jsonl"),
+                "--backend", f"replay:{data_dir / 'replay.json'}", "--out", str(out)]
+    else:
+        argv = _extract_args(data_dir, out)
+        argv.remove("--thresholds")
+        argv.remove("builtin:llama-3.1/m2e2/0.9")
+        argv += ["--tune", str(dev), "--tune-tagger-preds", str(data_dir / "tagger.jsonl")]
+    _assert_configuration_error(argv, out, capsys, "doc 'bare' has no gold events")
+    assert sum(len(backend.requests) for backend in backends) == 0
 
 
 def test_gen_decomp_subcommand(data_dir, tmp_path, capsys):

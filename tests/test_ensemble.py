@@ -116,6 +116,15 @@ def test_transport_failure_names_agent():
         run_self_moa(doc, "p", default_agents(1), FailingBackend())
 
 
+def test_transport_failure_names_the_document():
+    class DownBackend:
+        def complete(self, request):
+            raise BackendError("down")
+
+    with pytest.raises(OrchestrationError, match="agent 1 for doc 'd': down"):
+        run_self_moa(_doc(), "p", default_agents(1), DownBackend())
+
+
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_transport_failure_names_first_failing_agent(parallelism):
     doc = _doc()

@@ -5,10 +5,10 @@ from dataclasses import replace
 import pytest
 
 from revent.confidence import ThresholdSet, ThresholdTriple, bundled_thresholds
-from revent.ensemble import VoteLedger, default_agents, run_self_moa
+from revent.ensemble import VoteLedger, default_agents, fold_votes, run_self_moa
 from revent.errors import ConfigurationError
 from revent.integration import Provenance
-from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key
+from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key, trigger_id
 from revent.pipeline import (
     backend_reflector,
     decide,
@@ -350,3 +350,61 @@ def test_raising_theta_s_never_adds_a_trigger_under_drop_all():
                 assert after <= before
                 shrank += after != before
     assert shrank  # some raises dropped a tagger-only trigger
+
+
+def test_lowering_theta_smoa_lo_never_removes_a_trigger_under_keep_all():
+    rng = random.Random(23)
+    grew = 0
+    for seed in (5, 6):
+        corpus, run = _synthetic_run(seed)
+        for doc in corpus:
+            for thresholds in _threshold_sets(rng, 8):
+                trigger = thresholds.trigger
+                lowered = ThresholdSet(
+                    replace(trigger, theta_smoa_lo=trigger.theta_smoa_lo * rng.choice([0.0, 0.5, 0.9])),
+                    thresholds.argument,
+                )
+                before = run(doc, thresholds, keep_all_reflector)[0]
+                after = run(doc, lowered, keep_all_reflector)[0]
+                assert before <= after
+                grew += after != before
+    assert grew  # some lowerings kept an agent-only trigger that was dropped
+
+
+def test_relabelling_agents_changes_no_final_event_or_argument():
+    rng = random.Random(24)
+    moved = reflected = 0
+    for seed in (5, 6):
+        corpus = make_synthetic_corpus(12, seed=seed)
+        tagger = synthesize_tagger_predictions(
+            corpus, OracleProfile(target_precision=0.8, target_recall=0.7, seed=seed + 1)
+        )
+        # One draw per agent, so every agent's own reply is known.
+        draws = [
+            synthesize_agent_predictions(
+                corpus, OracleProfile(target_precision=0.6, target_recall=0.9, seed=100 * seed + agent), 1
+            )
+            for agent in range(1, 11)
+        ]
+        for doc in corpus:
+            replies = [(agent, draws[agent - 1][doc.doc_id][0]) for agent in range(1, 11)]
+            labels = rng.sample(range(1, 11), 10)
+            relabelled = sorted(((labels[agent - 1], events) for agent, events in replies),
+                                key=lambda reply: reply[0])
+            union, ledger = fold_votes(replies)
+            other_union, other_ledger = fold_votes(relabelled)
+            moved += any(
+                ledger.trigger_votes(trigger_id(e)) != other_ledger.trigger_votes(trigger_id(e))
+                for e in union
+            )
+            for thresholds in _threshold_sets(rng, 8):
+                for reflector in (keep_all_reflector, drop_all_reflector, oracle_reflector):
+                    result = extract_document(
+                        doc, tagger[doc.doc_id], union, ledger, 10, thresholds, 0.5, reflector
+                    )
+                    other = extract_document(
+                        doc, tagger[doc.doc_id], other_union, other_ledger, 10, thresholds, 0.5, reflector
+                    )
+                    assert other.final == result.final
+                    reflected += bool(result.trigger_partition.reflect)
+    assert moved and reflected  # votes changed hands, and some runs reflected

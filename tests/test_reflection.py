@@ -116,6 +116,23 @@ def test_argument_prompt_lists_candidates_in_order():
     assert prompt.endswith("Q: For each candidate above, set `is_correct` to `true` or `false`.")
 
 
+def test_prompts_fill_each_slot_once():
+    # Marker-like text in the passage or a candidate reaches the model as is.
+    doc = Document("d", "He wrote <EVENT_TYPE> and <TRIGGER_TEXT> in <FULL_PASSAGE_TEXT>, "
+                        "<CANDIDATE_TRIGGERS_TO_VERIFY>, <TRIGGER_CANDIDATE_LIST>, "
+                        "<CANDIDATE_ARGUMENTS_TO_VERIFY>, $passage and $candidates")
+    phrases = ["wrote", "<FULL_PASSAGE_TEXT>"]
+    prompt = build_trigger_prompt(doc, phrases)
+    assert doc.text in prompt
+    assert prompt.count(json.dumps(phrases)) == 2
+    trigger = EventMention(_span(doc, "wrote"), "Attack")
+    argument = ArgumentMention(_span(doc, "$candidates"), "<EVENT_TYPE>")
+    prompt = build_argument_prompt(doc, trigger, [argument])
+    assert doc.text in prompt
+    assert json.dumps([{"text": "$candidates", "role": "<EVENT_TYPE>"}]) in prompt
+    assert '"wrote" (type: "Attack")' in prompt
+
+
 def test_argument_prompt_requires_candidates():
     doc = _doc()
     with pytest.raises(ContractError):

@@ -1,24 +1,25 @@
 """Fail unless tier-1 reaches every executable line of ``src/revent``.
 
-Runs pytest in this interpreter under ``sys.settrace`` and
-``threading.settrace``, so lines reached on worker threads count too; lines
-reached only in a child process do not. A file's executable lines are the
-line numbers its code objects' ``co_lines()`` report, line 0 dropped. Any
-unreached line that ``ALLOWED`` does not name by file and source text fails
-the run, and so does an ``ALLOWED`` entry that names no unreached line.
+Runs pytest in this interpreter with a ``sys.monitoring`` LINE callback
+(Python 3.12+) that records each line location once, then disables it.
+Events are process-wide, so lines reached on worker threads count too;
+lines reached only in a child process do not. A file's executable lines
+are the line numbers its code objects' ``co_lines()`` report, line 0
+dropped. Any unreached line that ``ALLOWED`` does not name by file and
+source text fails the run, and so does an ``ALLOWED`` entry that names no
+unreached line.
 
 Usage, from the repository root::
 
     PYTHONPATH=src python -X dev -W error tools/line_reach.py [pytest args]
 
 The pytest arguments default to ``-q``. A failing test run exits with
-pytest's own code.
+pytest's own code; an interpreter without ``sys.monitoring`` exits 2.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "revent"
@@ -41,43 +42,44 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+def run_monitored(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     """pytest's exit code and the lines reached per file name of the package."""
     import pytest
 
+    monitoring = sys.monitoring
+    tool, line_event = monitoring.COVERAGE_ID, monitoring.events.LINE
     reached: dict[str, set[int]] = {}
     by_filename: dict[str, set[int] | None] = {}  # co_filename -> its reached set
 
-    def trace(frame, event, arg):
-        filename = frame.f_code.co_filename
+    def on_line(code, line):
+        filename = code.co_filename
         if filename not in by_filename:
             path = Path(filename).resolve()
             by_filename[filename] = (
                 reached.setdefault(path.name, set()) if path.parent == PACKAGE else None
             )
         lines = by_filename[filename]
-        if lines is None:
-            return None
-        lines.add(frame.f_lineno)
+        if lines is not None:
+            lines.add(line)
+        return monitoring.DISABLE  # one report per line location is enough
 
-        def local(frame, event, arg):
-            lines.add(frame.f_lineno)
-            return local
-
-        return local
-
-    threading.settrace(trace)
-    sys.settrace(trace)
+    monitoring.use_tool_id(tool, "line_reach")
     try:
+        monitoring.register_callback(tool, line_event, on_line)
+        monitoring.set_events(tool, line_event)
         code = pytest.main(pytest_args)
     finally:
-        sys.settrace(None)
-        threading.settrace(None)
+        monitoring.set_events(tool, monitoring.events.NO_EVENTS)
+        monitoring.register_callback(tool, line_event, None)
+        monitoring.free_tool_id(tool)
     return int(code), reached
 
 
 def main(argv: list[str]) -> int:
-    code, reached = run_traced(argv or ["-q"])
+    if not hasattr(sys, "monitoring"):
+        print("line_reach.py needs sys.monitoring (Python 3.12+)", file=sys.stderr)
+        return 2
+    code, reached = run_monitored(argv or ["-q"])
     if code:
         return code
     unreached = []
