@@ -3,9 +3,9 @@
 Subcommands: extract (run the full pipeline and write predictions, metrics,
 and the reflection audit log), tune-thresholds, evaluate, gen-decomp, and
 simulate. Each runs from its parsed arguments. ``main`` checks the flags
-(``--parallelism``, ``--agents``, ``--overlap-threshold``, ``--grid-step``
-where it is read, and extract's one threshold source) before any input is
-read, and so before any backend call; every bad input after parsing,
+(``--parallelism``, ``--agents``, ``--overlap-threshold``, ``--temperature``
+and ``--grid-step``) before any input is read, and so before any backend
+call; every bad input after parsing,
 configuration files included, exits 2 with a JSON error on stderr. All
 reports are JSON, in the one format of ``ingest.json_report``; files are
 written once, atomically, at the end of a run.
@@ -52,13 +52,6 @@ def _check_flags(args) -> None:
     for flag in ("parallelism", "agents"):
         if getattr(args, flag, 1) < 1:
             raise ConfigurationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    if args.command == "extract":
-        if (args.thresholds is None) == (args.tune is None):
-            raise ConfigurationError(
-                "exactly one threshold source must be set: --thresholds or --tune"
-            )
-        if args.tune is not None and args.tune_tagger_preds is None:
-            raise ConfigurationError("--tune requires --tune-tagger-preds")
     if "overlap_threshold" in args and not overlap_in_range(args.overlap_threshold):
         raise ConfigurationError(
             f"--overlap-threshold must be in (0, 1], got {args.overlap_threshold}"
@@ -67,8 +60,7 @@ def _check_flags(args) -> None:
         raise ConfigurationError(
             f"--temperature must be non-negative and finite, got {args.temperature}"
         )
-    tunes = args.command == "tune-thresholds" or getattr(args, "tune", None) is not None
-    if tunes and not grid_step_in_range(args.grid_step):
+    if "grid_step" in args and not grid_step_in_range(args.grid_step):
         raise ConfigurationError(f"--grid-step must be positive and finite, got {args.grid_step}")
 
 
@@ -111,20 +103,6 @@ def _run_agents(corpus, args, backend, then) -> list:
     return [future.result() for future in futures]
 
 
-def _tune_on(corpus_path, tagger_path, args, **tune_options) -> ThresholdSet:
-    """Load a dev split, run the agents on it, and tune thresholds on it."""
-    corpus = load_corpus(corpus_path)
-    for doc in corpus:
-        doc.require_gold()  # before any backend call
-    tagger_preds = load_tagger_predictions(tagger_path, corpus)
-    backend = make_backend(args.backend, corpus=corpus)
-    replies = _run_agents(corpus, args, backend, lambda doc, *reply: reply)
-    smoa = {doc.doc_id: reply for doc, reply in zip(corpus, replies)}
-    predictions = DevPredictions(tagger=tagger_preds, smoa=smoa, n_agents=args.agents)
-    return tune_thresholds(corpus, predictions, grid_step=args.grid_step,
-                           overlap_threshold=args.overlap_threshold, **tune_options)
-
-
 def _score(predictions, corpus, args, out: Path | None) -> dict:
     """Score ``predictions`` against the corpus gold, write the metrics to
     ``out`` (if given), print the table, and return the metrics dict."""
@@ -158,17 +136,15 @@ def run_pipeline(args) -> dict:
 
     Returns a small summary dict (also written as run_summary.json).
     """
-    thresholds = _resolve_thresholds(args.thresholds) if args.thresholds else None
+    thresholds = _resolve_thresholds(args.thresholds)
     corpus = load_corpus(args.corpus)
     tagger_preds = load_tagger_predictions(args.tagger_preds, corpus)
     backend = make_backend(args.backend, corpus=corpus)
-    if thresholds is None:
-        thresholds = _tune_on(args.tune, args.tune_tagger_preds, args)
 
     def extract(doc, events, ledger):
         audit = AuditLog()
         result = extract_document(
-            doc, tagger_preds.get(doc.doc_id, []), events, ledger, args.agents, thresholds,
+            doc, tagger_preds[doc.doc_id], events, ledger, args.agents, thresholds,
             args.overlap_threshold, backend_reflector(backend, ReflectionConfig(), audit),
         )
         return result, audit.entries
@@ -202,8 +178,18 @@ def run_pipeline(args) -> dict:
 
 
 def _cmd_tune(args) -> None:
-    thresholds = _tune_on(
-        args.corpus, args.tagger_preds, args, reflection_standin=args.reflection_standin
+    """Run the agents on a dev split, tune thresholds on it, and report them."""
+    corpus = load_corpus(args.corpus)
+    for doc in corpus:
+        doc.require_gold()  # before any backend call
+    tagger_preds = load_tagger_predictions(args.tagger_preds, corpus)
+    backend = make_backend(args.backend, corpus=corpus)
+    replies = _run_agents(corpus, args, backend, lambda doc, *reply: reply)
+    smoa = {doc.doc_id: reply for doc, reply in zip(corpus, replies)}
+    predictions = DevPredictions(tagger=tagger_preds, smoa=smoa, n_agents=args.agents)
+    thresholds = tune_thresholds(
+        corpus, predictions, grid_step=args.grid_step, overlap_threshold=args.overlap_threshold,
+        reflection_standin=args.reflection_standin,
     )
     _report(thresholds.as_dict(), args.out)
 
@@ -250,20 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallelism", type=int, default=4,
                        help="most backend calls in flight across the run")
         p.add_argument("--overlap-threshold", type=float, default=0.5)
-        p.add_argument("--grid-step", type=float, default=0.05)
         p.add_argument("--out", required=True, type=Path)
 
     p = sub.add_parser("extract", help="run the full pipeline on a corpus")
     add_run_flags(p)
-    p.add_argument("--thresholds",
+    p.add_argument("--thresholds", required=True,
                    help="threshold JSON path or builtin:MODEL/DATASET/TEMP")
-    p.add_argument("--tune", type=Path, help="dev corpus to tune thresholds on")
-    p.add_argument("--tune-tagger-preds", type=Path)
     p.add_argument("--metrics-gate", choices=sorted(_GATE_FLAGS), default="trgC")
     p.set_defaults(func=run_pipeline)
 
     p = sub.add_parser("tune-thresholds", help="calibrate thresholds on a dev split")
     add_run_flags(p)
+    p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--reflection-standin", default="keep-all",
                    choices=["keep-all", "drop-all", "oracle"])
     p.set_defaults(func=_cmd_tune)

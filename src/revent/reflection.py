@@ -177,10 +177,11 @@ def parse_trigger_response(raw: str, candidates: list[str]) -> TriggerVerdict:
     payload = parse_answer(raw, "ClassificationMap")
     if not isinstance(payload, dict):
         raise ReplyParseError(f"ClassificationMap is not a mapping: {short_repr(payload)}")
-    verdict_map = {str(k): _normalize_verdict(v) for k, v in payload.items()}
+    verdict_map = {str(k): v for k, v in payload.items()}
     return TriggerVerdict(
         verdicts=tuple(
-            (phrase, verdict_map.get(phrase, TRIGGER_LABEL)) for phrase in candidates
+            (phrase, _normalize_verdict(verdict_map.get(phrase, TRIGGER_LABEL)))
+            for phrase in candidates
         )
     )
 

@@ -145,8 +145,7 @@ def make_synthetic_corpus(
 
 def _distractor_spans(doc: Document, vocabulary) -> list[Span]:
     """Occurrences of vocabulary words that do not touch a gold trigger."""
-    gold = doc.gold_events or ()
-    trigger_ranges = [(e.trigger.start, e.trigger.end) for e in gold]
+    trigger_ranges = [(e.trigger.start, e.trigger.end) for e in doc.gold_events]
     spans = []
     for word in vocabulary:
         for idx in occurrences(doc.text, word):
@@ -155,11 +154,6 @@ def _distractor_spans(doc: Document, vocabulary) -> list[Span]:
                 spans.append(Span(word, idx, end))
     spans.sort(key=lambda s: (s.start, s.end))
     return spans
-
-
-def _gold_types(corpus: list[Document]) -> list[str]:
-    types = sorted({e.event_type for doc in corpus for e in (doc.gold_events or ())})
-    return types or ["Generic:Event"]
 
 
 def _sample_events(
@@ -183,7 +177,7 @@ def _sample_events(
             for doc in corpus
             for span in _distractor_spans(doc, profile.hallucination_vocabulary)
         ]
-        types = _gold_types(corpus)
+        types = sorted({e.event_type for doc in corpus for e in doc.gold_events})
         for doc_id, span in rng.sample(pool, min(n_inject, len(pool))):
             injected.append((doc_id, EventMention(span, rng.choice(types))))
     return kept, injected

@@ -156,13 +156,17 @@ def _assert_configuration_error(argv, out, capsys, match):
     assert not out.exists() or not list(out.iterdir())
 
 
-def test_run_config_requires_exactly_one_threshold_source(data_dir, tmp_path, capsys):
+def test_run_config_requires_exactly_one_threshold_source(data_dir, tmp_path):
     out = tmp_path / "out"
-    argv = _extract_args(data_dir, out, **{"--backend": "oracle"})
-    del argv[argv.index("--thresholds"):argv.index("--thresholds") + 2]
-    _assert_configuration_error(argv, out, capsys, "threshold source")
-    argv += ["--thresholds", "x.json", "--tune", str(data_dir / "corpus.jsonl")]
-    _assert_configuration_error(argv, out, capsys, "threshold source")
+    without = _extract_args(data_dir, out, **{"--backend": "oracle"})
+    del without[without.index("--thresholds"):without.index("--thresholds") + 2]
+    for argv in (without,
+                 _extract_args(data_dir, out, **{"--tune": str(data_dir / "corpus.jsonl")}),
+                 _extract_args(data_dir, out, **{"--grid-step": "0.1"})):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("parallelism", [0, -3])
@@ -174,8 +178,6 @@ def test_run_config_rejects_parallelism_below_one(data_dir, tmp_path, capsys, pa
 
 def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys):
     out = tmp_path / "out"
-    argv = _extract_args(tmp_path / "missing", out, **{"--tune": str(tmp_path / "missing.jsonl")})
-    _assert_configuration_error(argv, out, capsys, "threshold source")
     argv = _extract_args(tmp_path / "missing", out, **{"--parallelism": "0"})
     _assert_configuration_error(argv, out, capsys, "parallelism")
     argv = _extract_args(tmp_path / "missing", out, **{"--agents": "0"})
@@ -188,13 +190,9 @@ def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys):
         argv = _extract_args(tmp_path / "missing", out, **{"--overlap-threshold": value})
         _assert_configuration_error(argv, out, capsys, "--overlap-threshold")
     for value in ("0", "-0.1", "inf", "nan"):
-        argv = _extract_args(tmp_path / "missing", out, **{"--grid-step": value})
-        i = argv.index("--thresholds")
-        argv[i:i + 2] = ["--tune", str(tmp_path / "missing.jsonl"),
-                         "--tune-tagger-preds", str(tmp_path / "missing.jsonl")]
-        _assert_configuration_error(argv, out, capsys, "--grid-step")
-        argv[0] = "tune-thresholds"
-        del argv[i:i + 4]
+        argv = ["tune-thresholds", "--corpus", str(tmp_path / "missing.jsonl"),
+                "--tagger-preds", str(tmp_path / "missing.jsonl"), "--backend", "oracle",
+                "--grid-step", value, "--out", str(out / "thresholds.json")]
         _assert_configuration_error(argv, out, capsys, "--grid-step")
     for value in ("nan", "inf", "-1"):
         argv = _extract_args(tmp_path / "missing", out, **{"--temperature": value})
@@ -202,15 +200,8 @@ def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys):
         argv[0] = "tune-thresholds"
         del argv[argv.index("--thresholds"):argv.index("--thresholds") + 2]
         _assert_configuration_error(argv, out, capsys, "--temperature")
-    argv = _extract_args(tmp_path / "missing", out, **{"--tune": str(tmp_path / "missing.jsonl")})
-    del argv[argv.index("--thresholds"):argv.index("--thresholds") + 2]
-    _assert_configuration_error(argv, out, capsys, "--tune requires --tune-tagger-preds")
     argv = _extract_args(tmp_path / "missing", out, **{"--thresholds": "builtin:llama-3.1/m2e2"})
     _assert_configuration_error(argv, out, capsys, "builtin:MODEL/DATASET/TEMP")
-    # extract with a thresholds file does not read --grid-step.
-    argv = _extract_args(tmp_path / "missing", out, **{"--grid-step": "0"})
-    assert main(argv) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
 
 # Configuration files and descriptors that are wrong in content, by shape
@@ -330,18 +321,20 @@ def test_tune_thresholds_subcommand(data_dir, tmp_path, capsys):
         assert set(level) == {"theta_s", "theta_smoa_hi", "theta_smoa_lo"}
 
 
-def test_extract_with_tune_source(data_dir, tmp_path):
-    argv = _extract_args(data_dir, tmp_path)
-    argv.remove("--thresholds")
-    argv.remove("builtin:llama-3.1/m2e2/0.9")
-    argv += [
-        "--tune", str(data_dir / "corpus.jsonl"),
-        "--tune-tagger-preds", str(data_dir / "tagger.jsonl"),
+def test_extract_with_tuned_thresholds(data_dir, tmp_path):
+    tuned = tmp_path / "tuned.json"
+    assert main([
+        "tune-thresholds",
+        "--corpus", str(data_dir / "corpus.jsonl"),
+        "--tagger-preds", str(data_dir / "tagger.jsonl"),
+        "--backend", f"replay:{data_dir / 'replay.json'}",
         "--grid-step", "0.1",
-    ]
-    assert main(argv) == 0
-    assert (tmp_path / "thresholds.json").exists()
-    assert (tmp_path / "predictions.jsonl").exists()
+        "--out", str(tuned),
+    ]) == 0
+    out = tmp_path / "out"
+    assert main(_extract_args(data_dir, out, **{"--thresholds": str(tuned)})) == 0
+    assert (out / "thresholds.json").read_bytes() == tuned.read_bytes()
+    assert (out / "predictions.jsonl").exists()
 
 
 def test_evaluate_subcommand(data_dir, tmp_path, capsys):
@@ -407,10 +400,6 @@ def test_document_without_gold_exits_2_naming_it(data_dir, tmp_path, capsys, com
         + json.dumps({"doc_id": "bare", "text": "nothing happened"}) + "\n",
         encoding="utf-8",
     )
-    replay = json.loads((data_dir / "replay.json").read_text(encoding="utf-8"))
-    replay["bare"] = {f"agent:{i}": render_events_answer([]) for i in range(1, 11)}
-    fixture = tmp_path / "replay.json"
-    fixture.write_text(json.dumps(replay), encoding="utf-8")
     out = tmp_path / "out"
     argv = {
         "gen-decomp": ["gen-decomp", "--corpus", str(corpus), "--out", str(out)],
@@ -418,7 +407,7 @@ def test_document_without_gold_exits_2_naming_it(data_dir, tmp_path, capsys, com
                      "--predictions", str(GOLDEN / "predictions.jsonl"), "--out", str(out)],
         "tune-thresholds": ["tune-thresholds", "--corpus", str(corpus),
                             "--tagger-preds", str(data_dir / "tagger.jsonl"),
-                            "--backend", f"replay:{fixture}", "--out", str(out)],
+                            "--backend", f"replay:{data_dir / 'replay.json'}", "--out", str(out)],
     }[command]
     _assert_configuration_error(argv, out, capsys, "doc 'bare' has no gold events")
 
@@ -434,9 +423,8 @@ class _CallLog:
         return self.inner.complete(request)
 
 
-@pytest.mark.parametrize("command", ["tune-thresholds", "extract --tune"])
 def test_dev_document_without_gold_fails_before_any_backend_call(
-    data_dir, tmp_path, monkeypatch, capsys, command
+    data_dir, tmp_path, monkeypatch, capsys
 ):
     dev = tmp_path / "dev.jsonl"
     dev.write_text(
@@ -452,15 +440,9 @@ def test_dev_document_without_gold_fails_before_any_backend_call(
 
     _wrap_backend(monkeypatch, logged)
     out = tmp_path / "out"
-    if command == "tune-thresholds":
-        argv = ["tune-thresholds", "--corpus", str(dev),
-                "--tagger-preds", str(data_dir / "tagger.jsonl"),
-                "--backend", f"replay:{data_dir / 'replay.json'}", "--out", str(out)]
-    else:
-        argv = _extract_args(data_dir, out)
-        argv.remove("--thresholds")
-        argv.remove("builtin:llama-3.1/m2e2/0.9")
-        argv += ["--tune", str(dev), "--tune-tagger-preds", str(data_dir / "tagger.jsonl")]
+    argv = ["tune-thresholds", "--corpus", str(dev),
+            "--tagger-preds", str(data_dir / "tagger.jsonl"),
+            "--backend", f"replay:{data_dir / 'replay.json'}", "--out", str(out)]
     _assert_configuration_error(argv, out, capsys, "doc 'bare' has no gold events")
     assert sum(len(backend.requests) for backend in backends) == 0
 

@@ -4,6 +4,8 @@ import re
 import shutil
 from pathlib import Path
 
+from revent.cli import build_parser
+
 README = Path(__file__).parent.parent / "README.md"
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -18,3 +20,16 @@ def test_library_use_example_runs_as_written(data_dir, tmp_path, monkeypatch, ca
     printed = ast.literal_eval(capsys.readouterr().out)
     first = (GOLDEN / "predictions.jsonl").read_text(encoding="utf-8").splitlines()[0]
     assert printed == json.loads(first)["events"]
+
+
+def test_readme_names_exactly_the_cli_flags():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices.values()
+    flags = {
+        option
+        for sub in subparsers
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert set(re.findall(r"--[a-z][a-z-]*", README.read_text(encoding="utf-8"))) == flags

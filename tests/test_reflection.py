@@ -184,6 +184,19 @@ def test_parse_trigger_response_bad_verdict_is_parse_error():
         parse_trigger_response('```ClassificationMap = {"dead": "Maybe"}```', ["dead"])
 
 
+def test_verdict_for_a_phrase_not_queried_does_not_void_the_reply():
+    raw = '```ClassificationMap = {"dead": "Non-Trigger", "today": "maybe"}```'
+    assert parse_trigger_response(raw, ["dead"]).as_dict() == {"dead": "Non-Trigger"}
+    doc = _doc()
+    backend = RecordingBackend(lambda req: raw)
+    audit = AuditLog()
+    results = reflect([_item(doc, "dead", "Life:Die", ambiguous=True)], doc, backend,
+                      ReflectionConfig(), audit)
+    assert _kept_triggers(results) == []
+    assert len(backend.requests) == 1
+    assert not any(entry["fallback"] for entry in audit.entries)
+
+
 def test_parse_trigger_response_no_fence_is_parse_error():
     with pytest.raises(ReplyParseError):
         parse_trigger_response("ClassificationMap = {}", ["dead"])
