@@ -42,7 +42,7 @@ from .ingest import write_json_atomic, write_text_atomic
 from .metrics import gold_from_corpus, score_predictions
 from .pipeline import backend_reflector, extract_document
 from .reflection import AuditLog, ReflectionConfig
-from .tuning import DevPredictions, grid_step_in_range, tune_thresholds
+from .tuning import MIN_GRID_STEP, DevPredictions, grid_step_in_range, tune_thresholds
 
 _GATE_FLAGS = {"trgC": "trg-c", "trgI": "trg-i"}
 
@@ -61,7 +61,9 @@ def _check_flags(args) -> None:
             f"--temperature must be non-negative and finite, got {args.temperature}"
         )
     if "grid_step" in args and not grid_step_in_range(args.grid_step):
-        raise ConfigurationError(f"--grid-step must be positive and finite, got {args.grid_step}")
+        raise ConfigurationError(
+            f"--grid-step must be finite and at least {MIN_GRID_STEP:g}, got {args.grid_step}"
+        )
 
 
 def _resolve_thresholds(source: str) -> ThresholdSet:

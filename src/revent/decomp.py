@@ -17,17 +17,19 @@ the target against its kind and renders the spec; ``ANSWER_KEYS`` and
 
 Work is done once per variant and once per document, not once per record.
 Each variant's canon header (role through example) is rendered once, at
-import, and every prompt of that variant, ``extraction_prompt``'s too,
-adds only the passage, its context blocks and the question.
+import, and held once, by its spec: a record holds only its query (the
+passage, its context blocks and the question), and its ``prompt`` joins
+the header and the query when read, as ``extraction_prompt`` does.
 ``generate_dataset`` orders a document's gold once and renders each of its
 targets through the same renderer ``render_instruction`` uses after its
 target check. JSON is encoded through shared encoders.
 
 Negative candidates for trigger discrimination are n-grams that occur
-exactly once in the passage, share no substring with any gold trigger, sit
-within a three-token window of a trigger, and pass a part-of-speech gate
-(verb / noun / determiner, judged by ``default_pos_gate``'s lexicon and
-suffix heuristic). At most three negatives per document. One pass over the
+exactly once in the passage, neither contain nor sit inside any gold
+trigger's text, overlap no gold trigger's span, sit within a three-token
+window of a trigger, and pass a part-of-speech gate (verb / noun /
+determiner, judged by ``default_pos_gate``'s lexicon and suffix
+heuristic). At most three negatives per document. One pass over the
 passage gates each token once and tests each n-gram's window distance
 before the passage is scanned for its occurrences.
 """
@@ -83,11 +85,22 @@ MASK_TOKEN = "<masked>"
 
 @dataclass(frozen=True)
 class InstructionRecord:
+    """One prompt/answer pair of the curriculum.
+
+    A record holds only its ``query``: the quoted passage, the context
+    blocks and the question. Its variant's canon header is held once, by
+    the variant's spec, and ``prompt`` joins the two on each read.
+    """
+
     variant: TaskVariant
-    prompt: str
+    query: str
     answer: str
     doc_id: str
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def prompt(self) -> str:
+        return _SPECS[self.variant].prompt(self.query)
 
     def to_record(self) -> dict:
         return {
@@ -127,8 +140,9 @@ def _canon_header(spec: _Spec) -> str:
     return "\n".join(lines)
 
 
-def _render_prompt(spec: _Spec, doc: Document, events: list[EventMention], target) -> str:
-    lines = [spec.header, f'"{doc.text}"']
+def _render_query(spec: _Spec, doc: Document, events: list[EventMention], target) -> str:
+    """The prompt after its header: the quoted passage, the context blocks and the question."""
+    lines = [f'"{doc.text}"']
     for block in spec.context(events, target):
         lines += ["", block]
     lines += ["", f"Q: {spec.question(events, target)}"]
@@ -144,7 +158,8 @@ def _ordered_gold(doc: Document) -> list[EventMention]:
 
 def extraction_prompt(doc: Document) -> str:
     """The full-structure prompt sent to extraction agents (no gold needed)."""
-    return _render_prompt(_SPECS[TaskVariant.FULL_STRUCTURE], doc, [], None)
+    spec = _SPECS[TaskVariant.FULL_STRUCTURE]
+    return spec.prompt(_render_query(spec, doc, [], None))
 
 
 # --- negative sampling ----------------------------------------------------
@@ -195,11 +210,12 @@ def sample_negative_ngrams(
 ) -> list[Span]:
     """Up to k hard-negative n-grams near the gold triggers.
 
-    Every returned span occurs exactly once in the passage, shares no
-    substring (textually or positionally) with any gold trigger, lies
-    within a three-token window of some trigger, and has every token pass
-    the part-of-speech gate. Deterministic for a fixed seed; returns fewer
-    than k when the candidate pool is smaller.
+    Every returned span occurs exactly once in the passage; for every gold
+    trigger, neither its text nor the span's contains the other and the
+    two spans do not overlap; it lies within a three-token window of some
+    trigger; and every token passes the part-of-speech gate. Deterministic
+    for a fixed seed; returns fewer than k when the candidate pool is
+    smaller.
     """
     if k > 3:
         raise ContractError("at most three negatives per document")
@@ -384,6 +400,10 @@ class _Spec:
 
     def __post_init__(self):
         object.__setattr__(self, "header", _canon_header(self))
+
+    def prompt(self, query: str) -> str:
+        """The whole prompt of a record of this variant with ``query``."""
+        return self.header + "\n" + query
 
 
 # Shared by full-structure (so by ``extraction_prompt``) and role-ablated construction.
@@ -618,7 +638,7 @@ def _render(variant: TaskVariant, doc: Document, events: list[EventMention], tar
     spec = _SPECS[variant]
     return InstructionRecord(
         variant=variant,
-        prompt=_render_prompt(spec, doc, events, target),
+        query=_render_query(spec, doc, events, target),
         answer=render_answer(spec.key, spec.answer(events, target)),
         doc_id=doc.doc_id,
         provenance=spec.provenance(events, target),

@@ -50,6 +50,7 @@ from .pipeline import PreparedDocument, Reflector, decide, prepare, standin_refl
 __all__ = [
     "DevPredictions",
     "derive_search_values",
+    "MIN_GRID_STEP",
     "grid_step_in_range",
     "collect_confidence_samples",
     "evaluate_threshold_set",
@@ -77,9 +78,13 @@ def _quartiles(data: list[float]) -> tuple[float, float]:
     return data[0], data[0]
 
 
+# The finest grid step: about a million grid values at most, per level.
+MIN_GRID_STEP = 1e-6
+
+
 def grid_step_in_range(step: float) -> bool:
-    """Whether ``step`` is a usable grid step: positive and finite."""
-    return 0.0 < step < math.inf
+    """Whether ``step`` is a usable grid step: finite and at least ``MIN_GRID_STEP``."""
+    return MIN_GRID_STEP <= step < math.inf
 
 
 def derive_search_values(
@@ -92,7 +97,7 @@ def derive_search_values(
     0.0 and the 1.0 + step sentinel.
     """
     if not grid_step_in_range(step):
-        raise ConfigurationError(f"grid step must be positive and finite, got {step}")
+        raise ConfigurationError(f"grid step must be finite and at least {MIN_GRID_STEP:g}, got {step}")
     pools = [d for d in (correct, incorrect) if d]
     if not pools:
         raise ConfigurationError("no dev predictions to derive a search range from")

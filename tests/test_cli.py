@@ -189,7 +189,7 @@ def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys):
     for value in ("0", "-0.5", "1.5", "nan"):
         argv = _extract_args(tmp_path / "missing", out, **{"--overlap-threshold": value})
         _assert_configuration_error(argv, out, capsys, "--overlap-threshold")
-    for value in ("0", "-0.1", "inf", "nan"):
+    for value in ("0", "-0.1", "inf", "nan", "1e-9", "5e-7"):
         argv = ["tune-thresholds", "--corpus", str(tmp_path / "missing.jsonl"),
                 "--tagger-preds", str(tmp_path / "missing.jsonl"), "--backend", "oracle",
                 "--grid-step", value, "--out", str(out / "thresholds.json")]

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from revent import decomp
 from revent.cli import main
 from revent.decomp import (
     WHOLE_DOCUMENT_VARIANTS,
@@ -351,8 +354,6 @@ def test_write_dataset_failure_keeps_the_old_file(tmp_path):
 
 
 def test_trigger_detection_only_never_samples_negatives(monkeypatch):
-    import revent.decomp as decomp
-
     calls = []
 
     def counting(*args, **kwargs):
@@ -394,6 +395,34 @@ def test_generated_records_equal_render_instruction(worked_corpus):
     for record in records:
         doc = by_id[record.doc_id]
         assert record == render_instruction(record.variant, doc, _target_of(record, doc))
+
+
+def _referenced_strings(obj) -> list[str]:
+    """The strings ``obj`` refers to, looking through its attribute dict."""
+    found, pending = [], list(gc.get_referents(obj))
+    while pending:
+        ref = pending.pop()
+        if isinstance(ref, str):
+            found.append(ref)
+        elif isinstance(ref, dict):
+            pending += [*ref.keys(), *ref.values()]
+    return found
+
+
+def test_records_hold_their_query_and_not_the_header(worked_corpus):
+    assert "prompt" not in {f.name for f in dataclasses.fields(InstructionRecord)}
+    corpus = [*worked_corpus, *make_synthetic_corpus(200, seed=88)]
+    by_id = {doc.doc_id: doc for doc in corpus}
+    records = generate_dataset(corpus, seed=88)
+    assert {r.variant for r in records} == set(TaskVariant)
+    for record in records:
+        header = decomp._SPECS[record.variant].header
+        assert header.endswith("\nPassage:")
+        assert record.query.startswith(f'"{by_id[record.doc_id].text}"')
+        assert record.prompt == header + "\n" + record.query
+        held = _referenced_strings(record)
+        assert record.query in held
+        assert not any(header in text for text in held)
 
 
 def test_variant_subsets_match_the_full_dataset():

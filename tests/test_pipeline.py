@@ -25,6 +25,7 @@ from revent.simulate import (
     synthesize_agent_predictions,
     synthesize_tagger_predictions,
 )
+from test_dataset_shapes import make_shaped_corpus
 
 THRESHOLDS = bundled_thresholds("llama-3.1", "m2e2", 0.9)
 
@@ -408,3 +409,57 @@ def test_relabelling_agents_changes_no_final_event_or_argument():
                     assert other.final == result.final
                     reflected += bool(result.trigger_partition.reflect)
     assert moved and reflected  # votes changed hands, and some runs reflected
+
+
+def _seeded_inputs(seeds):
+    """(doc, tagger predictions, agent union, ledger) for every document of
+    seeded synthetic and dataset-shaped corpora."""
+    for seed in seeds:
+        for corpus in (make_synthetic_corpus(12, seed=seed), make_shaped_corpus(12, seed=seed)):
+            tagger = synthesize_tagger_predictions(
+                corpus, OracleProfile(target_precision=0.8, target_recall=0.7, seed=seed + 1)
+            )
+            smoa = synthesize_agent_predictions(
+                corpus, OracleProfile(target_precision=0.6, target_recall=0.9, seed=seed + 2), 10
+            )
+            for doc in corpus:
+                yield doc, tagger[doc.doc_id], *smoa[doc.doc_id]
+
+
+def _finals_agree(rng, doc, preds, other_preds, union, ledger) -> list:
+    """Assert both tagger lists give the same final events at a few threshold
+    sets under every stand-in; return each run's final events."""
+    finals = []
+    for thresholds in _threshold_sets(rng, 4):
+        for reflector in (keep_all_reflector, drop_all_reflector, oracle_reflector):
+            result = extract_document(doc, preds, union, ledger, 10, thresholds, 0.5, reflector)
+            other = extract_document(doc, other_preds, union, ledger, 10, thresholds, 0.5, reflector)
+            assert other.final == result.final
+            finals.append(result.final)
+    return finals
+
+
+def test_shuffling_tagger_predictions_changes_no_final_event():
+    rng = random.Random(25)
+    moved = 0
+    for doc, preds, union, ledger in _seeded_inputs((5, 6)):
+        shuffled = rng.sample(preds, len(preds))
+        finals = _finals_agree(rng, doc, preds, shuffled, union, ledger)
+        moved += shuffled != preds and any(len(final) > 1 for final in finals)
+    assert moved  # some shuffles reordered the tagger lines of a multi-event result
+
+
+def test_repeating_a_tagger_prediction_changes_no_final_event():
+    rng = random.Random(26)
+    repeated = 0
+    for doc, preds, union, ledger in _seeded_inputs((5, 6)):
+        if not preds:
+            continue
+        twice = rng.choice(preds)
+        noisy = list(preds)
+        noisy.insert(rng.randrange(len(noisy) + 1), twice)
+        finals = _finals_agree(rng, doc, preds, noisy, union, ledger)
+        repeated += any(
+            trigger_id(twice.event) in {event.trigger_id for event in final} for final in finals
+        )
+    assert repeated  # some repeated predictions reached the final events

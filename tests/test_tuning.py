@@ -44,6 +44,14 @@ def test_derive_search_values_needs_data():
         derive_search_values([0.5], [0.5], 0)
 
 
+def test_derive_search_values_bounds_the_grid_step():
+    # a finer step would grow the grid as 1/step after every dev backend call
+    for step in (5e-7, 1e-9):
+        with pytest.raises(ConfigurationError, match="at least 1e-06"):
+            derive_search_values([0.5], [0.5], step)
+    assert derive_search_values([0.5], [0.5], 1e-6) == [0.0, 0.499999, 0.5, 0.500001, 1.000001]
+
+
 def _smoa_doc(doc, events_with_votes, n=10):
     """Build (events, ledger) given [(event, vote_count)]."""
     ledger = VoteLedger()
