@@ -46,6 +46,10 @@ _TIMEOUT_S = 120.0
 _MAX_ATTEMPTS = 3
 _BACKOFF_S = 0.5
 
+# Statuses whose Retry-After header is honoured, and the longest wait it may ask for.
+_RETRY_AFTER_CODES = frozenset({429, 503})
+_MAX_RETRY_AFTER_S = 30.0
+
 CHANNEL_KEY = "channel"
 DOC_KEY = "doc_id"
 
@@ -87,7 +91,8 @@ class HttpChatBackend:
     object with a string "content", and HTTP 408, 429 and 5xx are retried:
     3 attempts of up to 120 s each, sleeping 0.5 s before the second and
     1.0 s before the third, before raising BackendError; any other 4xx
-    raises it at once.
+    raises it at once. After a 429 or 503 whose Retry-After header is a
+    number of seconds, the next sleep is at least that long, capped at 30 s.
     """
 
     def __init__(self, url: str, model: str = "default", api_key_env: str = "REVENT_API_KEY"):
@@ -115,9 +120,11 @@ class HttpChatBackend:
             headers["Authorization"] = f"Bearer {api_key}"
 
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(_MAX_ATTEMPTS):
             if attempt:
-                time.sleep(_BACKOFF_S * 2 ** (attempt - 1))
+                time.sleep(max(_BACKOFF_S * 2 ** (attempt - 1), retry_after))
+            retry_after = 0.0
             req = urllib.request.Request(self.url, data=data, headers=headers)
             try:
                 with urllib.request.urlopen(req, timeout=_TIMEOUT_S) as resp:
@@ -131,11 +138,22 @@ class HttpChatBackend:
                         f"chat endpoint {self.url} refused the request: HTTP {exc.code} {exc.reason}"
                     ) from exc
                 last_error = exc
+                retry_after = _retry_after_s(exc)
             except (http.client.HTTPException, urllib.error.URLError, OSError, ValueError, KeyError) as exc:
                 last_error = exc
         raise BackendError(
             f"chat endpoint {self.url} failed after {_MAX_ATTEMPTS} attempts: {last_error}"
         )
+
+
+def _retry_after_s(exc) -> float:
+    """The wait a 429 or 503 asks for in delta-seconds, at most
+    ``_MAX_RETRY_AFTER_S``; 0 for any other status, no header, an HTTP-date
+    or a malformed value."""
+    value = ((exc.headers or {}).get("Retry-After") or "").strip()
+    if exc.code not in _RETRY_AFTER_CODES or not (value.isascii() and value.isdigit()):
+        return 0.0
+    return min(float(value), _MAX_RETRY_AFTER_S)
 
 
 class ReplayBackend:

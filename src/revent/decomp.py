@@ -15,14 +15,16 @@ answer and provenance, the kind of target it focuses on, and the targets
 the target against its kind and renders the spec; ``ANSWER_KEYS`` and
 ``WHOLE_DOCUMENT_VARIANTS`` are read off the table.
 
-Work is done once per variant and once per document, not once per record.
-Each variant's canon header (role through example) is rendered once, at
-import, and held once, by its spec: a record holds only its query (the
-passage, its context blocks and the question), and its ``prompt`` joins
-the header and the query when read, as ``extraction_prompt`` does.
-``generate_dataset`` orders a document's gold once and renders each of its
-targets through the same renderer ``render_instruction`` uses after its
-target check. JSON is encoded through shared encoders.
+A record holds what renders it, not what it renders: its variant, the
+corpus's own document, that document's ordered gold and its target. Its
+query, answer, provenance and prompt are rendered from the variant's spec
+on every read, so a dataset costs a few small objects per record until it
+is written. Each variant's canon header (role through example) is rendered
+once, at import, and held once, by its spec; a record's ``prompt`` joins
+the header and the query, as ``extraction_prompt`` does.
+``generate_dataset`` orders a document's gold once and shares that tuple
+among all of the document's records; ``render_instruction`` builds the same
+record after its target check. JSON is encoded through shared encoders.
 
 Negative candidates for trigger discrimination are n-grams that occur
 exactly once in the passage, neither contain nor sit inside any gold
@@ -83,20 +85,39 @@ class TaskVariant(Enum):
 MASK_TOKEN = "<masked>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstructionRecord:
-    """One prompt/answer pair of the curriculum.
+    """One prompt/answer pair of the curriculum, held as what renders it.
 
-    A record holds only its ``query``: the quoted passage, the context
-    blocks and the question. Its variant's canon header is held once, by
-    the variant's spec, and ``prompt`` joins the two on each read.
+    A record holds its variant, the corpus's own document, that document's
+    gold in answer order (one tuple shared by all of the document's records)
+    and its target. ``doc_id``, ``query``, ``answer``, ``provenance`` and
+    ``prompt`` are rendered from the variant's spec on every read; no
+    rendered string is held.
     """
 
     variant: TaskVariant
-    query: str
-    answer: str
-    doc_id: str
-    provenance: dict = field(default_factory=dict)
+    doc: Document = field(repr=False)
+    events: tuple[EventMention, ...] = field(repr=False)
+    target: Any
+
+    @property
+    def doc_id(self) -> str:
+        return self.doc.doc_id
+
+    @property
+    def query(self) -> str:
+        """The prompt after its header: the quoted passage, the context blocks and the question."""
+        return _render_query(_SPECS[self.variant], self.doc, self.events, self.target)
+
+    @property
+    def answer(self) -> str:
+        spec = _SPECS[self.variant]
+        return render_answer(spec.key, spec.answer(self.events, self.target))
+
+    @property
+    def provenance(self) -> dict:
+        return _SPECS[self.variant].provenance(self.events, self.target)
 
     @property
     def prompt(self) -> str:
@@ -140,8 +161,7 @@ def _canon_header(spec: _Spec) -> str:
     return "\n".join(lines)
 
 
-def _render_query(spec: _Spec, doc: Document, events: list[EventMention], target) -> str:
-    """The prompt after its header: the quoted passage, the context blocks and the question."""
+def _render_query(spec: _Spec, doc: Document, events: tuple[EventMention, ...], target) -> str:
     lines = [f'"{doc.text}"']
     for block in spec.context(events, target):
         lines += ["", block]
@@ -149,17 +169,17 @@ def _render_query(spec: _Spec, doc: Document, events: list[EventMention], target
     return "\n".join(lines)
 
 
-def _ordered_gold(doc: Document) -> list[EventMention]:
-    return sorted(
+def _ordered_gold(doc: Document) -> tuple[EventMention, ...]:
+    return tuple(sorted(
         doc.require_gold(),
         key=lambda e: (e.trigger.start, e.trigger.end, e.event_type),
-    )
+    ))
 
 
 def extraction_prompt(doc: Document) -> str:
     """The full-structure prompt sent to extraction agents (no gold needed)."""
     spec = _SPECS[TaskVariant.FULL_STRUCTURE]
-    return spec.prompt(_render_query(spec, doc, [], None))
+    return spec.prompt(_render_query(spec, doc, (), None))
 
 
 # --- negative sampling ----------------------------------------------------
@@ -290,7 +310,7 @@ class _Target(Enum):
     CANDIDATE = "a (span, is_trigger) pair with a span of the passage"
     NEGATIVES = "a list of spans of the passage"
 
-    def accepts(self, doc: Document, events: list[EventMention], target) -> bool:
+    def accepts(self, doc: Document, events: tuple[EventMention, ...], target) -> bool:
         if self is _Target.NONE:
             return target is None
         if self is _Target.TRIGGER:
@@ -369,8 +389,8 @@ def _role_multi_context(events, ti) -> list[str]:
     ]
 
 
-_Builder = Callable[[list[EventMention], Any], Any]
-_Enumerator = Callable[[Document, list[EventMention], list[Span], int], list]
+_Builder = Callable[[tuple[EventMention, ...], Any], Any]
+_Enumerator = Callable[[Document, tuple[EventMention, ...], list[Span], int], list]
 
 
 @dataclass(frozen=True)
@@ -633,18 +653,6 @@ WHOLE_DOCUMENT_VARIANTS = frozenset(
 
 # --- rendering ------------------------------------------------------------
 
-def _render(variant: TaskVariant, doc: Document, events: list[EventMention], target) -> InstructionRecord:
-    """One record from the ordered gold ``events`` and an accepted target."""
-    spec = _SPECS[variant]
-    return InstructionRecord(
-        variant=variant,
-        query=_render_query(spec, doc, events, target),
-        answer=render_answer(spec.key, spec.answer(events, target)),
-        doc_id=doc.doc_id,
-        provenance=spec.provenance(events, target),
-    )
-
-
 def render_instruction(
     variant: TaskVariant, doc: Document, target=None
 ) -> InstructionRecord:
@@ -660,7 +668,9 @@ def render_instruction(
     spec = _SPECS[variant]
     if not spec.target.accepts(doc, events, target):
         raise ContractError(f"{variant.value}: target must be {spec.target.value}, got {target!r}")
-    return _render(variant, doc, events, target)
+    if spec.target is _Target.NEGATIVES:
+        target = list(target)  # the record renders on read: the caller's list may change
+    return InstructionRecord(variant, doc, events, target)
 
 
 def generate_dataset(
@@ -677,8 +687,9 @@ def generate_dataset(
     discrimination variants draw their hard negatives per document. Output
     order is (document, variant, target) regardless of execution order, and
     the result is deterministic for a fixed seed. Each document's gold is
-    ordered once, and its targets, enumerated from the variant table, are
-    rendered without ``render_instruction``'s target check.
+    ordered once, into one tuple all of its records share, and its targets,
+    enumerated from the variant table, skip ``render_instruction``'s target
+    check. Nothing is rendered here: records render when read.
     """
     chosen = [v for v in TaskVariant if variants is None or v in variants]
     sample = any(_SPECS[v].target in (_Target.CANDIDATE, _Target.NEGATIVES) for v in chosen)
@@ -690,7 +701,7 @@ def generate_dataset(
         )
         for variant in chosen:
             for target in _SPECS[variant].targets(doc, events, negatives, seed):
-                records.append(_render(variant, doc, events, target))
+                records.append(InstructionRecord(variant, doc, events, target))
     return records
 
 

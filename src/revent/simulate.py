@@ -61,7 +61,14 @@ _PLACES = (
 
 @dataclass(frozen=True)
 class OracleProfile:
-    """Target operating point for one synthetic prediction source."""
+    """Target operating point for one synthetic prediction source.
+
+    Distractors are drawn from the occurrences of ``hallucination_vocabulary``
+    words in the corpus that touch no gold trigger, and no more are injected
+    than there are such occurrences. When the corpus has too few, every one
+    is injected, without a warning, and precision comes out above
+    ``target_precision`` (1.0 on a corpus without those words).
+    """
 
     target_precision: float
     target_recall: float

@@ -111,6 +111,50 @@ def test_http_backend_retry_schedule(monkeypatch):
     assert sleeps == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("code, retry_after, expected", [
+    pytest.param(429, "7", [7.0, 7.0], id="429-seconds"),
+    pytest.param(503, "7", [7.0, 7.0], id="503-seconds"),
+    pytest.param(429, "9999", [30.0, 30.0], id="capped"),
+    pytest.param(429, "9" * 5_000, [30.0, 30.0], id="capped-long"),
+    pytest.param(429, "0", [0.5, 1.0], id="shorter-than-backoff"),
+    pytest.param(503, "Wed, 21 Oct 2015 07:28:00 GMT", [0.5, 1.0], id="http-date"),
+    pytest.param(429, "soon", [0.5, 1.0], id="garbage"),
+    pytest.param(429, "-5", [0.5, 1.0], id="negative"),
+    pytest.param(429, "\u00b2", [0.5, 1.0], id="non-ascii-digit"),
+    pytest.param(500, "7", [0.5, 1.0], id="other-status"),
+])
+def test_http_backend_honours_a_capped_retry_after(monkeypatch, code, retry_after, expected):
+    sleeps = []
+
+    def fake_urlopen(req, timeout):
+        raise urllib.error.HTTPError(
+            req.full_url, code, "status", {"Retry-After": retry_after}, io.BytesIO(b"")
+        )
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    with pytest.raises(BackendError, match="3 attempts"):
+        HttpChatBackend("https://busy.example").complete(ChatRequest.user("p"))
+    assert sleeps == expected
+
+
+def test_http_backend_forgets_a_retry_after_once_it_has_waited(monkeypatch):
+    sleeps, replies = [], iter([
+        urllib.error.HTTPError("u", 429, "status", {"Retry-After": "7"}, io.BytesIO(b"")),
+        OSError("connection reset"),
+        OSError("connection reset"),
+    ])
+
+    def fake_urlopen(req, timeout):
+        raise next(replies)
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    with pytest.raises(BackendError, match="3 attempts"):
+        HttpChatBackend("https://busy.example").complete(ChatRequest.user("p"))
+    assert sleeps == [7.0, 1.0]
+
+
 @pytest.mark.parametrize("body", [
     pytest.param(b'["x"]', id="list"),
     pytest.param(b'"x"', id="string"),

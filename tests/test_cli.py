@@ -587,6 +587,44 @@ def test_extract_is_byte_identical_across_parallelism(data_dir, tmp_path, monkey
             assert outputs[parallelism][name] == outputs[1][name], (parallelism, name)
 
 
+def _doc_blocks(path):
+    """A JSON-lines artifact's lines grouped into runs of one doc_id, keyed by it."""
+    blocks: dict[str, list[str]] = {}
+    previous = None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        doc_id = json.loads(line)["doc_id"]
+        assert doc_id == previous or doc_id not in blocks, f"{doc_id} is split"
+        blocks.setdefault(doc_id, []).append(line)
+        previous = doc_id
+    return blocks
+
+
+def test_shuffling_the_corpus_permutes_the_extract_artifacts(data_dir, tmp_path, monkeypatch):
+    flags = _write_synthetic(tmp_path / "in", 16)
+    _wrap_backend(monkeypatch, _NoisyBackend)
+    lines = Path(flags["--corpus"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    shuffled = tmp_path / "in" / "shuffled.jsonl"
+    shuffled.write_text("".join(random.Random(7).sample(lines, len(lines))), encoding="utf-8")
+    order = [json.loads(line)["doc_id"] for line in shuffled.read_text(encoding="utf-8").splitlines()]
+    assert order != [json.loads(line)["doc_id"] for line in lines]
+    outputs = {}
+    for name, corpus in (("plain", flags["--corpus"]), ("shuffled", str(shuffled))):
+        outputs[name] = tmp_path / name
+        assert main(_extract_args(data_dir, outputs[name], **{**flags, "--corpus": corpus})) == 0
+    plain, permuted = outputs["plain"], outputs["shuffled"]
+    predictions = _doc_blocks(plain / "predictions.jsonl")
+    assert (permuted / "predictions.jsonl").read_text(encoding="utf-8").splitlines() == [
+        line for doc_id in order for line in predictions[doc_id]
+    ]
+    audit = _doc_blocks(plain / "audit.jsonl")
+    assert len(audit) >= 8
+    assert list(_doc_blocks(permuted / "audit.jsonl").items()) == [
+        (doc_id, audit[doc_id]) for doc_id in order if doc_id in audit
+    ]
+    for name in ("metrics.json", "run_summary.json"):
+        assert (permuted / name).read_bytes() == (plain / name).read_bytes(), name
+
+
 class _CountingBackend:
     """Records the peak number of concurrent calls, and of documents with a
     call in flight.

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import string
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from revent.decomp import (
 from revent.errors import ContractError
 from revent.model import ArgumentMention, Document, EventMention, Span, occurrences
 from revent.simulate import make_synthetic_corpus
+from test_dataset_shapes import make_shaped_corpus
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -126,6 +128,16 @@ _OUTSIDE = Span("zzz", 0, 3)  # not a span of either passage
 def test_every_bad_target_is_contract_error(variant, doc, target):
     with pytest.raises(ContractError):
         render_instruction(variant, doc, target)
+
+
+def test_a_record_does_not_change_with_the_negatives_it_was_given():
+    doc = _fig_doc()
+    negatives = sample_negative_ngrams(doc, [e.trigger for e in doc.gold_events], k=3, seed=0)
+    assert negatives
+    record = render_instruction(TaskVariant.TRIGGER_DISCRIMINATION_MULTI, doc, negatives)
+    before = record.to_record()
+    negatives.clear()
+    assert record.to_record() == before
 
 
 def test_extraction_prompt_needs_no_gold():
@@ -409,20 +421,47 @@ def _referenced_strings(obj) -> list[str]:
     return found
 
 
-def test_records_hold_their_query_and_not_the_header(worked_corpus):
-    assert "prompt" not in {f.name for f in dataclasses.fields(InstructionRecord)}
+def test_records_hold_what_renders_them_and_no_string(worked_corpus):
+    assert [f.name for f in dataclasses.fields(InstructionRecord)] == ["variant", "doc", "events", "target"]
     corpus = [*worked_corpus, *make_synthetic_corpus(200, seed=88)]
     by_id = {doc.doc_id: doc for doc in corpus}
     records = generate_dataset(corpus, seed=88)
     assert {r.variant for r in records} == set(TaskVariant)
+    events_of: dict[str, tuple] = {}
     for record in records:
         header = decomp._SPECS[record.variant].header
         assert header.endswith("\nPassage:")
         assert record.query.startswith(f'"{by_id[record.doc_id].text}"')
         assert record.prompt == header + "\n" + record.query
-        held = _referenced_strings(record)
-        assert record.query in held
-        assert not any(header in text for text in held)
+        assert _referenced_strings(record) == []
+        assert record.doc is by_id[record.doc_id]
+        assert events_of.setdefault(record.doc_id, record.events) is record.events
+    assert len(events_of) == len(corpus)
+
+
+def test_one_dataset_holds_few_bytes_per_record(worked_corpus):
+    corpus = [*worked_corpus, *make_synthetic_corpus(200, seed=88)]
+    generate_dataset(corpus, seed=88)  # import-time and first-use state is not the records'
+    gc.collect()
+    tracemalloc.start()
+    try:
+        records = generate_dataset(corpus, seed=88)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(records) < 250
+
+
+def test_shuffling_the_corpus_permutes_the_record_blocks():
+    for corpus in (make_synthetic_corpus(40, seed=3), make_shaped_corpus(30, seed=4)):
+        blocks: dict[str, list] = {}
+        for record in generate_dataset(corpus, seed=5):
+            blocks.setdefault(record.doc_id, []).append(record.to_record())
+        shuffled = random.Random(6).sample(corpus, len(corpus))
+        assert [d.doc_id for d in shuffled] != [d.doc_id for d in corpus]
+        got = [record.to_record() for record in generate_dataset(shuffled, seed=5)]
+        assert got == [rec for doc in shuffled for rec in blocks[doc.doc_id]]
 
 
 def test_variant_subsets_match_the_full_dataset():
