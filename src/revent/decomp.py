@@ -24,7 +24,10 @@ once, at import, and held once, by its spec; a record's ``prompt`` joins
 the header and the query, as ``extraction_prompt`` does.
 ``generate_dataset`` orders a document's gold once and shares that tuple
 among all of the document's records; ``render_instruction`` builds the same
-record after its target check. JSON is encoded through shared encoders.
+record after its target check. Each spec also holds its variant's JSON line
+prefix, up to the record's query, encoded once at import: ``write_dataset``
+writes that prefix and encodes only the rest of each record, so no header
+is JSON-escaped per record.
 
 Negative candidates for trigger discrimination are n-grams that occur
 exactly once in the passage, neither contain nor sit inside any gold
@@ -33,7 +36,8 @@ window of a trigger, and pass a part-of-speech gate (verb / noun /
 determiner, judged by ``default_pos_gate``'s lexicon and suffix
 heuristic). At most three negatives per document. One pass over the
 passage gates each token once and tests each n-gram's window distance
-before the passage is scanned for its occurrences.
+before the passage is scanned for its occurrences. The seeded draw runs
+only when there are more than k candidates, and only picked ones become spans.
 """
 
 from __future__ import annotations
@@ -108,29 +112,42 @@ class InstructionRecord:
     @property
     def query(self) -> str:
         """The prompt after its header: the quoted passage, the context blocks and the question."""
-        return _render_query(_SPECS[self.variant], self.doc, self.events, self.target)
+        return self._parts()[1]
 
     @property
     def answer(self) -> str:
-        spec = _SPECS[self.variant]
-        return render_answer(spec.key, spec.answer(self.events, self.target))
+        return self._parts()[2]
 
     @property
     def provenance(self) -> dict:
-        return _SPECS[self.variant].provenance(self.events, self.target)
+        return self._parts()[3]
 
     @property
     def prompt(self) -> str:
-        return _SPECS[self.variant].prompt(self.query)
+        spec, query, _, _ = self._parts()
+        return spec.prompt(query)
 
     def to_record(self) -> dict:
+        spec, query, answer, provenance = self._parts()
         return {
             "variant": self.variant.value,
-            "prompt": self.prompt,
-            "answer": self.answer,
-            "doc_id": self.doc_id,
-            "provenance": self.provenance,
+            "prompt": spec.prompt(query),
+            "answer": answer,
+            "doc_id": self.doc.doc_id,
+            "provenance": provenance,
         }
+
+    def _parts(self) -> tuple[_Spec, str, str, dict]:
+        """The variant's spec and the record's query, answer and provenance,
+        rendered from one lookup of the spec."""
+        spec = _SPECS[self.variant]
+        events, target = self.events, self.target
+        return (
+            spec,
+            _render_query(spec, self.doc, events, target),
+            render_answer(spec.key, spec.answer(events, target)),
+            spec.provenance(events, target),
+        )
 
 
 def parse_record_answer(record: InstructionRecord):
@@ -262,8 +279,9 @@ def sample_negative_ngrams(
             text, start, end = cleaned
             stripped.append((idx, start, end, text == tok, default_pos_gate(text)))
 
-    # (start, end) order: windows grow rightwards from each token in turn
-    candidates: list[Span] = []
+    # (start, end, text), in (start, end) order: windows grow rightwards
+    # from each token in turn
+    candidates: list[tuple[int, int, str]] = []
     for pos, (idx, start, _, bare, _) in enumerate(stripped):
         gap = len(raw_tokens)
         for offset, (last_idx, _, end, last_bare, gated) in enumerate(stripped[pos:pos + 3]):
@@ -287,11 +305,11 @@ def sample_negative_ngrams(
             ):
                 continue
             if len(occurrences(doc.text, cand_text)) == 1:
-                candidates.append(Span(cand_text, start, end))
+                candidates.append((start, end, cand_text))
 
-    rng = random.Random(f"{seed}:{doc.doc_id}:negatives")
-    picked = candidates if len(candidates) <= k else rng.sample(candidates, k)
-    return sorted(picked, key=lambda s: (s.start, s.end))
+    if len(candidates) > k:
+        candidates = random.Random(f"{seed}:{doc.doc_id}:negatives").sample(candidates, k)
+    return [Span(text, start, end) for start, end, text in sorted(candidates)]
 
 
 # --- variant table --------------------------------------------------------
@@ -417,6 +435,8 @@ class _Spec:
     context: _Builder = lambda events, target: []
     provenance: _Builder = lambda events, target: {}
     header: str = field(init=False)  # the canon up to the passage, rendered from the fields above
+    # a JSON line of this variant up to the record's query, set below the table
+    line_prefix: str = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "header", _canon_header(self))
@@ -643,6 +663,16 @@ _SPECS: dict[TaskVariant, _Spec] = {
     ),
 }
 
+_record_json = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+# how ``_record_json`` opens a record that starts at its query
+_PROMPT_OPENING = '{"prompt": "'
+
+for _variant, _spec in _SPECS.items():
+    # {"variant": ..., "prompt": header + "\n"} encoded, without its closing '"}'
+    _prefix = _record_json({"variant": _variant.value, "prompt": _spec.header + "\n"})[:-2]
+    object.__setattr__(_spec, "line_prefix", _prefix)
+del _variant, _spec, _prefix
+
 ANSWER_KEYS = {variant: spec.key for variant, spec in _SPECS.items()}
 
 # Variants that emit exactly one record per document, annotated or not.
@@ -691,25 +721,31 @@ def generate_dataset(
     enumerated from the variant table, skip ``render_instruction``'s target
     check. Nothing is rendered here: records render when read.
     """
-    chosen = [v for v in TaskVariant if variants is None or v in variants]
-    sample = any(_SPECS[v].target in (_Target.CANDIDATE, _Target.NEGATIVES) for v in chosen)
+    chosen = [(v, _SPECS[v]) for v in TaskVariant if variants is None or v in variants]
+    sample = any(spec.target in (_Target.CANDIDATE, _Target.NEGATIVES) for _, spec in chosen)
     records: list[InstructionRecord] = []
     for doc in corpus:
         events = _ordered_gold(doc)
         negatives = (
             sample_negative_ngrams(doc, [e.trigger for e in events], k=3, seed=seed) if sample else []
         )
-        for variant in chosen:
-            for target in _SPECS[variant].targets(doc, events, negatives, seed):
+        for variant, spec in chosen:
+            for target in spec.targets(doc, events, negatives, seed):
                 records.append(InstructionRecord(variant, doc, events, target))
     return records
 
 
-_record_json = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
-
-
 def write_dataset(records: list[InstructionRecord], path: str | Path) -> None:
-    """Stream the records to ``path`` as JSON lines, whole or not at all."""
+    """Stream the records to ``path`` as JSON lines, whole or not at all.
+
+    A line is its variant's ``line_prefix`` and then the record encoded from
+    its query on. JSON escapes a string one character at a time, so the
+    line is ``_record_json(record.to_record())``, but no header is escaped.
+    """
     with open_atomic(path) as fh:
         for record in records:
-            fh.write(_record_json(record.to_record()) + "\n")
+            spec, query, answer, provenance = record._parts()
+            rest = _record_json(
+                {"prompt": query, "answer": answer, "doc_id": record.doc.doc_id, "provenance": provenance}
+            )
+            fh.write(spec.line_prefix + rest[len(_PROMPT_OPENING):] + "\n")

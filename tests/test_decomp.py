@@ -356,13 +356,78 @@ def test_write_dataset_failure_keeps_the_old_file(tmp_path):
     before = out.read_bytes()
 
     class Broken:
-        def to_record(self):
+        def _parts(self):  # what write_dataset renders a record's line from
             raise RuntimeError("record cannot be serialised")
 
     with pytest.raises(RuntimeError, match="serialised"):
         write_dataset([*records, Broken(), *records], out)
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["decomp.jsonl"]
+
+
+# Quotes, backslash, every C0 control, DEL, the two JavaScript line
+# terminators, non-ASCII and non-BMP characters.
+_AWKWARD = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "é", "中", "\U0001F600"]
+
+
+def _awkward_corpus(n, seed):
+    """Documents whose texts, ids, event types and roles hold ``_AWKWARD``
+    characters; plain words among them leave room for negatives."""
+    rng = random.Random(seed)
+    letters = string.ascii_lowercase + "éß中"
+    corpus = []
+    for i in range(n):
+        tokens = [
+            "".join(rng.choices(letters, k=rng.randint(3, 7))) if rng.random() < 0.6
+            else "".join(rng.choices([*_AWKWARD, "x"], k=rng.randint(1, 4)))
+            for _ in range(rng.randint(6, 16))
+        ]
+        starts = [sum(len(t) + 1 for t in tokens[:j]) for j in range(len(tokens))]
+        spans = [Span(t, s, s + len(t)) for t, s in zip(tokens, starts)]
+        picked = rng.sample(range(len(spans)), rng.randint(0, min(3, len(spans) // 2)))
+        others = [j for j in range(len(spans)) if j not in picked]
+        events = tuple(
+            EventMention(spans[j], "Ty" + "".join(rng.choices(_AWKWARD, k=2)), tuple(
+                ArgumentMention(spans[a], "R" + "".join(rng.choices(_AWKWARD, k=2)))
+                for a in rng.sample(others, rng.randint(0, 2))
+            ))
+            for j in picked
+        )
+        corpus.append(Document(f"d{i}" + "".join(rng.choices(_AWKWARD, k=3)), " ".join(tokens), events))
+    return corpus
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_written_lines_are_the_records_json_with_awkward_characters(tmp_path, seed):
+    records = generate_dataset(_awkward_corpus(80, seed=seed), seed=seed)
+    assert {r.variant for r in records} == set(TaskVariant)
+    out = tmp_path / "awkward.jsonl"
+    write_dataset(records, out)
+    # splitlines would also split at U+2028, U+2029 and some C0 controls
+    lines = out.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(records)
+    for line, record in zip(lines, records):
+        assert line == json.dumps(record.to_record(), ensure_ascii=False, allow_nan=False)
+    written = "".join(lines)
+    assert [c for c in _AWKWARD if json.dumps(c, ensure_ascii=False)[1:-1] not in written] == []
+
+
+def test_write_dataset_encodes_no_canon_header(tmp_path, monkeypatch):
+    """Each header is escaped once, at import, not once per record."""
+    escaped = [json.dumps(spec.header, ensure_ascii=False)[1:-1] for spec in decomp._SPECS.values()]
+    encode, encoded = decomp._record_json, []
+
+    def recording(obj):
+        encoded.append(encode(obj))
+        return encoded[-1]
+
+    monkeypatch.setattr(decomp, "_record_json", recording)
+    records = generate_dataset(make_synthetic_corpus(30, seed=3), seed=3)
+    assert {r.variant for r in records} == set(TaskVariant)
+    write_dataset(records, tmp_path / "decomp.jsonl")
+    assert len(encoded) == len(records)
+    assert [text for text in encoded if any(header in text for header in escaped)] == []
 
 
 def test_trigger_detection_only_never_samples_negatives(monkeypatch):

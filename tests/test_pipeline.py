@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,7 @@ from revent.pipeline import (
 )
 from revent.reflection import AuditLog, ReflectionConfig
 from revent.simulate import (
+    DEFAULT_HALLUCINATION_VOCAB,
     OracleProfile,
     make_synthetic_corpus,
     synthesize_agent_predictions,
@@ -269,122 +271,139 @@ def test_decide_on_a_reused_prepared_document_equals_extract():
     assert reflected  # some runs took the reflection path
 
 
+# Shaped passages hold none of the default distractor words. Their
+# simulated predictions draw distractors from the words that open each
+# shape's clause, so shaped documents get tagger-only and agent-only
+# triggers too.
+_SHAPED_DISTRACTORS = ("Reports", "Meanwhile", "Earlier")
+_KINDS = ("synthetic", "shaped")
+
+
+def _seeded_corpora(seeds):
+    """(kind, seed, corpus, distractor words) for 12-doc synthetic corpora at
+    ``seeds``, then dataset-shaped ones at the same seeds."""
+    for seed in seeds:
+        yield "synthetic", seed, make_synthetic_corpus(12, seed=seed), DEFAULT_HALLUCINATION_VOCAB
+    for seed in seeds:
+        yield "shaped", seed, make_shaped_corpus(12, seed=seed), _SHAPED_DISTRACTORS
+
+
+def _tagger_profile(seed, vocabulary):
+    return OracleProfile(
+        target_precision=0.8, target_recall=0.7, seed=seed, hallucination_vocabulary=vocabulary
+    )
+
+
+def _agent_profile(seed, vocabulary):
+    return OracleProfile(
+        target_precision=0.6, target_recall=0.9, seed=seed, hallucination_vocabulary=vocabulary
+    )
+
+
+def _vacuous(counts: Counter) -> list[str]:
+    """The corpus kinds whose runs never counted."""
+    return [kind for kind in _KINDS if not counts[kind]]
+
+
 def test_agent_union_order_and_repeats_do_not_change_the_final_events():
-    corpus = make_synthetic_corpus(12, seed=6)
-    tagger = synthesize_tagger_predictions(
-        corpus, OracleProfile(target_precision=0.8, target_recall=0.7, seed=8)
-    )
-    smoa = synthesize_agent_predictions(
-        corpus, OracleProfile(target_precision=0.6, target_recall=0.9, seed=9), 10
-    )
     rng = random.Random(13)
-    for doc in corpus:
-        union, ledger = smoa[doc.doc_id]
-        # Repeats are the same object or an equal event built anew, with
-        # its arguments in another order.
-        noisy = union + [
-            rng.choice([event, EventMention(event.trigger, event.event_type, event.arguments[::-1])])
-            for event in rng.sample(union, len(union) // 2)
-        ]
-        rng.shuffle(noisy)
-        for thresholds in _threshold_sets(rng, 8):
-            for reflector in (keep_all_reflector, drop_all_reflector, oracle_reflector):
-                ordered = extract_document(
-                    doc, tagger[doc.doc_id], union, ledger, 10, thresholds, 0.5, reflector
-                )
-                shuffled = extract_document(
-                    doc, tagger[doc.doc_id], noisy, ledger, 10, thresholds, 0.5, reflector
-                )
-                assert shuffled.final == ordered.final
+    for _, _, corpus, vocabulary in _seeded_corpora((6,)):
+        tagger = synthesize_tagger_predictions(corpus, _tagger_profile(8, vocabulary))
+        smoa = synthesize_agent_predictions(corpus, _agent_profile(9, vocabulary), 10)
+        for doc in corpus:
+            union, ledger = smoa[doc.doc_id]
+            # Repeats are the same object or an equal event built anew, with
+            # its arguments in another order.
+            noisy = union + [
+                rng.choice([event, EventMention(event.trigger, event.event_type, event.arguments[::-1])])
+                for event in rng.sample(union, len(union) // 2)
+            ]
+            rng.shuffle(noisy)
+            for thresholds in _threshold_sets(rng, 8):
+                for reflector in (keep_all_reflector, drop_all_reflector, oracle_reflector):
+                    ordered = extract_document(
+                        doc, tagger[doc.doc_id], union, ledger, 10, thresholds, 0.5, reflector
+                    )
+                    shuffled = extract_document(
+                        doc, tagger[doc.doc_id], noisy, ledger, 10, thresholds, 0.5, reflector
+                    )
+                    assert shuffled.final == ordered.final
 
 
-def _synthetic_run(seed):
-    """A 12-doc synthetic corpus and an ``extract_document`` closure over its
-    seeded tagger and ten-agent predictions."""
-    corpus = make_synthetic_corpus(12, seed=seed)
-    tagger = synthesize_tagger_predictions(
-        corpus, OracleProfile(target_precision=0.8, target_recall=0.7, seed=seed + 1)
-    )
-    smoa = synthesize_agent_predictions(
-        corpus, OracleProfile(target_precision=0.6, target_recall=0.9, seed=seed + 2), 10
-    )
+def _seeded_runs(seeds):
+    """(kind, doc, run) for every document of ``_seeded_corpora(seeds)``:
+    ``run`` is an ``extract_document`` closure over the corpus's seeded
+    tagger and ten-agent predictions."""
+    for kind, seed, corpus, vocabulary in _seeded_corpora(seeds):
+        tagger = synthesize_tagger_predictions(corpus, _tagger_profile(seed + 1, vocabulary))
+        smoa = synthesize_agent_predictions(corpus, _agent_profile(seed + 2, vocabulary), 10)
 
-    def run(doc, thresholds, reflector):
-        result = extract_document(
-            doc, tagger[doc.doc_id], *smoa[doc.doc_id], 10, thresholds, 0.5, reflector
-        )
-        triggers = {event.trigger_id for event in result.final}
-        arguments = {(event.trigger_id, arg.key) for event in result.final for arg in event.event.arguments}
-        return triggers, arguments
+        def run(doc, thresholds, reflector, tagger=tagger, smoa=smoa):
+            result = extract_document(
+                doc, tagger[doc.doc_id], *smoa[doc.doc_id], 10, thresholds, 0.5, reflector
+            )
+            triggers = {event.trigger_id for event in result.final}
+            arguments = {(event.trigger_id, arg.key) for event in result.final for arg in event.event.arguments}
+            return triggers, arguments
 
-    return corpus, run
+        for doc in corpus:
+            yield kind, doc, run
 
 
 def test_drop_all_keeps_a_subset_of_what_keep_all_keeps():
     rng = random.Random(21)
-    strict = 0
-    for seed in (5, 6):
-        corpus, run = _synthetic_run(seed)
-        for doc in corpus:
-            for thresholds in _threshold_sets(rng, 8):
-                dropped = run(doc, thresholds, drop_all_reflector)
-                kept = run(doc, thresholds, keep_all_reflector)
-                assert dropped[0] <= kept[0] and dropped[1] <= kept[1]
-                strict += dropped != kept
-    assert strict  # some runs handed the reflector something to drop
+    strict = Counter()
+    for kind, doc, run in _seeded_runs((5, 6)):
+        for thresholds in _threshold_sets(rng, 8):
+            dropped = run(doc, thresholds, drop_all_reflector)
+            kept = run(doc, thresholds, keep_all_reflector)
+            assert dropped[0] <= kept[0] and dropped[1] <= kept[1]
+            strict[kind] += dropped != kept
+    assert _vacuous(strict) == []  # some runs of each kind handed the reflector something to drop
 
 
 def test_raising_theta_s_never_adds_a_trigger_under_drop_all():
     rng = random.Random(22)
-    shrank = 0
-    for seed in (5, 6):
-        corpus, run = _synthetic_run(seed)
-        for doc in corpus:
-            for thresholds in _threshold_sets(rng, 8):
-                trigger = thresholds.trigger
-                raised = ThresholdSet(
-                    replace(trigger, theta_s=trigger.theta_s + rng.choice([0.05, 0.2, 0.5])),
-                    thresholds.argument,
-                )
-                before = run(doc, thresholds, drop_all_reflector)[0]
-                after = run(doc, raised, drop_all_reflector)[0]
-                assert after <= before
-                shrank += after != before
-    assert shrank  # some raises dropped a tagger-only trigger
+    shrank = Counter()
+    for kind, doc, run in _seeded_runs((5, 6)):
+        for thresholds in _threshold_sets(rng, 8):
+            trigger = thresholds.trigger
+            raised = ThresholdSet(
+                replace(trigger, theta_s=trigger.theta_s + rng.choice([0.05, 0.2, 0.5])),
+                thresholds.argument,
+            )
+            before = run(doc, thresholds, drop_all_reflector)[0]
+            after = run(doc, raised, drop_all_reflector)[0]
+            assert after <= before
+            shrank[kind] += after != before
+    assert _vacuous(shrank) == []  # some raises of each kind dropped a tagger-only trigger
 
 
 def test_lowering_theta_smoa_lo_never_removes_a_trigger_under_keep_all():
     rng = random.Random(23)
-    grew = 0
-    for seed in (5, 6):
-        corpus, run = _synthetic_run(seed)
-        for doc in corpus:
-            for thresholds in _threshold_sets(rng, 8):
-                trigger = thresholds.trigger
-                lowered = ThresholdSet(
-                    replace(trigger, theta_smoa_lo=trigger.theta_smoa_lo * rng.choice([0.0, 0.5, 0.9])),
-                    thresholds.argument,
-                )
-                before = run(doc, thresholds, keep_all_reflector)[0]
-                after = run(doc, lowered, keep_all_reflector)[0]
-                assert before <= after
-                grew += after != before
-    assert grew  # some lowerings kept an agent-only trigger that was dropped
+    grew = Counter()
+    for kind, doc, run in _seeded_runs((5, 6)):
+        for thresholds in _threshold_sets(rng, 8):
+            trigger = thresholds.trigger
+            lowered = ThresholdSet(
+                replace(trigger, theta_smoa_lo=trigger.theta_smoa_lo * rng.choice([0.0, 0.5, 0.9])),
+                thresholds.argument,
+            )
+            before = run(doc, thresholds, keep_all_reflector)[0]
+            after = run(doc, lowered, keep_all_reflector)[0]
+            assert before <= after
+            grew[kind] += after != before
+    assert _vacuous(grew) == []  # some lowerings of each kind kept an agent-only trigger that was dropped
 
 
 def test_relabelling_agents_changes_no_final_event_or_argument():
     rng = random.Random(24)
-    moved = reflected = 0
-    for seed in (5, 6):
-        corpus = make_synthetic_corpus(12, seed=seed)
-        tagger = synthesize_tagger_predictions(
-            corpus, OracleProfile(target_precision=0.8, target_recall=0.7, seed=seed + 1)
-        )
+    moved, reflected = Counter(), Counter()
+    for kind, seed, corpus, vocabulary in _seeded_corpora((5, 6)):
+        tagger = synthesize_tagger_predictions(corpus, _tagger_profile(seed + 1, vocabulary))
         # One draw per agent, so every agent's own reply is known.
         draws = [
-            synthesize_agent_predictions(
-                corpus, OracleProfile(target_precision=0.6, target_recall=0.9, seed=100 * seed + agent), 1
-            )
+            synthesize_agent_predictions(corpus, _agent_profile(100 * seed + agent, vocabulary), 1)
             for agent in range(1, 11)
         ]
         for doc in corpus:
@@ -394,7 +413,7 @@ def test_relabelling_agents_changes_no_final_event_or_argument():
                                 key=lambda reply: reply[0])
             union, ledger = fold_votes(replies)
             other_union, other_ledger = fold_votes(relabelled)
-            moved += any(
+            moved[kind] += any(
                 ledger.trigger_votes(trigger_id(e)) != other_ledger.trigger_votes(trigger_id(e))
                 for e in union
             )
@@ -407,8 +426,9 @@ def test_relabelling_agents_changes_no_final_event_or_argument():
                         doc, tagger[doc.doc_id], other_union, other_ledger, 10, thresholds, 0.5, reflector
                     )
                     assert other.final == result.final
-                    reflected += bool(result.trigger_partition.reflect)
-    assert moved and reflected  # votes changed hands, and some runs reflected
+                    reflected[kind] += bool(result.trigger_partition.reflect)
+    # votes changed hands, and some runs reflected, on each kind of corpus
+    assert _vacuous(moved) == [] and _vacuous(reflected) == []
 
 
 def _seeded_inputs(seeds):

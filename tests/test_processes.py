@@ -26,15 +26,23 @@ def _python(args, hash_seed="0"):
     )
 
 
-def test_import_revent_loads_no_module_that_only_some_paths_need():
-    code = (
-        "import json, sys; before = set(sys.modules); import revent; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
-    )
-    result = _python(["-c", code])
+def _loaded_by(modules: str) -> set[str]:
+    """Every module loaded in a fresh interpreter once ``import <modules>``
+    has run, under -S, where no .pth file preloads any."""
+    code = f"import json, sys; import {modules}; print(json.dumps(sorted(sys.modules)))"
+    result = _python(["-S", "-c", code])
     assert result.returncode == 0, result.stderr
-    loaded = set(json.loads(result.stdout))
-    assert sorted(loaded & set(_LOADED_ON_FIRST_USE)) == []
+    return set(json.loads(result.stdout))
+
+
+def test_import_revent_loads_no_module_that_only_some_paths_need():
+    assert sorted(_loaded_by("revent") & set(_LOADED_ON_FIRST_USE)) == []
+
+
+def test_cli_simulate_and_decomp_load_no_http_module():
+    """HTTP stays a first-use import of the command line too."""
+    loaded = _loaded_by("revent.cli, revent.simulate, revent.decomp")
+    assert sorted(loaded & {"urllib.request", "http.client", "ssl", "email"}) == []
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
