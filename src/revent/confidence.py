@@ -72,7 +72,8 @@ class ThresholdTriple:
     theta_smoa_lo: float
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
+        for name in ("theta_s", "theta_smoa_hi", "theta_smoa_lo"):
+            value = getattr(self, name)
             if not is_finite_number(value):
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.theta_smoa_lo < 0 or self.theta_s < 0:

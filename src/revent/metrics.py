@@ -10,14 +10,13 @@ duplicate predictions collapse before counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError, UnknownDocumentError
 from .model import Document, EventMention
 
 __all__ = ["SubtaskCounts", "Metrics", "score_predictions", "gold_from_corpus"]
 
-SUBTASKS = ("trigger_id", "trigger_cls", "argument_id", "argument_cls")
 _HEADERS = {"trigger_id": "Trg-I", "trigger_cls": "Trg-C",
             "argument_id": "Arg-I", "argument_cls": "Arg-C"}
 
@@ -43,9 +42,6 @@ class SubtaskCounts:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
-    def __add__(self, other: "SubtaskCounts") -> "SubtaskCounts":
-        return SubtaskCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
     def as_dict(self) -> dict:
         return {
             "tp": self.tp, "fp": self.fp, "fn": self.fn,
@@ -60,14 +56,21 @@ class Metrics:
     argument_id: SubtaskCounts
     argument_cls: SubtaskCounts
 
-    def __add__(self, other: "Metrics") -> "Metrics":
-        """Pooled counts of two disjoint document sets (micro averaging)."""
-        return Metrics(
-            self.trigger_id + other.trigger_id,
-            self.trigger_cls + other.trigger_cls,
-            self.argument_id + other.argument_id,
-            self.argument_cls + other.argument_cls,
-        )
+    def counts(self) -> tuple[int, ...]:
+        """The flat counts: tp, fp, fn of each subtask, in ``SUBTASKS``
+        order. Counts of disjoint document sets pool by summing them column
+        by column (micro averaging)."""
+        flat: tuple[int, ...] = ()
+        for name in SUBTASKS:
+            c = getattr(self, name)
+            flat += (c.tp, c.fp, c.fn)
+        return flat
+
+    @classmethod
+    def from_counts(cls, counts) -> "Metrics":
+        """The metrics of flat counts laid out as ``counts()`` returns them."""
+        c = tuple(counts)
+        return cls(*map(SubtaskCounts, c[0::3], c[1::3], c[2::3]))
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name).as_dict() for name in SUBTASKS}
@@ -90,14 +93,31 @@ class Metrics:
         )
 
 
+# The subtasks, in the order of Metrics' fields and of its flat counts.
+SUBTASKS = tuple(f.name for f in fields(Metrics))
+
+
 def gold_from_corpus(corpus: list[Document]) -> dict[str, list[EventMention]]:
     """Per-doc gold map from an annotated corpus; unannotated docs error."""
     return {doc.doc_id: list(doc.require_gold()) for doc in corpus}
 
 
-def _counts(pred: set, gold: set) -> tuple[int, int, int]:
-    tp = len(pred & gold)
-    return tp, len(pred) - tp, len(gold) - tp
+def _scored_tuples(events: list[EventMention], typed_gate: bool) -> tuple[set, set, set, set]:
+    """The events' scored tuples, one set per subtask in ``SUBTASKS`` order.
+    An argument is gated by its trigger's span, and also its event type
+    when ``typed_gate``."""
+    trg_i, trg_c, arg_i, arg_c = set(), set(), set(), set()
+    for e in events:
+        span = (e.trigger.start, e.trigger.end)
+        typed = span + (e.event_type,)
+        trg_i.add(span)
+        trg_c.add(typed)
+        gate = typed if typed_gate else span
+        for a in e.arguments:
+            arg = gate + (a.span.start, a.span.end)
+            arg_i.add(arg)
+            arg_c.add(arg + (a.role,))
+    return trg_i, trg_c, arg_i, arg_c
 
 
 def score_predictions(
@@ -117,26 +137,14 @@ def score_predictions(
     if unknown:
         raise UnknownDocumentError(f"predictions for unknown doc_ids: {sorted(unknown)}")
 
-    totals = {name: SubtaskCounts(0, 0, 0) for name in SUBTASKS}
+    typed_gate = gating == "trg-c"
+    totals = [0] * (3 * len(SUBTASKS))
     for doc_id, gold_events in gold.items():
-        pred_events = preds.get(doc_id, [])
+        pred = _scored_tuples(preds.get(doc_id, []), typed_gate)
+        counts = []
+        for p, g in zip(pred, _scored_tuples(gold_events, typed_gate)):
+            tp = len(p & g)
+            counts += (tp, len(p) - tp, len(g) - tp)
+        totals = [t + n for t, n in zip(totals, counts)]
 
-        def tuples(events):
-            trg_i = {(e.trigger.start, e.trigger.end) for e in events}
-            trg_c = {(e.trigger.start, e.trigger.end, e.event_type) for e in events}
-            arg_i, arg_c = set(), set()
-            for e in events:
-                gate = (e.trigger.start, e.trigger.end) + (
-                    (e.event_type,) if gating == "trg-c" else ()
-                )
-                for a in e.arguments:
-                    arg_i.add(gate + (a.span.start, a.span.end))
-                    arg_c.add(gate + (a.span.start, a.span.end, a.role))
-            return {"trigger_id": trg_i, "trigger_cls": trg_c,
-                    "argument_id": arg_i, "argument_cls": arg_c}
-
-        p, g = tuples(pred_events), tuples(gold_events)
-        for name in SUBTASKS:
-            totals[name] += SubtaskCounts(*_counts(p[name], g[name]))
-
-    return Metrics(**totals)
+    return Metrics.from_counts(totals)

@@ -22,7 +22,9 @@ every visited triple is a distinct band setting.
 Micro-F1 is a sum of per-document counts, and the stand-in reflectors are
 pure functions of one document's items. So each document is decided and
 scored once per its own band signature - how many of its own confidences
-fall below each cutoff - and a visited triple sums the documents' counts.
+fall below each cutoff - and memoises its flat counts (``Metrics.counts``)
+under it. A visited triple then costs one memo lookup per document and one
+``Metrics``, built from the documents' counts summed column by column.
 
 Trigger thresholds are tuned first against trigger-classification F1; the
 argument triple is then tuned against argument-classification F1 with the
@@ -35,13 +37,11 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import Callable
 
 from .confidence import Source, ThresholdSet, ThresholdTriple, smoa_confidence
 from .ensemble import VoteLedger, cleanup_predictions
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .ingest import TaggerPrediction
 from .metrics import Metrics, gold_from_corpus, score_predictions
 from .model import Document, EventMention, trigger_id
@@ -152,39 +152,68 @@ def collect_confidence_samples(
 @dataclass
 class _DevDocument:
     """A prepared dev document, its own confidence cuts (see
-    ``_confidence_cuts``) and its metrics at each own band signature."""
+    ``_confidence_cuts``), the reflector it is decided with, and its flat
+    counts (``Metrics.counts``) at each own band signature."""
 
     prepared: PreparedDocument
     cuts: tuple[tuple[list[float], list[float]], ...]
-    metrics: dict[tuple[int, ...], Metrics] = field(default_factory=dict)
+    reflector: Reflector
+    counts: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
 
-    def metrics_at(self, thresholds: ThresholdSet, reflector: Reflector) -> Metrics:
+    def counts_at(self, thresholds: ThresholdSet, reflector: Reflector) -> tuple[int, ...]:
+        if reflector is not self.reflector:
+            raise ContractError("dev documents are memoised under another reflector")
         # How many of the document's confidences fall below each cutoff. A
         # tagger item is kept iff its confidence is at or above theta_s, an
         # ensemble item is retained at or above theta_smoa_hi and removed
         # below theta_smoa_lo, so these counts fix every item's band.
-        signature = tuple(
-            bisect_left(cuts, theta)
-            for (tagger, smoa), t in zip(self.cuts, (thresholds.trigger, thresholds.argument))
-            for cuts, theta in (
-                (tagger, t.theta_s), (smoa, t.theta_smoa_hi), (smoa, t.theta_smoa_lo)
-            )
+        (trigger_tagger, trigger_smoa), (argument_tagger, argument_smoa) = self.cuts
+        trigger, argument = thresholds.trigger, thresholds.argument
+        signature = (
+            bisect_left(trigger_tagger, trigger.theta_s),
+            bisect_left(trigger_smoa, trigger.theta_smoa_hi),
+            bisect_left(trigger_smoa, trigger.theta_smoa_lo),
+            bisect_left(argument_tagger, argument.theta_s),
+            bisect_left(argument_smoa, argument.theta_smoa_hi),
+            bisect_left(argument_smoa, argument.theta_smoa_lo),
         )
-        if signature not in self.metrics:
+        counts = self.counts.get(signature)
+        if counts is None:
             doc = self.prepared.doc
             final = decide(self.prepared, thresholds, reflector).final_events
-            self.metrics[signature] = score_predictions(
+            counts = self.counts[signature] = score_predictions(
                 {doc.doc_id: final}, gold_from_corpus([doc])
-            )
-        return self.metrics[signature]
+            ).counts()
+        return counts
 
 
 def evaluate_threshold_set(
     dev: list[_DevDocument], thresholds: ThresholdSet, reflector: Reflector
 ) -> Metrics:
     """Dev-set metrics of the downstream pipeline at one threshold setting:
-    the sum of every document's counts."""
-    return reduce(add, (d.metrics_at(thresholds, reflector) for d in dev))
+    every document's flat counts summed column by column. ``reflector``
+    must be the one the documents were built with."""
+    rows = [d.counts_at(thresholds, reflector) for d in dev]
+    return Metrics.from_counts(map(sum, zip(*rows)))
+
+
+def _dev_documents(
+    dev: list[Document], predictions: DevPredictions, overlap_threshold: float, reflector: Reflector
+) -> list[_DevDocument]:
+    """Each dev document prepared once and bound to ``reflector``. Scoring
+    is keyed by doc_id, so a repeated doc_id counts once, as its last
+    document."""
+    documents = []
+    for doc in {doc.doc_id: doc for doc in dev}.values():
+        prepared = prepare(
+            doc,
+            predictions.tagger.get(doc.doc_id, []),
+            *predictions.smoa.get(doc.doc_id, ([], VoteLedger())),
+            predictions.n_agents,
+            overlap_threshold,
+        )
+        documents.append(_DevDocument(prepared, _confidence_cuts([prepared]), reflector))
+    return documents
 
 
 def _confidence_cuts(
@@ -268,20 +297,8 @@ def tune_thresholds(
         raise ConfigurationError("threshold tuning needs a non-empty dev set")
     reflector = standin_reflector(reflection_standin)
     samples = collect_confidence_samples(dev, predictions)
-    # Scoring is keyed by doc_id, so a repeated doc_id counts once, as its
-    # last document.
-    prepared = [
-        prepare(
-            doc,
-            predictions.tagger.get(doc.doc_id, []),
-            *predictions.smoa.get(doc.doc_id, ([], VoteLedger())),
-            predictions.n_agents,
-            overlap_threshold,
-        )
-        for doc in {doc.doc_id: doc for doc in dev}.values()
-    ]
-    documents = [_DevDocument(p, _confidence_cuts([p])) for p in prepared]
-    trigger_cuts, argument_cuts = _confidence_cuts(prepared)
+    documents = _dev_documents(dev, predictions, overlap_threshold, reflector)
+    trigger_cuts, argument_cuts = _confidence_cuts([d.prepared for d in documents])
 
     def f1(thresholds: ThresholdSet, subtask: str) -> float:
         return getattr(evaluate_threshold_set(documents, thresholds, reflector), subtask).f1

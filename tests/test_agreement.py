@@ -211,3 +211,30 @@ def test_matcher_properties_at_both_levels():
         args = match_arguments(pair, threshold)
         _check_matching(args, pair.smoa.arguments, pair.tagger.arguments, "role", "span", threshold)
         assert _identities(args, "role", "span") == _identities(events, "event_type", "trigger")
+
+
+def test_equal_overlaps_break_to_the_earliest_tagger_span():
+    # [5,15) overlaps [10,20) and [0,10) by 1/3 each; input order puts [10,20) first.
+    smoa = [_ev("x" * 10, 5)]
+    tagger = [_ev("x" * 10, 10), _ev("x" * 10, 0)]
+    report = match_triggers(smoa, tagger, 0.3)
+    assert [(p.tagger.trigger.start, p.overlap) for p in report.consensus] == [(0, 1 / 3)]
+    args = match_arguments(MatchedPair(
+        smoa=_ev("t", 40, "E", [_arg("x" * 10, 5, "R")]),
+        tagger=_ev("t", 40, "E", [_arg("x" * 10, 10, "R"), _arg("x" * 10, 0, "R")]),
+        overlap=1.0,
+    ), 0.3)
+    assert [(p.tagger.span.start, p.overlap) for p in args.consensus] == [(0, 1 / 3)]
+
+
+def test_equal_overlaps_break_to_the_earliest_ensemble_span():
+    smoa = [_ev("x" * 10, 10), _ev("x" * 10, 0)]
+    tagger = [_ev("x" * 10, 5)]
+    report = match_triggers(smoa, tagger, 0.3)
+    assert [(p.smoa.trigger.start, p.overlap) for p in report.consensus] == [(0, 1 / 3)]
+    args = match_arguments(MatchedPair(
+        smoa=_ev("t", 40, "E", [_arg("x" * 10, 10, "R"), _arg("x" * 10, 0, "R")]),
+        tagger=_ev("t", 40, "E", [_arg("x" * 10, 5, "R")]),
+        overlap=1.0,
+    ), 0.3)
+    assert [(p.smoa.span.start, p.overlap) for p in args.consensus] == [(0, 1 / 3)]

@@ -1,10 +1,15 @@
 """The benchmark's contract with the program: the names it traces exist."""
 
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name, monkeypatch):
@@ -53,3 +58,14 @@ def test_tune_reaches_every_traced_tuning_name(monkeypatch):
         monkeypatch.setattr(tuning, name, counted)
     tuning.tune_thresholds(*_dev_fixture(3))
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_names_its_parent_and_host(path):
+    """A committed speed claim records the commit it was measured against
+    and the host it ran on."""
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert re.fullmatch(r"[0-9a-f]{40}", record["parent_commit"])
+    nproc = record["host"]["nproc"]
+    assert type(nproc) is int and nproc >= 1
+    assert isinstance(record["host"]["python"], str) and record["host"]["python"]

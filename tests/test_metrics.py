@@ -3,7 +3,7 @@ import random
 import pytest
 
 from revent.errors import ConfigurationError, UnknownDocumentError
-from revent.metrics import score_predictions
+from revent.metrics import Metrics, score_predictions
 from revent.model import ArgumentMention, EventMention, Span
 
 
@@ -194,3 +194,11 @@ def test_table_rendering_is_aligned():
     assert "Trg-I" in lines[0] and "Arg-C" in lines[0]
     assert len(lines) == 5
     assert isinstance(m.as_dict()["trigger_id"]["f1"], float)
+
+
+def test_flat_counts_are_tp_fp_fn_of_each_subtask_in_order():
+    metrics = Metrics.from_counts(range(12))
+    assert metrics.counts() == tuple(range(12))
+    assert [(c.tp, c.fp, c.fn) for c in (metrics.trigger_id, metrics.argument_cls)] == [
+        (0, 1, 2), (9, 10, 11),
+    ]

@@ -6,11 +6,12 @@ import pytest
 from revent import tuning
 from revent.confidence import Source, ThresholdSet, ThresholdTriple
 from revent.ensemble import VoteLedger, cleanup_predictions
-from revent.errors import ConfigurationError
+from revent.errors import ConfigurationError, ContractError
 from revent.ingest import TaggerPrediction
-from revent.metrics import gold_from_corpus, score_predictions
+from revent.metrics import Metrics, gold_from_corpus, score_predictions
 from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key, trigger_id
 from revent.pipeline import (
+    decide,
     drop_all_reflector,
     extract_document,
     keep_all_reflector,
@@ -22,6 +23,7 @@ from revent.tuning import (
     DevPredictions,
     collect_confidence_samples,
     derive_search_values,
+    evaluate_threshold_set,
     tune_thresholds,
 )
 
@@ -414,3 +416,81 @@ def test_tuner_collects_confidence_samples_once(monkeypatch):
     dev, predictions = _argument_dev_set()
     tune_thresholds(dev, predictions, grid_step=0.1)
     assert calls == [dev]
+
+
+def _decided_metrics(documents, thresholds, reflector):
+    """Each dev document decided on its own at ``thresholds``, then scored together."""
+    preds = {d.prepared.doc.doc_id: decide(d.prepared, thresholds, reflector).final_events
+             for d in documents}
+    return score_predictions(preds, gold_from_corpus([d.prepared.doc for d in documents]))
+
+
+def test_dev_documents_refuse_another_reflector():
+    dev, predictions = _dev_fixture(6)
+    triple = ThresholdTriple(theta_s=0.5, theta_smoa_hi=0.8, theta_smoa_lo=0.2)
+    thresholds = ThresholdSet(trigger=triple, argument=triple)
+    kept = tuning._dev_documents(dev, predictions, 0.5, keep_all_reflector)
+    evaluate_threshold_set(kept, thresholds, keep_all_reflector)
+    # The memo holds keep-all counts, so drop-all on these documents is refused.
+    with pytest.raises(ContractError, match="another reflector"):
+        evaluate_threshold_set(kept, thresholds, drop_all_reflector)
+    dropped = tuning._dev_documents(dev, predictions, 0.5, drop_all_reflector)
+    assert evaluate_threshold_set(dropped, thresholds, drop_all_reflector) == _decided_metrics(
+        dropped, thresholds, drop_all_reflector
+    )
+
+
+def _random_triple(rng, values):
+    """A triple whose cutoffs are drawn from ``values`` (mostly the dev set's
+    own confidences, so cutoffs land on them) or uniformly from [0, 1.1]."""
+    draw = lambda: rng.choice(values) if rng.random() < 0.7 else rng.uniform(0.0, 1.1)
+    lo, hi = sorted((draw(), draw()))
+    return ThresholdTriple(theta_s=draw(), theta_smoa_hi=hi, theta_smoa_lo=lo)
+
+
+@pytest.mark.parametrize("n_docs", [3, 12])
+@pytest.mark.parametrize("standin, reflector", STANDINS)
+def test_pooled_counts_equal_scoring_each_documents_decisions(n_docs, standin, reflector):
+    dev, predictions = _dev_fixture(n_docs)
+    documents = tuning._dev_documents(dev, predictions, 0.5, reflector)
+    confidences = sorted({
+        item.confidence
+        for d in documents
+        for item in (*d.prepared.trigger_scored, *d.prepared.scored_arguments())
+    })
+    rng = random.Random(n_docs)
+    for _ in range(200):
+        thresholds = ThresholdSet(
+            trigger=_random_triple(rng, confidences), argument=_random_triple(rng, confidences)
+        )
+        assert evaluate_threshold_set(documents, thresholds, reflector) == _decided_metrics(
+            documents, thresholds, reflector
+        )
+
+
+@pytest.mark.parametrize("n_docs", [10, 40])
+def test_tuner_builds_one_metrics_per_visited_point_and_decision(monkeypatch, n_docs):
+    dev, predictions = _dev_fixture(n_docs)
+    visited, decided, built = [], [], []
+    evaluate, decide_, init = tuning.evaluate_threshold_set, tuning.decide, Metrics.__init__
+
+    def counted_evaluate(documents, thresholds, reflector):
+        visited.append(thresholds)
+        return evaluate(documents, thresholds, reflector)
+
+    def counted_decide(prepared, thresholds, reflector):
+        decided.append(prepared)
+        return decide_(prepared, thresholds, reflector)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "evaluate_threshold_set", counted_evaluate)
+    monkeypatch.setattr(tuning, "decide", counted_decide)
+    monkeypatch.setattr(Metrics, "__init__", counted_init)
+    tune_thresholds(dev, predictions, grid_step=0.05)
+    # One Metrics per visited point, one per scored decision, whatever the
+    # number of documents summed at each point.
+    assert visited and decided
+    assert len(built) == len(visited) + len(decided)
