@@ -5,8 +5,8 @@ trigger detection through role assignment up to full structure
 construction - so a model can be fine-tuned on the complete reasoning
 chain. Every prompt follows the same six-part canon (role, task, rules,
 strict output format, fenced example, query) and every answer is a fenced
-block under a single top-level key, so answers round-trip through
-``parse_record_answer``.
+block under a single top-level key, ``ANSWER_KEYS[variant]``, so a record's
+answer round-trips through ``fencing.parse_answer``.
 
 Each variant is defined once, by its entry in the ``_SPECS`` table: the
 answer key, the canon fields, builders for the context blocks, question,
@@ -24,20 +24,29 @@ once, at import, and held once, by its spec; a record's ``prompt`` joins
 the header and the query, as ``extraction_prompt`` does.
 ``generate_dataset`` orders a document's gold once and shares that tuple
 among all of the document's records; ``render_instruction`` builds the same
-record after its target check. Each spec also holds its variant's JSON line
-prefix, up to the record's query, encoded once at import: ``write_dataset``
-writes that prefix and encodes only the rest of each record, so no header
-is JSON-escaped per record.
+record after its target check.
+
+``write_dataset`` assembles each JSON line from escaped strings: the
+variant's line prefix (``{"variant": …, "prompt": "`` and the escaped
+header, encoded once at import), the query encoded on its own, then each of
+answer, doc_id and provenance encoded behind its key. JSON escapes a string
+one character at a time, so the pieces are the bytes of the whole record
+encoded at once, without a header escaped or a record dict built per line.
+A provenance depends on the variant and the target alone, so an index
+target's (none, a trigger, a pair) is encoded once per write.
 
 Negative candidates for trigger discrimination are n-grams that occur
 exactly once in the passage, neither contain nor sit inside any gold
 trigger's text, overlap no gold trigger's span, sit within a three-token
 window of a trigger, and pass a part-of-speech gate (verb / noun /
 determiner, judged by ``default_pos_gate``'s lexicon and suffix
-heuristic). At most three negatives per document. One pass over the
-passage gates each token once and tests each n-gram's window distance
-before the passage is scanned for its occurrences. The seeded draw runs
-only when there are more than k candidates, and only picked ones become spans.
+heuristic). At most three negatives per document. The sampler is linear in
+the passage: each token's distance to the nearest trigger token comes from
+one pass each way; tokens more than five tokens from every trigger, which
+no qualifying window can hold, are neither stripped nor gated; each window
+is tested against the triggers as plain tuples, and then for occurring
+once with ``model.occurs_once``. The seeded draw runs only when there are
+more than k candidates, and only picked ones become spans.
 """
 
 from __future__ import annotations
@@ -46,15 +55,16 @@ import json
 import random
 import re
 import string
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
 
 from .errors import ContractError
-from .fencing import compact_json, events_to_payload, parse_answer, render_answer
+from .fencing import compact_json, events_to_payload, render_answer
 from .ingest import open_atomic
-from .model import Document, EventMention, Span, occurrences
+from .model import Document, EventMention, Span, occurs_once
 
 __all__ = [
     "TaskVariant",
@@ -65,7 +75,6 @@ __all__ = [
     "sample_negative_ngrams",
     "generate_dataset",
     "write_dataset",
-    "parse_record_answer",
     "default_pos_gate",
 ]
 
@@ -120,39 +129,33 @@ class InstructionRecord:
 
     @property
     def provenance(self) -> dict:
-        return self._parts()[3]
+        return _SPECS[self.variant].provenance(self.target)
 
     @property
     def prompt(self) -> str:
-        spec, query, _, _ = self._parts()
+        spec, query, _ = self._parts()
         return spec.prompt(query)
 
     def to_record(self) -> dict:
-        spec, query, answer, provenance = self._parts()
+        spec, query, answer = self._parts()
         return {
             "variant": self.variant.value,
             "prompt": spec.prompt(query),
             "answer": answer,
             "doc_id": self.doc.doc_id,
-            "provenance": provenance,
+            "provenance": spec.provenance(self.target),
         }
 
-    def _parts(self) -> tuple[_Spec, str, str, dict]:
-        """The variant's spec and the record's query, answer and provenance,
-        rendered from one lookup of the spec."""
+    def _parts(self) -> tuple[_Spec, str, str]:
+        """The variant's spec and the record's query and answer, rendered
+        from one lookup of the spec."""
         spec = _SPECS[self.variant]
         events, target = self.events, self.target
         return (
             spec,
             _render_query(spec, self.doc, events, target),
             render_answer(spec.key, spec.answer(events, target)),
-            spec.provenance(events, target),
         )
-
-
-def parse_record_answer(record: InstructionRecord):
-    """Parse a record's fenced answer back to its payload (round-trip)."""
-    return parse_answer(record.answer, ANSWER_KEYS[record.variant])
 
 
 # --- prompt canon ---------------------------------------------------------
@@ -179,11 +182,10 @@ def _canon_header(spec: _Spec) -> str:
 
 
 def _render_query(spec: _Spec, doc: Document, events: tuple[EventMention, ...], target) -> str:
-    lines = [f'"{doc.text}"']
-    for block in spec.context(events, target):
-        lines += ["", block]
-    lines += ["", f"Q: {spec.question(events, target)}"]
-    return "\n".join(lines)
+    """The quoted passage, the context blocks and the question, a blank line apart."""
+    return "\n\n".join(
+        [f'"{doc.text}"', *spec.context(events, target), f"Q: {spec.question(events, target)}"]
+    )
 
 
 def _ordered_gold(doc: Document) -> tuple[EventMention, ...]:
@@ -231,12 +233,10 @@ def default_pos_gate(token: str) -> bool:
     return True
 
 
-def _strip_token(token: str, start: int) -> tuple[str, int, int] | None:
-    stripped = token.strip(string.punctuation)
-    if not stripped:
-        return None
-    offset = token.find(stripped)
-    return (stripped, start + offset, start + offset + len(stripped))
+_TOKEN = re.compile(r"\S+")
+# how far, in tokens, a token of a candidate window can lie from the nearest
+# trigger token: three for the window, two more for its other tokens
+_REACH = 5
 
 
 def sample_negative_ngrams(
@@ -259,31 +259,52 @@ def sample_negative_ngrams(
     if k < 1 or not gold_triggers:
         return []
 
-    raw_tokens = [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", doc.text)]
-    trigger_token_idx = [
-        ti for ti, (_, tstart, tend) in enumerate(raw_tokens)
-        if any(tstart < trig.end and trig.start < tend for trig in gold_triggers)
-    ]
-    if not trigger_token_idx:
+    text = doc.text
+    tokens = [m.span() for m in _TOKEN.finditer(text)]
+    starts = [start for start, _ in tokens]
+    ends = [end for _, end in tokens]
+    # token distance from each token to the nearest trigger token (0 =
+    # overlapping), in one pass each way; a window's distance is the least
+    # over its tokens
+    far = len(tokens)  # more than any distance
+    near = [far] * len(tokens)
+    triggers = []
+    for trig in gold_triggers:
+        triggers.append((trig.start, trig.end, trig.text))
+        for idx in range(bisect_right(ends, trig.start), bisect_left(starts, trig.end)):
+            near[idx] = 0
+    if 0 not in near:
         return []
-    # token distance from each raw token to the nearest trigger token; a
-    # window's distance is the least over its tokens (0 = overlapping)
-    near = [min(abs(t - i) for t in trigger_token_idx) for i in range(len(raw_tokens))]
+    gap = far
+    for idx, dist in enumerate(near):
+        gap = 0 if dist == 0 else gap + 1
+        near[idx] = gap
+    for idx in range(len(near) - 2, -1, -1):
+        if near[idx + 1] < near[idx] - 1:
+            near[idx] = near[idx + 1] + 1
 
-    # (raw index, start, end, bare, gated): bare tokens carry no punctuation
-    # to strip, gated ones pass the part-of-speech gate
+    # (token index, start, end, bare, gated) of each token within reach of a
+    # trigger, punctuation stripped: bare tokens had none to strip, gated
+    # ones pass the part-of-speech gate. Neighbouring tokens' distances
+    # differ by at most one, so a window of at most three tokens holding a
+    # farther token is more than three tokens from every trigger.
     stripped = []
-    for idx, (tok, tstart, _) in enumerate(raw_tokens):
-        cleaned = _strip_token(tok, tstart)
-        if cleaned is not None:
-            text, start, end = cleaned
-            stripped.append((idx, start, end, text == tok, default_pos_gate(text)))
+    for idx, (tstart, tend) in enumerate(tokens):
+        if near[idx] > _REACH:
+            continue
+        token = text[tstart:tend]
+        word = token.strip(string.punctuation)
+        if word == token:
+            stripped.append((idx, tstart, tend, True, default_pos_gate(word)))
+        elif word:
+            start = tstart + token.find(word)
+            stripped.append((idx, start, start + len(word), False, default_pos_gate(word)))
 
     # (start, end, text), in (start, end) order: windows grow rightwards
     # from each token in turn
     candidates: list[tuple[int, int, str]] = []
     for pos, (idx, start, _, bare, _) in enumerate(stripped):
-        gap = len(raw_tokens)
+        gap = far
         for offset, (last_idx, _, end, last_bare, gated) in enumerate(stripped[pos:pos + 3]):
             # a window failing any test that breaks fails it in every longer window
             if last_idx != idx + offset:
@@ -292,24 +313,24 @@ def sample_negative_ngrams(
                 break  # multi-token candidates use punctuation-free tokens only
             if not gated:
                 break
-            gap = min(gap, near[last_idx])
-            if gap == 0:
-                break  # the window holds a trigger token
+            if near[last_idx] < gap:
+                gap = near[last_idx]
+                if gap == 0:
+                    break  # the window holds a trigger token
             if gap > 3:
                 continue
-            cand_text = doc.text[start:end]
-            if any(
-                cand_text in trig.text or trig.text in cand_text
-                or (start < trig.end and trig.start < end)
-                for trig in gold_triggers
-            ):
-                continue
-            if len(occurrences(doc.text, cand_text)) == 1:
-                candidates.append((start, end, cand_text))
+            cand_text = text[start:end]
+            for trig_start, trig_end, trig_text in triggers:
+                if (cand_text in trig_text or trig_text in cand_text
+                        or (start < trig_end and trig_start < end)):
+                    break
+            else:
+                if occurs_once(text, cand_text):
+                    candidates.append((start, end, cand_text))
 
     if len(candidates) > k:
         candidates = random.Random(f"{seed}:{doc.doc_id}:negatives").sample(candidates, k)
-    return [Span(text, start, end) for start, end, text in sorted(candidates)]
+    return [Span(surface, start, end) for start, end, surface in sorted(candidates)]
 
 
 # --- variant table --------------------------------------------------------
@@ -352,6 +373,11 @@ class _Target(Enum):
         )  # NEGATIVES
 
 
+# the target kinds whose targets are indexes: hashable, and shared by the
+# records of many documents
+_INDEX_TARGETS = (_Target.NONE, _Target.TRIGGER, _Target.ARGUED_TRIGGER, _Target.PAIR)
+
+
 def _each_trigger(doc, events, negatives, seed) -> list:
     return list(range(len(events)))
 
@@ -366,7 +392,7 @@ def _one_masked_argument(doc, events, negatives, seed) -> list:
     return [random.Random(f"{seed}:{doc.doc_id}:ablate").choice(pairs)] if pairs else []
 
 
-def _trigger_provenance(events, ti) -> dict:
+def _trigger_provenance(ti) -> dict:
     return {"trigger_index": ti}
 
 
@@ -415,8 +441,9 @@ _Enumerator = Callable[[Document, tuple[EventMention, ...], list[Span], int], li
 class _Spec:
     """Everything that defines one task variant.
 
-    Builders take the ordered gold events and the checked target; ``targets``
-    lists what ``generate_dataset`` renders from (doc, events, negatives, seed).
+    Builders take the ordered gold events and the checked target, except
+    ``provenance``, which takes the target alone; ``targets`` lists what
+    ``generate_dataset`` renders from (doc, events, negatives, seed).
     ``generate_dataset`` samples the negatives only when a chosen spec's
     target kind is a candidate span or a negative list; the others are
     handed an empty list.
@@ -433,7 +460,7 @@ class _Spec:
     target: _Target = _Target.NONE
     targets: _Enumerator = lambda doc, events, negatives, seed: [None]
     context: _Builder = lambda events, target: []
-    provenance: _Builder = lambda events, target: {}
+    provenance: Callable[[Any], dict] = lambda target: {}
     header: str = field(init=False)  # the canon up to the passage, rendered from the fields above
     # a JSON line of this variant up to the record's query, set below the table
     line_prefix: str = field(init=False)
@@ -478,7 +505,7 @@ _SPECS: dict[TaskVariant, _Spec] = {
         context=_masked_context,
         question=lambda events, _: "What is the complete event list with the masked role restored?",
         answer=lambda events, _: events_to_payload(events),
-        provenance=lambda events, pair: {"masked_trigger": pair[0], "masked_argument": pair[1]},
+        provenance=lambda pair: {"masked_trigger": pair[0], "masked_argument": pair[1]},
         target=_Target.PAIR,
         targets=_one_masked_argument,
     ),
@@ -539,7 +566,7 @@ _SPECS: dict[TaskVariant, _Spec] = {
             f"Is the phrase \"{candidate[0].text}\" a 'Trigger' or a 'Non-Trigger' in the passage?"
         ),
         answer=lambda events, candidate: "Trigger" if candidate[1] else "Non-Trigger",
-        provenance=lambda events, candidate: {
+        provenance=lambda candidate: {
             "candidate": [candidate[0].start, candidate[0].end], "is_trigger": candidate[1],
         },
         target=_Target.CANDIDATE,
@@ -562,7 +589,7 @@ _SPECS: dict[TaskVariant, _Spec] = {
         ],
         question=lambda events, _: "For each candidate above, decide whether it is a 'Trigger' or 'Non-Trigger'.",
         answer=_candidate_labels,
-        provenance=lambda events, negatives: {"negatives": [[s.start, s.end] for s in negatives]},
+        provenance=lambda negatives: {"negatives": [[s.start, s.end] for s in negatives]},
         target=_Target.NEGATIVES,
         targets=lambda doc, events, negatives, seed: [list(negatives)] if negatives else [],
     ),
@@ -640,7 +667,7 @@ _SPECS: dict[TaskVariant, _Spec] = {
         example='Role = "Instrument"',
         question=_role_question,
         answer=lambda events, pair: events[pair[0]].arguments[pair[1]].role,
-        provenance=lambda events, pair: {"trigger_index": pair[0], "argument_index": pair[1]},
+        provenance=lambda pair: {"trigger_index": pair[0], "argument_index": pair[1]},
         target=_Target.PAIR,
         targets=_each_argument,
     ),
@@ -664,8 +691,10 @@ _SPECS: dict[TaskVariant, _Spec] = {
 }
 
 _record_json = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
-# how ``_record_json`` opens a record that starts at its query
-_PROMPT_OPENING = '{"prompt": "'
+# The same encoding, for a record's short pieces (answer, doc_id and
+# provenance): ``_record_json`` encodes each record's query, the one piece
+# that follows the header, once per record.
+_field_json = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 for _variant, _spec in _SPECS.items():
     # {"variant": ..., "prompt": header + "\n"} encoded, without its closing '"}'
@@ -738,14 +767,29 @@ def generate_dataset(
 def write_dataset(records: list[InstructionRecord], path: str | Path) -> None:
     """Stream the records to ``path`` as JSON lines, whole or not at all.
 
-    A line is its variant's ``line_prefix`` and then the record encoded from
-    its query on. JSON escapes a string one character at a time, so the
-    line is ``_record_json(record.to_record())``, but no header is escaped.
+    A line is its variant's ``line_prefix``, then the record's query,
+    answer, doc_id and provenance, each encoded on its own behind its key.
+    JSON escapes a string one character at a time, so the pieces join to
+    ``_record_json(record.to_record())``, but no header is escaped and no
+    record dict is built. A provenance is a function of the variant and the
+    target, and index targets (none, a trigger, a pair) recur from document
+    to document, so each of those is encoded once per call.
     """
+    encoded: dict[tuple[int, Any], str] = {}  # (id of the spec, index target) -> provenance
     with open_atomic(path) as fh:
         for record in records:
-            spec, query, answer, provenance = record._parts()
-            rest = _record_json(
-                {"prompt": query, "answer": answer, "doc_id": record.doc.doc_id, "provenance": provenance}
+            spec, query, answer = record._parts()
+            target = record.target
+            if spec.target in _INDEX_TARGETS:
+                key = (id(spec), target)
+                provenance = encoded.get(key)
+                if provenance is None:
+                    provenance = encoded[key] = _field_json(spec.provenance(target))
+            else:
+                provenance = _field_json(spec.provenance(target))
+            fh.write(
+                spec.line_prefix + _record_json(query)[1:]
+                + ', "answer": ' + _field_json(answer)
+                + ', "doc_id": ' + _field_json(record.doc.doc_id)
+                + ', "provenance": ' + provenance + "}\n"
             )
-            fh.write(spec.line_prefix + rest[len(_PROMPT_OPENING):] + "\n")

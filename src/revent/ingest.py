@@ -13,8 +13,9 @@ tagger prediction record
     "confidence" on each argument.
 
 All three loaders read through one record reader, so every malformed line
-(bad JSON, a non-object, a missing field or a value of the wrong type: an
-offset that is not a JSON integer, a confidence that is not a finite JSON
+(bad JSON, a lone surrogate escape, which UTF-8 cannot encode, a
+non-object, a missing field or a value of the wrong type: an offset that
+is not a JSON integer, a confidence that is not a finite JSON
 number, a corpus "doc_id" or any "type" or "role" that is not a
 non-empty string, a corpus "text" that is not a string) is a
 CorpusFormatError naming its line number, and so is a repeated doc_id in
@@ -52,6 +53,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -142,9 +144,17 @@ def _event_from_record(rec: dict) -> EventMention:
     return EventMention(trig, _label(rec, "type"), args)
 
 
+# A \uD800-\uDFFF escape, the only way JSON text that is valid UTF-8 can
+# decode to a string UTF-8 cannot encode: a lone surrogate.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _json_object(text: str, what: str) -> dict:
     """``text`` parsed as one JSON object; anything else is a ValueError
-    saying why, with ``what`` naming the text."""
+    saying why, with ``what`` naming the text. So is a decoded string that
+    UTF-8 cannot encode (a lone surrogate escape), which no writer could
+    write back; it is looked for only when ``text`` holds a surrogate escape.
+    """
     try:
         value = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep
@@ -152,6 +162,12 @@ def _json_object(text: str, what: str) -> dict:
         raise ValueError(f"invalid JSON: {reason}") from exc
     if not isinstance(value, dict):
         raise ValueError(f"{what} is a JSON {type(value).__name__}, not an object")
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            lone = f"\\u{ord(exc.object[exc.start]):04x}"
+            raise ValueError(f"{what} holds a lone surrogate {lone}, which UTF-8 cannot encode") from None
     return value
 
 
@@ -161,11 +177,12 @@ def _read_records(path: str | Path, decode, corpus: list[Document] | None = None
     Without ``corpus`` each value is ``decode(record)``. With it, each
     record must name one of its documents by "doc_id" (else
     UnknownDocumentError), and each value is ``(doc, decode(record, doc))``.
-    A line that is not UTF-8, malformed JSON, a line that is not a JSON
-    object, or a KeyError, TypeError, ValueError or AttributeError raised
-    while decoding becomes CorpusFormatError with the line number, and so
-    does a CorpusFormatError that ``decode`` raises. Other ReventErrors, such
-    as SpanValidationError, pass through unchanged.
+    A line that is not UTF-8, malformed JSON, a lone surrogate escape, a
+    line that is not a JSON object, or a KeyError, TypeError, ValueError
+    or AttributeError raised while decoding becomes CorpusFormatError with
+    the line number, and so does a CorpusFormatError that ``decode``
+    raises. Other ReventErrors, such as SpanValidationError, pass through
+    unchanged.
     """
     by_id = None if corpus is None else {doc.doc_id: doc for doc in corpus}
     values = []
@@ -208,9 +225,10 @@ def _read_records(path: str | Path, decode, corpus: list[Document] | None = None
 def read_json_document(path: str | Path, decode):
     """``decode(value)`` for the one JSON object a configuration file holds.
 
-    Bad JSON or UTF-8, a top level that is not an object, or a KeyError,
-    TypeError, ValueError, AttributeError or ConfigurationError raised while
-    decoding becomes a ConfigurationError naming ``path``.
+    Bad JSON or UTF-8, a lone surrogate escape, a top level that is not an
+    object, or a KeyError, TypeError, ValueError, AttributeError or
+    ConfigurationError raised while decoding becomes a ConfigurationError
+    naming ``path``.
     """
     with open(path, encoding="utf-8") as fh:
         try:

@@ -3,8 +3,10 @@
 Offsets are character-based and half-open: a span covers text[start:end).
 All types are immutable after construction; the operations here are pure
 functions, so values can be shared freely across threads. ``occurrences``
-is the one scan for where a surface string occurs in a text; grounding,
-the synthetic distractors and the decomposition sampler all use it.
+is the one scan for where a surface string occurs in a text; grounding and
+the synthetic distractors use it. ``occurs_once`` is the one test that a
+surface occurs exactly once, overlapping occurrences counted as
+``occurrences`` counts them; the decomposition sampler uses it.
 ``gold_trigger_verdicts`` and ``gold_argument_verdicts`` are the one gold
 lookup behind the oracle reflector and the oracle backend.
 """
@@ -25,6 +27,7 @@ __all__ = [
     "TriggerId",
     "span_overlap",
     "occurrences",
+    "occurs_once",
     "canonical_key",
     "trigger_id",
     "gold_trigger_verdicts",
@@ -172,6 +175,16 @@ def occurrences(text: str, surface: str) -> list[int]:
             starts.append(idx)
             idx = text.find(surface, idx + 1)
     return starts
+
+
+def occurs_once(text: str, surface: str) -> bool:
+    """Whether ``surface`` occurs exactly once in ``text``, that is,
+    ``len(occurrences(text, surface)) == 1``, without listing them: the
+    first and the last start of a surface that occurs are the same start
+    only when there is one.
+    """
+    first = text.find(surface)
+    return bool(surface) and first >= 0 and first == text.rfind(surface)
 
 
 def canonical_key(event: EventMention) -> EventKey:

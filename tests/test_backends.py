@@ -159,6 +159,7 @@ def test_http_backend_forgets_a_retry_after_once_it_has_waited(monkeypatch):
     pytest.param(b'["x"]', id="list"),
     pytest.param(b'"x"', id="string"),
     pytest.param(b'{"content": "\xff"}', id="not-utf-8"),
+    pytest.param(b'{"content": "\\ud800"}', id="lone-surrogate"),
     pytest.param(b"1" * 5_000, id="long-integer"),
     pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-nesting"),
     pytest.param(b'{"content": null}', id="null-content"),

@@ -392,6 +392,27 @@ def test_corpus_that_is_not_utf8_exits_2_with_json_error(data_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("escape", [b"\\ud800", b"\\uDC00"])
+@pytest.mark.parametrize("command", ["extract", "gen-decomp"])
+def test_corpus_with_a_lone_surrogate_exits_2_naming_its_line(data_dir, tmp_path, capsys, command, escape):
+    lines = (data_dir / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    corpus = tmp_path / "corpus.jsonl"
+    lines[1] = lines[1].replace(b"Gandhi", b"Gandh" + escape, 1)
+    corpus.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    argv = {
+        "extract": _extract_args(data_dir, out, **{"--corpus": str(corpus)}),
+        "gen-decomp": ["gen-decomp", "--corpus", str(corpus), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "CorpusFormatError"
+    assert error["message"] == (
+        f"line 2: record holds a lone surrogate {escape.decode().lower()}, which UTF-8 cannot encode"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen-decomp", "evaluate", "tune-thresholds"])
 def test_document_without_gold_exits_2_naming_it(data_dir, tmp_path, capsys, command):
     corpus = tmp_path / "corpus.jsonl"

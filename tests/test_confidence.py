@@ -194,3 +194,14 @@ def test_threshold_set_json_roundtrip(tmp_path):
     path = tmp_path / "t.json"
     save_threshold_set(ts, path)
     assert load_threshold_set(path) == ts
+
+
+def test_a_thresholds_file_with_a_lone_surrogate_is_a_configuration_error(tmp_path):
+    ts = bundled_thresholds("phi-3", "casie", 0.1)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"note": "\U0001F600", **ts.as_dict()}), encoding="utf-8")
+    assert load_threshold_set(path) == ts  # a surrogate pair escape is a character
+    path.write_text(json.dumps({"note": "\ud800", **ts.as_dict()}), encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="lone surrogate") as info:
+        load_threshold_set(path)
+    assert str(path) in str(info.value)

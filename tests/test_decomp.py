@@ -13,19 +13,20 @@ import pytest
 from revent import decomp
 from revent.cli import main
 from revent.decomp import (
+    ANSWER_KEYS,
     WHOLE_DOCUMENT_VARIANTS,
     InstructionRecord,
     TaskVariant,
     default_pos_gate,
     extraction_prompt,
     generate_dataset,
-    parse_record_answer,
     render_instruction,
     sample_negative_ngrams,
     write_dataset,
 )
 from revent.errors import ContractError
-from revent.model import ArgumentMention, Document, EventMention, Span, occurrences
+from revent.fencing import parse_answer
+from revent.model import ArgumentMention, Document, EventMention, Span, occurrences, occurs_once
 from revent.simulate import make_synthetic_corpus
 from test_dataset_shapes import make_shaped_corpus
 
@@ -84,12 +85,12 @@ def test_argument_extraction_single_matches_template_bytes():
 def test_trigger_detection_empty_document():
     doc = Document("empty", "nothing to see here", ())
     record = render_instruction(TaskVariant.TRIGGER_DETECTION, doc)
-    assert parse_record_answer(record) == []
+    assert parse_answer(record.answer, ANSWER_KEYS[record.variant]) == []
 
 
 def test_role_assignment_single_answer_is_one_role():
     record = render_instruction(TaskVariant.ROLE_ASSIGNMENT_SINGLE, _fig_doc(), (0, 0))
-    assert parse_record_answer(record) == "Target"
+    assert parse_answer(record.answer, ANSWER_KEYS[record.variant]) == "Target"
 
 
 def test_invalid_target_is_contract_error():
@@ -174,7 +175,7 @@ def test_all_answers_round_trip():
     assert records, "generator emitted nothing"
     seen_variants = set()
     for record in records:
-        payload = parse_record_answer(record)  # raises on malformed answers
+        payload = parse_answer(record.answer, ANSWER_KEYS[record.variant])  # raises on malformed answers
         seen_variants.add(record.variant)
         if record.variant is TaskVariant.TRIGGER_DISCRIMINATION_MULTI:
             assert set(payload.values()) <= {"Trigger", "Non-Trigger"}
@@ -211,7 +212,7 @@ def test_role_ablated_masks_exactly_one_role():
         ]
         assert len(masked) == 1
         # the answer restores the full structure
-        restored = parse_record_answer(record)
+        restored = parse_answer(record.answer, ANSWER_KEYS[record.variant])
         assert all(a["role"] != "<masked>" for e in restored for a in e["arguments"])
 
 
@@ -304,7 +305,7 @@ def test_negative_pool_smaller_than_k():
 def test_document_without_events_gets_one_empty_record_per_whole_document_variant():
     records = generate_dataset([Document("empty", "nothing to see here", ())])
     assert sorted(r.variant.value for r in records) == sorted(v.value for v in WHOLE_DOCUMENT_VARIANTS)
-    assert all(parse_record_answer(r) == [] for r in records)
+    assert all(parse_answer(r.answer, ANSWER_KEYS[r.variant]) == [] for r in records)
 
 
 def test_whitespace_trigger_touches_no_token_and_has_no_negatives():
@@ -650,3 +651,55 @@ def test_negative_sampling_matches_the_reference_enumeration():
                 assert sample_negative_ngrams(doc, triggers, k=k, seed=seed) == expected, (doc, k, seed)
                 compared += bool(expected)
     assert compared > 1000  # most cases have a non-empty pool
+
+
+def _random_long_negative_cases(n):
+    """Passages of 40-200 tokens: the small vocabulary above, so surfaces
+    repeat and overlap, mixed with made-up words that mostly occur once."""
+    rng = random.Random(4099)
+    for case in range(n):
+        words = [
+            rng.choice(_PASSAGE_WORDS) if rng.random() < 0.5
+            else "".join(rng.choice("abdeiklmnorstu") for _ in range(rng.randint(2, 6)))
+            for _ in range(rng.randint(40, 200))
+        ]
+        text = " ".join(words)
+        tokens = [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
+        triggers = [_random_trigger(rng, text, tokens) for _ in range(rng.randint(1, 3))]
+        events = tuple(EventMention(trig, "T") for trig in triggers)
+        yield Document(f"long{case}", text, events), triggers
+
+
+def test_negative_sampling_matches_the_reference_enumeration_on_long_passages():
+    compared = 0
+    for doc, triggers in _random_long_negative_cases(150):
+        for k in (1, 3):
+            expected = _reference_sample_negative_ngrams(doc, triggers, k=k, seed=5)
+            assert sample_negative_ngrams(doc, triggers, k=k, seed=5) == expected, (doc, k)
+            compared += len(expected) == k
+    assert compared > 250  # nearly every long passage has a full pool
+
+
+@pytest.mark.parametrize("text, surface, once", [
+    ("a a a", "a a", False),  # two overlapping occurrences
+    ("a a", "a a", True),
+    ("aaaa", "aa", False),
+    ("banana nana", "nana", False),
+    ("banana", "ana", False),
+    ("abc", "abc", True),
+    ("abc", "", False),  # an empty surface has no occurrences
+    ("", "", False),
+    ("abc", "x", False),  # nor has an absent one
+    ("", "x", False),
+])
+def test_occurs_once_on_named_cases(text, surface, once):
+    assert occurs_once(text, surface) is once
+    assert once == (len(occurrences(text, surface)) == 1)
+
+
+def test_occurs_once_is_exactly_one_occurrence():
+    rng = random.Random(31)
+    for _ in range(3000):
+        text = "".join(rng.choice("ab ") for _ in range(rng.randint(0, 12)))
+        surface = "".join(rng.choice("ab ") for _ in range(rng.randint(0, 4)))
+        assert occurs_once(text, surface) == (len(occurrences(text, surface)) == 1), (text, surface)

@@ -528,6 +528,27 @@ def test_json_report_refuses_non_finite_numbers(value):
         json_report({"x": value})
 
 
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDFFF", "\\ude00\\ud83d"])
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_a_lone_surrogate_escape_is_a_corpus_format_error_naming_its_line(tmp_path, loader, escape):
+    good = json.dumps(_loader_record(loader))
+    bad = json.dumps({**_loader_record(loader), "note": "ESCAPE"}).replace("ESCAPE", escape)
+    path = tmp_path / "records.jsonl"
+    path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="lone surrogate") as info:
+        _LOADERS[loader](path)
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_a_surrogate_pair_escape_still_loads(tmp_path, loader):
+    rec = {**_loader_record(loader), "note": "\U0001F600"}
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+    assert len(_LOADERS[loader](path)) == 1
+
+
 @pytest.mark.parametrize("loader", _LOADERS)
 def test_bytes_that_are_not_utf8_are_a_corpus_format_error_naming_their_line(tmp_path, loader):
     good = _loader_record(loader)
