@@ -691,10 +691,6 @@ _SPECS: dict[TaskVariant, _Spec] = {
 }
 
 _record_json = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
-# The same encoding, for a record's short pieces (answer, doc_id and
-# provenance): ``_record_json`` encodes each record's query, the one piece
-# that follows the header, once per record.
-_field_json = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 for _variant, _spec in _SPECS.items():
     # {"variant": ..., "prompt": header + "\n"} encoded, without its closing '"}'
@@ -784,12 +780,12 @@ def write_dataset(records: list[InstructionRecord], path: str | Path) -> None:
                 key = (id(spec), target)
                 provenance = encoded.get(key)
                 if provenance is None:
-                    provenance = encoded[key] = _field_json(spec.provenance(target))
+                    provenance = encoded[key] = _record_json(spec.provenance(target))
             else:
-                provenance = _field_json(spec.provenance(target))
+                provenance = _record_json(spec.provenance(target))
             fh.write(
                 spec.line_prefix + _record_json(query)[1:]
-                + ', "answer": ' + _field_json(answer)
-                + ', "doc_id": ' + _field_json(record.doc.doc_id)
+                + ', "answer": ' + _record_json(answer)
+                + ', "doc_id": ' + _record_json(record.doc.doc_id)
                 + ', "provenance": ' + provenance + "}\n"
             )

@@ -68,8 +68,11 @@ class Metrics:
 
     @classmethod
     def from_counts(cls, counts) -> "Metrics":
-        """The metrics of flat counts laid out as ``counts()`` returns them."""
+        """The metrics of flat counts laid out as ``counts()`` returns them:
+        exactly three per subtask, else a ValueError."""
         c = tuple(counts)
+        if len(c) != 3 * len(SUBTASKS):
+            raise ValueError(f"expected {3 * len(SUBTASKS)} flat counts, got {len(c)}")
         return cls(*map(SubtaskCounts, c[0::3], c[1::3], c[2::3]))
 
     def as_dict(self) -> dict:

@@ -21,10 +21,24 @@ every visited triple is a distinct band setting.
 
 Micro-F1 is a sum of per-document counts, and the stand-in reflectors are
 pure functions of one document's items. So each document is decided and
-scored once per its own band signature - how many of its own confidences
-fall below each cutoff - and memoises its flat counts (``Metrics.counts``)
-under it. A visited triple then costs one memo lookup per document and one
-``Metrics``, built from the documents' counts summed column by column.
+scored once per its own decision signature - how many of its own
+confidences fall below each cutoff that decides something - and memoises
+its flat counts (``Metrics.counts``) under it. A visited triple then costs
+one memo lookup per document and one ``Metrics``, built from the
+documents' counts summed column by column.
+
+A constant stand-in makes one ensemble band edge inert at each level, so
+its signature leaves that edge out. Keep-all keeps every reflected trigger
+and confirms every pending argument, so an ensemble item in the band
+[theta_smoa_lo, theta_smoa_hi) ends up kept, with its pending arguments,
+exactly as one at or above theta_smoa_hi, whose pending arguments are
+reflected and confirmed too. Moving theta_smoa_hi then changes only
+provenance, which scoring ignores, and the signature counts theta_s and
+theta_smoa_lo. Drop-all rejects them all, so a band item is dropped
+exactly as one below theta_smoa_lo: that edge is inert, and the signature
+counts theta_s and theta_smoa_hi. Any other reflector (the oracle, the
+live one, a caller's own) may judge band items one by one, so its
+signature counts all three cutoffs of both levels.
 
 Trigger thresholds are tuned first against trigger-classification F1; the
 argument triple is then tuned against argument-classification F1 with the
@@ -43,9 +57,17 @@ from .confidence import Source, ThresholdSet, ThresholdTriple, smoa_confidence
 from .ensemble import VoteLedger, cleanup_predictions
 from .errors import ConfigurationError, ContractError
 from .ingest import TaggerPrediction
-from .metrics import Metrics, gold_from_corpus, score_predictions
+from .metrics import SUBTASKS, Metrics, gold_from_corpus, score_predictions
 from .model import Document, EventMention, trigger_id
-from .pipeline import PreparedDocument, Reflector, decide, prepare, standin_reflector
+from .pipeline import (
+    PreparedDocument,
+    Reflector,
+    decide,
+    drop_all_reflector,
+    keep_all_reflector,
+    prepare,
+    standin_reflector,
+)
 
 __all__ = [
     "DevPredictions",
@@ -149,11 +171,19 @@ def collect_confidence_samples(
     return samples
 
 
+# The ensemble band edge that decides under each constant stand-in; the
+# other edge is inert (see the module docstring).
+_DECIDING_EDGE = {keep_all_reflector: "theta_smoa_lo", drop_all_reflector: "theta_smoa_hi"}
+
+# The flat counts of no documents.
+_NO_COUNTS = (0,) * (3 * len(SUBTASKS))
+
+
 @dataclass
 class _DevDocument:
     """A prepared dev document, its own confidence cuts (see
     ``_confidence_cuts``), the reflector it is decided with, and its flat
-    counts (``Metrics.counts``) at each own band signature."""
+    counts (``Metrics.counts``) at each own decision signature."""
 
     prepared: PreparedDocument
     cuts: tuple[tuple[list[float], list[float]], ...]
@@ -163,20 +193,30 @@ class _DevDocument:
     def counts_at(self, thresholds: ThresholdSet, reflector: Reflector) -> tuple[int, ...]:
         if reflector is not self.reflector:
             raise ContractError("dev documents are memoised under another reflector")
-        # How many of the document's confidences fall below each cutoff. A
-        # tagger item is kept iff its confidence is at or above theta_s, an
-        # ensemble item is retained at or above theta_smoa_hi and removed
-        # below theta_smoa_lo, so these counts fix every item's band.
+        # How many of the document's confidences fall below each cutoff that
+        # decides. A tagger item is kept iff its confidence is at or above
+        # theta_s, an ensemble item is retained at or above theta_smoa_hi and
+        # removed below theta_smoa_lo, so these counts fix every item's band,
+        # or, under a constant stand-in, whether it is kept.
         (trigger_tagger, trigger_smoa), (argument_tagger, argument_smoa) = self.cuts
         trigger, argument = thresholds.trigger, thresholds.argument
-        signature = (
-            bisect_left(trigger_tagger, trigger.theta_s),
-            bisect_left(trigger_smoa, trigger.theta_smoa_hi),
-            bisect_left(trigger_smoa, trigger.theta_smoa_lo),
-            bisect_left(argument_tagger, argument.theta_s),
-            bisect_left(argument_smoa, argument.theta_smoa_hi),
-            bisect_left(argument_smoa, argument.theta_smoa_lo),
-        )
+        edge = _DECIDING_EDGE.get(reflector)
+        if edge is None:
+            signature = (
+                bisect_left(trigger_tagger, trigger.theta_s),
+                bisect_left(trigger_smoa, trigger.theta_smoa_hi),
+                bisect_left(trigger_smoa, trigger.theta_smoa_lo),
+                bisect_left(argument_tagger, argument.theta_s),
+                bisect_left(argument_smoa, argument.theta_smoa_hi),
+                bisect_left(argument_smoa, argument.theta_smoa_lo),
+            )
+        else:
+            signature = (
+                bisect_left(trigger_tagger, trigger.theta_s),
+                bisect_left(trigger_smoa, getattr(trigger, edge)),
+                bisect_left(argument_tagger, argument.theta_s),
+                bisect_left(argument_smoa, getattr(argument, edge)),
+            )
         counts = self.counts.get(signature)
         if counts is None:
             doc = self.prepared.doc
@@ -191,10 +231,10 @@ def evaluate_threshold_set(
     dev: list[_DevDocument], thresholds: ThresholdSet, reflector: Reflector
 ) -> Metrics:
     """Dev-set metrics of the downstream pipeline at one threshold setting:
-    every document's flat counts summed column by column. ``reflector``
-    must be the one the documents were built with."""
+    every document's flat counts summed column by column, all zero for no
+    documents. ``reflector`` must be the one the documents were built with."""
     rows = [d.counts_at(thresholds, reflector) for d in dev]
-    return Metrics.from_counts(map(sum, zip(*rows)))
+    return Metrics.from_counts(map(sum, zip(_NO_COUNTS, *rows)))
 
 
 def _dev_documents(
@@ -291,7 +331,7 @@ def tune_thresholds(
     Equals exhaustive brute-force search over the derived grids; see the
     module docstring for the search-range and tie-break rules and for why
     only one grid value per class is visited and each document is decided
-    once per own band signature.
+    once per own decision signature.
     """
     if not dev:
         raise ConfigurationError("threshold tuning needs a non-empty dev set")

@@ -6,6 +6,7 @@ import random
 import re
 import string
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -415,20 +416,22 @@ def test_written_lines_are_the_records_json_with_awkward_characters(tmp_path, se
 
 
 def test_write_dataset_encodes_no_canon_header(tmp_path, monkeypatch):
-    """Each header is escaped once, at import, not once per record."""
+    """Each header is escaped once, at import, not once per record, and each
+    record's query is encoded once."""
     escaped = [json.dumps(spec.header, ensure_ascii=False)[1:-1] for spec in decomp._SPECS.values()]
     encode, encoded = decomp._record_json, []
 
     def recording(obj):
-        encoded.append(encode(obj))
-        return encoded[-1]
+        encoded.append((obj, encode(obj)))
+        return encoded[-1][1]
 
     monkeypatch.setattr(decomp, "_record_json", recording)
     records = generate_dataset(make_synthetic_corpus(30, seed=3), seed=3)
     assert {r.variant for r in records} == set(TaskVariant)
     write_dataset(records, tmp_path / "decomp.jsonl")
-    assert len(encoded) == len(records)
-    assert [text for text in encoded if any(header in text for header in escaped)] == []
+    queries = Counter(r.query for r in records)
+    assert Counter(obj for obj, _ in encoded if isinstance(obj, str) and obj in queries) == queries
+    assert [text for _, text in encoded if any(header in text for header in escaped)] == []
 
 
 def test_trigger_detection_only_never_samples_negatives(monkeypatch):

@@ -202,3 +202,9 @@ def test_flat_counts_are_tp_fp_fn_of_each_subtask_in_order():
     assert [(c.tp, c.fp, c.fn) for c in (metrics.trigger_id, metrics.argument_cls)] == [
         (0, 1, 2), (9, 10, 11),
     ]
+
+
+@pytest.mark.parametrize("length", [0, 11, 13, 24])
+def test_flat_counts_of_the_wrong_length_are_refused(length):
+    with pytest.raises(ValueError, match=f"expected 12 flat counts, got {length}"):
+        Metrics.from_counts(range(length))

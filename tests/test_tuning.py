@@ -334,15 +334,22 @@ def test_seeded_tuner_equals_brute_force(corpus_seed, standin, reflector):
     assert tuned == _brute_force_tune(dev, predictions, grid_step=0.1, reflector=reflector)
 
 
-def _bands(prepared, thresholds):
+def _bands(prepared, thresholds, standin=None):
     """The band of every scored item of one prepared document: kept or not
     for a tagger item; retained (1), reflected (0) or removed (-1) for an
-    ensemble item."""
+    ensemble item, or, under the keep-all or drop-all ``standin``, whether
+    the ensemble item is kept (1) or not (0)."""
 
     def band(item, triple):
         if item.source is Source.TAGGER:
             return int(item.confidence >= triple.theta_s)
-        return (item.confidence >= triple.theta_smoa_hi) - (item.confidence < triple.theta_smoa_lo)
+        retained = item.confidence >= triple.theta_smoa_hi
+        removed = item.confidence < triple.theta_smoa_lo
+        if standin == "keep-all":
+            return int(not removed)
+        if standin == "drop-all":
+            return int(retained)
+        return retained - removed
 
     return (
         tuple(band(item, thresholds.trigger) for item in prepared.trigger_scored),
@@ -440,6 +447,14 @@ def test_dev_documents_refuse_another_reflector():
     )
 
 
+def test_no_dev_documents_score_all_zero():
+    triple = ThresholdTriple(theta_s=0.5, theta_smoa_hi=0.8, theta_smoa_lo=0.2)
+    thresholds = ThresholdSet(trigger=triple, argument=triple)
+    for reflector in (keep_all_reflector, drop_all_reflector, oracle_reflector):
+        assert evaluate_threshold_set([], thresholds, reflector) == score_predictions({}, {})
+    assert score_predictions({}, {}).counts() == (0,) * 12
+
+
 def _random_triple(rng, values):
     """A triple whose cutoffs are drawn from ``values`` (mostly the dev set's
     own confidences, so cutoffs land on them) or uniformly from [0, 1.1]."""
@@ -494,3 +509,83 @@ def test_tuner_builds_one_metrics_per_visited_point_and_decision(monkeypatch, n_
     # number of documents summed at each point.
     assert visited and decided
     assert len(built) == len(visited) + len(decided)
+
+
+def _move_inert_edge(rng, triple, standin, values):
+    """``triple`` with only the band edge ``standin`` makes inert moved:
+    theta_smoa_hi anywhere at or above theta_smoa_lo under keep-all,
+    theta_smoa_lo anywhere at or below theta_smoa_hi under drop-all."""
+    lo, hi = triple.theta_smoa_lo, triple.theta_smoa_hi
+    if standin == "keep-all":
+        hi = rng.choice([lo, 1.1, rng.uniform(lo, 1.1), *(v for v in values if v >= lo)])
+    else:
+        lo = rng.choice([0.0, hi, rng.uniform(0.0, hi), *(v for v in values if v <= hi)])
+    return ThresholdTriple(theta_s=triple.theta_s, theta_smoa_hi=hi, theta_smoa_lo=lo)
+
+
+@pytest.mark.parametrize("name", ["dev-6", "argument"])
+@pytest.mark.parametrize("standin, reflector", STANDINS[:2])
+def test_a_constant_standin_scores_the_same_whatever_its_inert_edge(name, standin, reflector):
+    dev, predictions = DEV_SETS[name]()
+    documents = tuning._dev_documents(dev, predictions, 0.5, reflector)
+    confidences = sorted({
+        item.confidence
+        for d in documents
+        for item in (*d.prepared.trigger_scored, *d.prepared.scored_arguments())
+    })
+    gold = gold_from_corpus(dev)
+
+    def scored(prepared, thresholds):
+        final = decide(prepared, thresholds, reflector).final_events
+        doc_id = prepared.doc.doc_id
+        return score_predictions({doc_id: final}, {doc_id: gold[doc_id]}).counts()
+
+    rng = random.Random(f"inert:{name}:{standin}")
+    rebanded = [0, 0]  # documents whose trigger, argument bands the move changed
+    for _ in range(120):
+        thresholds = ThresholdSet(
+            trigger=_random_triple(rng, confidences), argument=_random_triple(rng, confidences)
+        )
+        moved = ThresholdSet(
+            trigger=_move_inert_edge(rng, thresholds.trigger, standin, confidences),
+            argument=_move_inert_edge(rng, thresholds.argument, standin, confidences),
+        )
+        for d in documents:
+            assert scored(d.prepared, moved) == scored(d.prepared, thresholds)
+            bands = zip(_bands(d.prepared, moved), _bands(d.prepared, thresholds))
+            for level, (a, b) in enumerate(bands):
+                rebanded[level] += a != b
+    # The moves do put items in other bands: at both levels, but at the
+    # trigger level of the argument dev set, whose triggers are all consensus.
+    assert rebanded[0] or name == "argument"
+    assert rebanded[1]
+
+
+@pytest.mark.parametrize("standin, reflector", STANDINS)
+def test_tuner_decides_once_per_document_and_decision_signature(monkeypatch, standin, reflector):
+    dev, predictions = _dev_fixture(6)
+    visited, decided = [], []
+    evaluate, decide_ = tuning.evaluate_threshold_set, tuning.decide
+
+    def counted_evaluate(documents, thresholds, reflector):
+        visited.append(thresholds)
+        return evaluate(documents, thresholds, reflector)
+
+    def counted_decide(prepared, thresholds, reflector):
+        decided.append((prepared.doc.doc_id, _bands(prepared, thresholds, standin)))
+        return decide_(prepared, thresholds, reflector)
+
+    monkeypatch.setattr(tuning, "evaluate_threshold_set", counted_evaluate)
+    monkeypatch.setattr(tuning, "decide", counted_decide)
+    tune_thresholds(dev, predictions, grid_step=0.05, reflection_standin=standin)
+
+    prepared = [d.prepared for d in tuning._dev_documents(dev, predictions, 0.5, reflector)]
+    signatures = {(p.doc.doc_id, _bands(p, t, standin)) for t in visited for p in prepared}
+    # One decide per distinct (document, decision signature) over the visited points.
+    assert sorted(decided) == sorted(signatures)
+    full = {(p.doc.doc_id, _bands(p, t)) for t in visited for p in prepared}
+    if standin == "oracle":
+        assert signatures == full
+    else:
+        # The inert edge's bands are not decided again.
+        assert len(signatures) < len(full)
