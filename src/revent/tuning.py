@@ -17,7 +17,8 @@ theta_smoa_lo and theta_smoa_hi over the ensemble confidences, each class
 stood for by its smallest grid value. Walking these in ascending
 (lo, theta_s, hi) order and keeping a triple only on a strict improvement
 returns the same lexicographically smallest argmax as the full grid, and
-every visited triple is a distinct band setting.
+every visited triple is a distinct band setting. Under a constant
+stand-in the walk also pins the band edge it makes inert (below).
 
 Micro-F1 is a sum of per-document counts, and the stand-in reflectors are
 pure functions of one document's items. So each document is decided and
@@ -39,6 +40,15 @@ exactly as one below theta_smoa_lo: that edge is inert, and the signature
 counts theta_s and theta_smoa_hi. Any other reflector (the oracle, the
 live one, a caller's own) may judge band items one by one, so its
 signature counts all three cutoffs of both levels.
+
+The walk pins the inert edge to the first class it may take. Under
+keep-all, a triple (lo, theta_s, hi) with hi above lo scores exactly as
+(lo, theta_s, lo), which the walk reaches first, so only hi = lo is
+visited. Under drop-all, a triple whose lo is above the smallest ensemble
+class scores exactly as the same theta_s and hi at that class, reached
+first, so only that lo is visited. A skipped triple can never strictly
+improve on its earlier twin, so the pinned walk returns the full walk's
+argmax; any other reflector walks every lo <= hi.
 
 Trigger thresholds are tuned first against trigger-classification F1; the
 argument triple is then tuned against argument-classification F1 with the
@@ -172,7 +182,8 @@ def collect_confidence_samples(
 
 
 # The ensemble band edge that decides under each constant stand-in; the
-# other edge is inert (see the module docstring).
+# other edge is inert, so the memo key leaves it out and the walk pins it
+# (see the module docstring).
 _DECIDING_EDGE = {keep_all_reflector: "theta_smoa_lo", drop_all_reflector: "theta_smoa_hi"}
 
 # The flat counts of no documents.
@@ -240,11 +251,10 @@ def evaluate_threshold_set(
 def _dev_documents(
     dev: list[Document], predictions: DevPredictions, overlap_threshold: float, reflector: Reflector
 ) -> list[_DevDocument]:
-    """Each dev document prepared once and bound to ``reflector``. Scoring
-    is keyed by doc_id, so a repeated doc_id counts once, as its last
-    document."""
+    """Each dev document, all of distinct doc_ids, prepared once and bound
+    to ``reflector``."""
     documents = []
-    for doc in {doc.doc_id: doc for doc in dev}.values():
+    for doc in dev:
         prepared = prepare(
             doc,
             predictions.tagger.get(doc.doc_id, []),
@@ -292,8 +302,11 @@ def _tune_level(
     cuts: tuple[list[float], list[float]],
     grid_step: float,
     f1_at: Callable[[ThresholdTriple], float],
+    deciding_edge: str | None,
 ) -> ThresholdTriple:
-    """The argmax of ``f1_at`` over one level's grids, one value per class."""
+    """The argmax of ``f1_at`` over one level's grids, one value per class,
+    with the band edge that ``deciding_edge`` leaves inert pinned to the
+    first value it may take (see the module docstring)."""
 
     def values(correct, incorrect):
         if not correct and not incorrect:
@@ -306,9 +319,11 @@ def _tune_level(
     s_reps = _representatives(values(tc, ti), cuts[0])
     m_reps = _representatives(values(mc, mi), cuts[1])
     best: tuple[float, ThresholdTriple] | None = None
-    for i, lo in enumerate(m_reps):
+    los = m_reps[:1] if deciding_edge == "theta_smoa_hi" else m_reps
+    for i, lo in enumerate(los):
+        his = m_reps[i : i + 1] if deciding_edge == "theta_smoa_lo" else m_reps[i:]
         for theta_s in s_reps:
-            for hi in m_reps[i:]:
+            for hi in his:
                 triple = ThresholdTriple(theta_s=theta_s, theta_smoa_hi=hi, theta_smoa_lo=lo)
                 f1 = f1_at(triple)
                 # Ascending (lo, theta_s, hi) iteration + strict improvement
@@ -336,6 +351,9 @@ def tune_thresholds(
     if not dev:
         raise ConfigurationError("threshold tuning needs a non-empty dev set")
     reflector = standin_reflector(reflection_standin)
+    # Scoring is keyed by doc_id, so a repeated doc_id counts once, as its
+    # last document, in the samples as in the scores.
+    dev = list({doc.doc_id: doc for doc in dev}.values())
     samples = collect_confidence_samples(dev, predictions)
     documents = _dev_documents(dev, predictions, overlap_threshold, reflector)
     trigger_cuts, argument_cuts = _confidence_cuts([d.prepared for d in documents])
@@ -343,12 +361,15 @@ def tune_thresholds(
     def f1(thresholds: ThresholdSet, subtask: str) -> float:
         return getattr(evaluate_threshold_set(documents, thresholds, reflector), subtask).f1
 
+    edge = _DECIDING_EDGE.get(reflector)
     trigger = _tune_level(
         samples["trigger"], trigger_cuts, grid_step,
         lambda triple: f1(ThresholdSet(trigger=triple, argument=_DROP_ALL_ARGS), "trigger_cls"),
+        edge,
     )
     argument = _tune_level(
         samples["argument"], argument_cuts, grid_step,
         lambda triple: f1(ThresholdSet(trigger=trigger, argument=triple), "argument_cls"),
+        edge,
     )
     return ThresholdSet(trigger=trigger, argument=argument)

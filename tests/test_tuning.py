@@ -357,28 +357,50 @@ def _bands(prepared, thresholds, standin=None):
     )
 
 
-@pytest.mark.parametrize("grid_step", [0.1, 0.001])
-def test_tuner_work_is_bounded_by_the_data(monkeypatch, grid_step):
-    dev, predictions = _dev_fixture(6)
+def _traced_tune(monkeypatch, dev, predictions, standin, grid_step=0.05):
+    """The points ``tune_thresholds`` visits under ``standin``, and each
+    decide it makes as (doc_id, bands of the document's items under
+    ``standin``)."""
     visited, decided = [], []
-    evaluate, decide = tuning.evaluate_threshold_set, tuning.decide
 
     def counted_evaluate(documents, thresholds, reflector):
         visited.append(thresholds)
-        return evaluate(documents, thresholds, reflector)
+        return evaluate_threshold_set(documents, thresholds, reflector)
 
     def counted_decide(prepared, thresholds, reflector):
-        decided.append((prepared.doc.doc_id, _bands(prepared, thresholds)))
+        decided.append((prepared.doc.doc_id, _bands(prepared, thresholds, standin)))
         return decide(prepared, thresholds, reflector)
 
     monkeypatch.setattr(tuning, "evaluate_threshold_set", counted_evaluate)
     monkeypatch.setattr(tuning, "decide", counted_decide)
-    tune_thresholds(dev, predictions, grid_step=grid_step)
+    tune_thresholds(dev, predictions, grid_step=grid_step, reflection_standin=standin)
+    monkeypatch.undo()
+    return visited, decided
 
-    # Each document is decided at most once per band setting of its own items.
+
+def _level_triples(visited):
+    """The visited points as (level, the triple being tuned at that level)."""
+    return [
+        ("trigger", t.trigger) if t.argument == DROP_ALL else ("argument", t.argument)
+        for t in visited
+    ]
+
+
+def _signatures(prepared, points, standin=None):
+    return {(p.doc.doc_id, _bands(p, t, standin)) for t in points for p in prepared}
+
+
+@pytest.mark.parametrize("standin", [s for s, _ in STANDINS])
+@pytest.mark.parametrize("grid_step", [0.1, 0.001])
+def test_tuner_work_is_bounded_by_the_data(monkeypatch, grid_step, standin):
+    dev, predictions = _dev_fixture(6)
+    visited, decided = _traced_tune(monkeypatch, dev, predictions, standin, grid_step)
+
+    # Each document is decided at most once per decision signature of its own items.
     assert decided and len(decided) == len(set(decided))
     # Each level visits at most one point per (theta_s, lo, hi) class, and a
-    # class is fixed by how many distinct confidences fall below the cutoff.
+    # class is fixed by how many distinct confidences fall below the cutoff;
+    # a constant stand-in's walk pins its inert edge to one class.
     prepared = [
         prepare(doc, predictions.tagger.get(doc.doc_id, []), *predictions.smoa[doc.doc_id],
                 predictions.n_agents)
@@ -391,7 +413,8 @@ def test_tuner_work_is_bounded_by_the_data(monkeypatch, grid_step):
         tagger = len({i.confidence for i in items if i.source is Source.TAGGER})
         smoa = len({i.confidence for i in items if i.source is Source.SMOA})
         points = sum((t.argument == DROP_ALL) == (level == "trigger") for t in visited)
-        assert 0 < points <= (tagger + 1) * (smoa + 1) ** 2
+        edge_classes = smoa + 1 if standin == "oracle" else 1
+        assert 0 < points <= (tagger + 1) * (smoa + 1) * edge_classes
 
 
 # The seeded dev sets of this file, by name.
@@ -564,28 +587,58 @@ def test_a_constant_standin_scores_the_same_whatever_its_inert_edge(name, standi
 @pytest.mark.parametrize("standin, reflector", STANDINS)
 def test_tuner_decides_once_per_document_and_decision_signature(monkeypatch, standin, reflector):
     dev, predictions = _dev_fixture(6)
-    visited, decided = [], []
-    evaluate, decide_ = tuning.evaluate_threshold_set, tuning.decide
-
-    def counted_evaluate(documents, thresholds, reflector):
-        visited.append(thresholds)
-        return evaluate(documents, thresholds, reflector)
-
-    def counted_decide(prepared, thresholds, reflector):
-        decided.append((prepared.doc.doc_id, _bands(prepared, thresholds, standin)))
-        return decide_(prepared, thresholds, reflector)
-
-    monkeypatch.setattr(tuning, "evaluate_threshold_set", counted_evaluate)
-    monkeypatch.setattr(tuning, "decide", counted_decide)
-    tune_thresholds(dev, predictions, grid_step=0.05, reflection_standin=standin)
+    visited, decided = _traced_tune(monkeypatch, dev, predictions, standin)
 
     prepared = [d.prepared for d in tuning._dev_documents(dev, predictions, 0.5, reflector)]
-    signatures = {(p.doc.doc_id, _bands(p, t, standin)) for t in visited for p in prepared}
     # One decide per distinct (document, decision signature) over the visited points.
-    assert sorted(decided) == sorted(signatures)
-    full = {(p.doc.doc_id, _bands(p, t)) for t in visited for p in prepared}
+    assert sorted(decided) == sorted(_signatures(prepared, visited, standin))
     if standin == "oracle":
-        assert signatures == full
-    else:
-        # The inert edge's bands are not decided again.
-        assert len(signatures) < len(full)
+        assert _signatures(prepared, visited, standin) == _signatures(prepared, visited)
+        return
+    triples = _level_triples(visited)
+    # The walk pins the inert edge: hi to lo under keep-all, lo to the
+    # level's smallest visited ensemble value under drop-all.
+    for level in ("trigger", "argument"):
+        at_level = [t for lv, t in triples if lv == level]
+        assert at_level
+        if standin == "keep-all":
+            assert all(t.theta_smoa_hi == t.theta_smoa_lo for t in at_level)
+        else:
+            first = min(v for t in at_level for v in (t.theta_smoa_lo, t.theta_smoa_hi))
+            assert all(t.theta_smoa_lo == first for t in at_level)
+    assert len(set(triples)) == len(triples)
+    oracle_visited, _ = _traced_tune(monkeypatch, dev, predictions, "oracle")
+    assert set(triples) < set(_level_triples(oracle_visited))
+
+    # Over the oracle's points, the memo still decides each document once
+    # per reduced signature, fewer than its full band settings.
+    recorded = []
+
+    def counted_decide(prepared, thresholds, reflector):
+        recorded.append((prepared.doc.doc_id, _bands(prepared, thresholds, standin)))
+        return decide(prepared, thresholds, reflector)
+
+    monkeypatch.setattr(tuning, "decide", counted_decide)
+    documents = tuning._dev_documents(dev, predictions, 0.5, reflector)
+    for thresholds in oracle_visited:
+        evaluate_threshold_set(documents, thresholds, reflector)
+    reduced = _signatures(prepared, oracle_visited, standin)
+    assert sorted(recorded) == sorted(reduced)
+    assert len(reduced) < len(_signatures(prepared, oracle_visited))
+
+
+@pytest.mark.parametrize("standin", [s for s, _ in STANDINS])
+def test_a_repeated_doc_id_counts_once_in_the_search_grid(standin):
+    # Scoring counts a repeated doc_id once, as its last document; so do
+    # the confidence samples the grid is spanned from.
+    dev, predictions = DEV_SETS["argument-seed-1"]()
+    tuned = tune_thresholds(dev, predictions, grid_step=0.05, reflection_standin=standin)
+    repeated = [*dev, dev[0], dev[0], dev[0]]
+    assert tune_thresholds(
+        repeated, predictions, grid_step=0.05, reflection_standin=standin
+    ) == tuned
+    # The last document of a doc_id wins, at the first one's position.
+    stale = Document(dev[0].doc_id, dev[1].text, dev[1].gold_events)
+    assert tune_thresholds(
+        [stale, *dev[1:], dev[0]], predictions, grid_step=0.05, reflection_standin=standin
+    ) == tuned
