@@ -185,6 +185,9 @@ class DocumentResult:
 
 
 def _dedupe_tagger(preds: list[TaggerPrediction]) -> dict[EventKey, TaggerPrediction]:
+    """One prediction per ``EventKey``: the one of highest trigger
+    confidence, the first of them on a tie, whatever their argument
+    confidences."""
     best: dict[EventKey, TaggerPrediction] = {}
     for pred in preds:
         key = canonical_key(pred.event)

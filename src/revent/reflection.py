@@ -127,9 +127,6 @@ class TriggerVerdict:
                 return verdict == TRIGGER_LABEL
         raise KeyError(f"phrase {phrase!r} was not queried")
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.verdicts)
-
 
 @dataclass(frozen=True)
 class ArgumentVerdict:

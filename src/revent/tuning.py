@@ -23,32 +23,27 @@ stand-in the walk also pins the band edge it makes inert (below).
 Micro-F1 is a sum of per-document counts, and the stand-in reflectors are
 pure functions of one document's items. So each document is decided and
 scored once per its own decision signature - how many of its own
-confidences fall below each cutoff that decides something - and memoises
-its flat counts (``Metrics.counts``) under it. A visited triple then costs
-one memo lookup per document and one ``Metrics``, built from the
-documents' counts summed column by column.
+confidences fall below each of the six cutoffs - and memoises its flat
+counts (``Metrics.counts``) under it. A visited triple then costs one memo
+lookup per document and one ``Metrics``, built from the documents' counts
+summed column by column.
 
-A constant stand-in makes one ensemble band edge inert at each level, so
-its signature leaves that edge out. Keep-all keeps every reflected trigger
-and confirms every pending argument, so an ensemble item in the band
-[theta_smoa_lo, theta_smoa_hi) ends up kept, with its pending arguments,
-exactly as one at or above theta_smoa_hi, whose pending arguments are
-reflected and confirmed too. Moving theta_smoa_hi then changes only
-provenance, which scoring ignores, and the signature counts theta_s and
-theta_smoa_lo. Drop-all rejects them all, so a band item is dropped
-exactly as one below theta_smoa_lo: that edge is inert, and the signature
-counts theta_s and theta_smoa_hi. Any other reflector (the oracle, the
-live one, a caller's own) may judge band items one by one, so its
-signature counts all three cutoffs of both levels.
-
-The walk pins the inert edge to the first class it may take. Under
-keep-all, a triple (lo, theta_s, hi) with hi above lo scores exactly as
-(lo, theta_s, lo), which the walk reaches first, so only hi = lo is
-visited. Under drop-all, a triple whose lo is above the smallest ensemble
-class scores exactly as the same theta_s and hi at that class, reached
-first, so only that lo is visited. A skipped triple can never strictly
-improve on its earlier twin, so the pinned walk returns the full walk's
-argmax; any other reflector walks every lo <= hi.
+A constant stand-in makes one ensemble band edge inert at each level, and
+the walk pins that edge to the first class it may take. Keep-all keeps
+every reflected trigger and confirms every pending argument, so an
+ensemble item in the band [theta_smoa_lo, theta_smoa_hi) ends up kept,
+with its pending arguments, exactly as one at or above theta_smoa_hi,
+whose pending arguments are reflected and confirmed too. Moving
+theta_smoa_hi then changes only provenance, which scoring ignores: a
+triple (lo, theta_s, hi) with hi above lo scores exactly as (lo, theta_s,
+lo), which the walk reaches first, so only hi = lo is visited. Drop-all
+rejects them all, so a band item is dropped exactly as one below
+theta_smoa_lo: a triple whose lo is above the smallest ensemble class
+scores exactly as the same theta_s and hi at that class, reached first,
+so only that lo is visited. A skipped triple can never strictly improve on
+its earlier twin, so the pinned walk returns the full walk's argmax. Any
+other reflector (the oracle, the live one, a caller's own) may judge band
+items one by one, so it walks every lo <= hi.
 
 Trigger thresholds are tuned first against trigger-classification F1; the
 argument triple is then tuned against argument-classification F1 with the
@@ -65,7 +60,7 @@ from typing import Callable
 
 from .confidence import Source, ThresholdSet, ThresholdTriple, smoa_confidence
 from .ensemble import VoteLedger, cleanup_predictions
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError
 from .ingest import TaggerPrediction
 from .metrics import SUBTASKS, Metrics, gold_from_corpus, score_predictions
 from .model import Document, EventMention, trigger_id
@@ -182,8 +177,7 @@ def collect_confidence_samples(
 
 
 # The ensemble band edge that decides under each constant stand-in; the
-# other edge is inert, so the memo key leaves it out and the walk pins it
-# (see the module docstring).
+# walk pins the other, inert, edge (see the module docstring).
 _DECIDING_EDGE = {keep_all_reflector: "theta_smoa_lo", drop_all_reflector: "theta_smoa_hi"}
 
 # The flat counts of no documents.
@@ -201,50 +195,36 @@ class _DevDocument:
     reflector: Reflector
     counts: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
 
-    def counts_at(self, thresholds: ThresholdSet, reflector: Reflector) -> tuple[int, ...]:
-        if reflector is not self.reflector:
-            raise ContractError("dev documents are memoised under another reflector")
-        # How many of the document's confidences fall below each cutoff that
-        # decides. A tagger item is kept iff its confidence is at or above
-        # theta_s, an ensemble item is retained at or above theta_smoa_hi and
-        # removed below theta_smoa_lo, so these counts fix every item's band,
-        # or, under a constant stand-in, whether it is kept.
+    def counts_at(self, thresholds: ThresholdSet) -> tuple[int, ...]:
+        # How many of the document's confidences fall below each cutoff. A
+        # tagger item is kept iff its confidence is at or above theta_s, an
+        # ensemble item is retained at or above theta_smoa_hi and removed
+        # below theta_smoa_lo, so these counts fix every item's band.
         (trigger_tagger, trigger_smoa), (argument_tagger, argument_smoa) = self.cuts
         trigger, argument = thresholds.trigger, thresholds.argument
-        edge = _DECIDING_EDGE.get(reflector)
-        if edge is None:
-            signature = (
-                bisect_left(trigger_tagger, trigger.theta_s),
-                bisect_left(trigger_smoa, trigger.theta_smoa_hi),
-                bisect_left(trigger_smoa, trigger.theta_smoa_lo),
-                bisect_left(argument_tagger, argument.theta_s),
-                bisect_left(argument_smoa, argument.theta_smoa_hi),
-                bisect_left(argument_smoa, argument.theta_smoa_lo),
-            )
-        else:
-            signature = (
-                bisect_left(trigger_tagger, trigger.theta_s),
-                bisect_left(trigger_smoa, getattr(trigger, edge)),
-                bisect_left(argument_tagger, argument.theta_s),
-                bisect_left(argument_smoa, getattr(argument, edge)),
-            )
+        signature = (
+            bisect_left(trigger_tagger, trigger.theta_s),
+            bisect_left(trigger_smoa, trigger.theta_smoa_hi),
+            bisect_left(trigger_smoa, trigger.theta_smoa_lo),
+            bisect_left(argument_tagger, argument.theta_s),
+            bisect_left(argument_smoa, argument.theta_smoa_hi),
+            bisect_left(argument_smoa, argument.theta_smoa_lo),
+        )
         counts = self.counts.get(signature)
         if counts is None:
             doc = self.prepared.doc
-            final = decide(self.prepared, thresholds, reflector).final_events
+            final = decide(self.prepared, thresholds, self.reflector).final_events
             counts = self.counts[signature] = score_predictions(
                 {doc.doc_id: final}, gold_from_corpus([doc])
             ).counts()
         return counts
 
 
-def evaluate_threshold_set(
-    dev: list[_DevDocument], thresholds: ThresholdSet, reflector: Reflector
-) -> Metrics:
-    """Dev-set metrics of the downstream pipeline at one threshold setting:
-    every document's flat counts summed column by column, all zero for no
-    documents. ``reflector`` must be the one the documents were built with."""
-    rows = [d.counts_at(thresholds, reflector) for d in dev]
+def evaluate_threshold_set(dev: list[_DevDocument], thresholds: ThresholdSet) -> Metrics:
+    """Dev-set metrics of the downstream pipeline at one threshold setting,
+    each document decided with its own reflector: every document's flat
+    counts summed column by column, all zero for no documents."""
+    rows = [d.counts_at(thresholds) for d in dev]
     return Metrics.from_counts(map(sum, zip(_NO_COUNTS, *rows)))
 
 
@@ -359,7 +339,7 @@ def tune_thresholds(
     trigger_cuts, argument_cuts = _confidence_cuts([d.prepared for d in documents])
 
     def f1(thresholds: ThresholdSet, subtask: str) -> float:
-        return getattr(evaluate_threshold_set(documents, thresholds, reflector), subtask).f1
+        return getattr(evaluate_threshold_set(documents, thresholds), subtask).f1
 
     edge = _DECIDING_EDGE.get(reflector)
     trigger = _tune_level(

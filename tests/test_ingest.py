@@ -120,6 +120,10 @@ def test_tagger_prediction_pairs_each_argument_with_one_confidence():
         TaggerPrediction(event, 0.9, (0.8, 0.7))
     pred = TaggerPrediction(event, 0.9, (0.8,))
     assert pred.argument_confidence(kim) == 0.8
+    # Both ends of [0, 1] are confidences, for a trigger and an argument alike.
+    for trigger_confidence, argument_confidence in ((0.0, 1.0), (1.0, 0.0)):
+        pred = TaggerPrediction(event, trigger_confidence, (argument_confidence,))
+        assert pred.argument_confidence(kim) == argument_confidence
     with pytest.raises(KeyError):
         pred.argument_confidence(ArgumentMention(Span("Lee", 8, 11), "A"))
 

@@ -23,6 +23,9 @@ def test_span_validates_range_and_length():
         Span("cat", 7, 4)
     with pytest.raises(ValueError):
         Span("cat", 0, 0)
+    # A zero-width span is refused even when its empty surface matches.
+    with pytest.raises(ValueError, match="invalid span range"):
+        Span("", 3, 3)
     with pytest.raises(ValueError):
         Span("cat", 0, 5)
 

@@ -8,6 +8,7 @@ import pytest
 from revent.confidence import ThresholdSet, ThresholdTriple, bundled_thresholds
 from revent.ensemble import VoteLedger, default_agents, fold_votes, run_self_moa
 from revent.errors import ConfigurationError
+from revent.ingest import TaggerPrediction
 from revent.integration import Provenance
 from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key, trigger_id
 from revent.pipeline import (
@@ -483,3 +484,22 @@ def test_repeating_a_tagger_prediction_changes_no_final_event():
             trigger_id(twice.event) in {event.trigger_id for event in final} for final in finals
         )
     assert repeated  # some repeated predictions reached the final events
+
+
+def test_of_two_tied_tagger_predictions_of_one_event_the_first_is_kept():
+    # Same event, same trigger confidence; only the argument confidences
+    # differ, so the kept prediction decides whether Kim passes theta_s.
+    doc = Document("tie", "Kim met Lee")
+    kim = ArgumentMention(Span("Kim", 0, 3), "Entity")
+    event = EventMention(Span("met", 4, 7), "Contact:Meet", (kim,))
+    sure, unsure = TaggerPrediction(event, 0.9, (0.9,)), TaggerPrediction(event, 0.9, (0.1,))
+    triple = ThresholdTriple(theta_s=0.5, theta_smoa_hi=0.8, theta_smoa_lo=0.2)
+
+    def arguments(preds):
+        result = extract_document(
+            doc, preds, [], VoteLedger(), 10, ThresholdSet(triple, triple), 0.5, keep_all_reflector
+        )
+        return [arg for e in result.final_events for arg in e.arguments]
+
+    assert arguments([sure, unsure]) == [kim]
+    assert arguments([unsure, sure]) == []

@@ -165,7 +165,7 @@ def test_verdict_of_a_phrase_not_queried_is_a_key_error():
 def test_parse_trigger_response_template_example():
     raw = '```ClassificationMap = {"therapy": "Trigger", "increase dose": "Non-Trigger"}```'
     verdict = parse_trigger_response(raw, ["therapy", "increase dose"])
-    assert verdict.as_dict() == {"therapy": "Trigger", "increase dose": "Non-Trigger"}
+    assert verdict.verdicts == (("therapy", "Trigger"), ("increase dose", "Non-Trigger"))
 
 
 def test_parse_trigger_response_ignores_surrounding_prose():
@@ -186,7 +186,7 @@ def test_parse_trigger_response_bad_verdict_is_parse_error():
 
 def test_verdict_for_a_phrase_not_queried_does_not_void_the_reply():
     raw = '```ClassificationMap = {"dead": "Non-Trigger", "today": "maybe"}```'
-    assert parse_trigger_response(raw, ["dead"]).as_dict() == {"dead": "Non-Trigger"}
+    assert parse_trigger_response(raw, ["dead"]).verdicts == (("dead", "Non-Trigger"),)
     doc = _doc()
     backend = RecordingBackend(lambda req: raw)
     audit = AuditLog()

@@ -6,7 +6,7 @@ import pytest
 from revent import tuning
 from revent.confidence import Source, ThresholdSet, ThresholdTriple
 from revent.ensemble import VoteLedger, cleanup_predictions
-from revent.errors import ConfigurationError, ContractError
+from revent.errors import ConfigurationError
 from revent.ingest import TaggerPrediction
 from revent.metrics import Metrics, gold_from_corpus, score_predictions
 from revent.model import ArgumentMention, Document, EventMention, Span, canonical_key, trigger_id
@@ -37,6 +37,10 @@ def test_derive_search_values_spans_quartiles():
     assert min(v for v in values if v > 0) <= 0.1
     assert any(v >= 0.9 for v in values)
     assert values == sorted(values)
+    # Two samples have quartiles between them, 0.35 and 0.65 here.
+    assert derive_search_values([0.2, 0.8], [], 0.05) == [
+        0.0, *(round(0.3 + 0.05 * i, 10) for i in range(9)), 1.05
+    ]
 
 
 def test_derive_search_values_needs_data():
@@ -334,21 +338,16 @@ def test_seeded_tuner_equals_brute_force(corpus_seed, standin, reflector):
     assert tuned == _brute_force_tune(dev, predictions, grid_step=0.1, reflector=reflector)
 
 
-def _bands(prepared, thresholds, standin=None):
+def _bands(prepared, thresholds):
     """The band of every scored item of one prepared document: kept or not
     for a tagger item; retained (1), reflected (0) or removed (-1) for an
-    ensemble item, or, under the keep-all or drop-all ``standin``, whether
-    the ensemble item is kept (1) or not (0)."""
+    ensemble item."""
 
     def band(item, triple):
         if item.source is Source.TAGGER:
             return int(item.confidence >= triple.theta_s)
         retained = item.confidence >= triple.theta_smoa_hi
         removed = item.confidence < triple.theta_smoa_lo
-        if standin == "keep-all":
-            return int(not removed)
-        if standin == "drop-all":
-            return int(retained)
         return retained - removed
 
     return (
@@ -359,16 +358,15 @@ def _bands(prepared, thresholds, standin=None):
 
 def _traced_tune(monkeypatch, dev, predictions, standin, grid_step=0.05):
     """The points ``tune_thresholds`` visits under ``standin``, and each
-    decide it makes as (doc_id, bands of the document's items under
-    ``standin``)."""
+    decide it makes as (doc_id, bands of the document's items)."""
     visited, decided = [], []
 
-    def counted_evaluate(documents, thresholds, reflector):
+    def counted_evaluate(documents, thresholds):
         visited.append(thresholds)
-        return evaluate_threshold_set(documents, thresholds, reflector)
+        return evaluate_threshold_set(documents, thresholds)
 
     def counted_decide(prepared, thresholds, reflector):
-        decided.append((prepared.doc.doc_id, _bands(prepared, thresholds, standin)))
+        decided.append((prepared.doc.doc_id, _bands(prepared, thresholds)))
         return decide(prepared, thresholds, reflector)
 
     monkeypatch.setattr(tuning, "evaluate_threshold_set", counted_evaluate)
@@ -386,8 +384,8 @@ def _level_triples(visited):
     ]
 
 
-def _signatures(prepared, points, standin=None):
-    return {(p.doc.doc_id, _bands(p, t, standin)) for t in points for p in prepared}
+def _signatures(prepared, points):
+    return {(p.doc.doc_id, _bands(p, t)) for t in points for p in prepared}
 
 
 @pytest.mark.parametrize("standin", [s for s, _ in STANDINS])
@@ -455,26 +453,24 @@ def _decided_metrics(documents, thresholds, reflector):
     return score_predictions(preds, gold_from_corpus([d.prepared.doc for d in documents]))
 
 
-def test_dev_documents_refuse_another_reflector():
+def test_dev_documents_score_with_the_reflector_they_are_bound_to():
     dev, predictions = _dev_fixture(6)
     triple = ThresholdTriple(theta_s=0.5, theta_smoa_hi=0.8, theta_smoa_lo=0.2)
     thresholds = ThresholdSet(trigger=triple, argument=triple)
     kept = tuning._dev_documents(dev, predictions, 0.5, keep_all_reflector)
-    evaluate_threshold_set(kept, thresholds, keep_all_reflector)
-    # The memo holds keep-all counts, so drop-all on these documents is refused.
-    with pytest.raises(ContractError, match="another reflector"):
-        evaluate_threshold_set(kept, thresholds, drop_all_reflector)
     dropped = tuning._dev_documents(dev, predictions, 0.5, drop_all_reflector)
-    assert evaluate_threshold_set(dropped, thresholds, drop_all_reflector) == _decided_metrics(
-        dropped, thresholds, drop_all_reflector
-    )
+    kept_metrics = evaluate_threshold_set(kept, thresholds)
+    dropped_metrics = evaluate_threshold_set(dropped, thresholds)
+    assert kept_metrics == _decided_metrics(kept, thresholds, keep_all_reflector)
+    assert dropped_metrics == _decided_metrics(dropped, thresholds, drop_all_reflector)
+    # The band holds items here, so the two reflectors score apart.
+    assert kept_metrics != dropped_metrics
 
 
 def test_no_dev_documents_score_all_zero():
     triple = ThresholdTriple(theta_s=0.5, theta_smoa_hi=0.8, theta_smoa_lo=0.2)
     thresholds = ThresholdSet(trigger=triple, argument=triple)
-    for reflector in (keep_all_reflector, drop_all_reflector, oracle_reflector):
-        assert evaluate_threshold_set([], thresholds, reflector) == score_predictions({}, {})
+    assert evaluate_threshold_set([], thresholds) == score_predictions({}, {})
     assert score_predictions({}, {}).counts() == (0,) * 12
 
 
@@ -501,7 +497,7 @@ def test_pooled_counts_equal_scoring_each_documents_decisions(n_docs, standin, r
         thresholds = ThresholdSet(
             trigger=_random_triple(rng, confidences), argument=_random_triple(rng, confidences)
         )
-        assert evaluate_threshold_set(documents, thresholds, reflector) == _decided_metrics(
+        assert evaluate_threshold_set(documents, thresholds) == _decided_metrics(
             documents, thresholds, reflector
         )
 
@@ -512,9 +508,9 @@ def test_tuner_builds_one_metrics_per_visited_point_and_decision(monkeypatch, n_
     visited, decided, built = [], [], []
     evaluate, decide_, init = tuning.evaluate_threshold_set, tuning.decide, Metrics.__init__
 
-    def counted_evaluate(documents, thresholds, reflector):
+    def counted_evaluate(documents, thresholds):
         visited.append(thresholds)
-        return evaluate(documents, thresholds, reflector)
+        return evaluate(documents, thresholds)
 
     def counted_decide(prepared, thresholds, reflector):
         decided.append(prepared)
@@ -591,9 +587,8 @@ def test_tuner_decides_once_per_document_and_decision_signature(monkeypatch, sta
 
     prepared = [d.prepared for d in tuning._dev_documents(dev, predictions, 0.5, reflector)]
     # One decide per distinct (document, decision signature) over the visited points.
-    assert sorted(decided) == sorted(_signatures(prepared, visited, standin))
+    assert sorted(decided) == sorted(_signatures(prepared, visited))
     if standin == "oracle":
-        assert _signatures(prepared, visited, standin) == _signatures(prepared, visited)
         return
     triples = _level_triples(visited)
     # The walk pins the inert edge: hi to lo under keep-all, lo to the
@@ -611,20 +606,18 @@ def test_tuner_decides_once_per_document_and_decision_signature(monkeypatch, sta
     assert set(triples) < set(_level_triples(oracle_visited))
 
     # Over the oracle's points, the memo still decides each document once
-    # per reduced signature, fewer than its full band settings.
+    # per decision signature.
     recorded = []
 
     def counted_decide(prepared, thresholds, reflector):
-        recorded.append((prepared.doc.doc_id, _bands(prepared, thresholds, standin)))
+        recorded.append((prepared.doc.doc_id, _bands(prepared, thresholds)))
         return decide(prepared, thresholds, reflector)
 
     monkeypatch.setattr(tuning, "decide", counted_decide)
     documents = tuning._dev_documents(dev, predictions, 0.5, reflector)
     for thresholds in oracle_visited:
-        evaluate_threshold_set(documents, thresholds, reflector)
-    reduced = _signatures(prepared, oracle_visited, standin)
-    assert sorted(recorded) == sorted(reduced)
-    assert len(reduced) < len(_signatures(prepared, oracle_visited))
+        evaluate_threshold_set(documents, thresholds)
+    assert sorted(recorded) == sorted(_signatures(prepared, oracle_visited))
 
 
 @pytest.mark.parametrize("standin", [s for s, _ in STANDINS])
